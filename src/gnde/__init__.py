@@ -30,7 +30,7 @@ from .catalog import (
     kernel_distance,
     support_boundary,
 )
-from .dynamics import SolverConfig, TrajectoryRecord, integrate, picard_solve
+from .dynamics import SolverConfig, TrajectoryRecord, integrate
 from .errors import (
     ComplexityGuardError,
     ConfigError,

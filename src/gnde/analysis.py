@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import catalog, sampling
 from .errors import (
     DegenerateReferenceError,
     InsufficientDataError,
     InvalidParameterError,
     LogDomainError,
 )
-from .sampling import induce_features, overlay_l2_distance, pwc_l2_norm
 
 REPORT_COLUMNS = (
     "graphon",
@@ -126,21 +126,46 @@ def _check_compatible(traj_a, traj_b):
         )
     if not np.array_equal(traj_a.eval_times, traj_b.eval_times):
         raise InvalidParameterError("trajectories must share the eval grid exactly")
+    if not (np.isfinite(traj_a.states).all() and np.isfinite(traj_b.states).all()):
+        raise InvalidParameterError("feature values must be finite")
 
 
-def _induced(traj, j):
-    from .sampling import FeatureMatrix
+def _sup_overlay_error(traj_n, traj_ref, relative: bool) -> float:
+    """sup over the eval grid of the overlay L2 distance between the induced
+    states, divided by the reference norm at the same t when ``relative``.
 
-    return induce_features(FeatureMatrix(traj.states[j]))
+    The merged partition of the two uniform partitions is built once; each
+    eval time then reduces its own cells with its own 1-D sums, exactly as
+    ``sampling.overlay_l2_distance`` and ``sampling.pwc_l2_norm`` do, so the
+    result equals the per-state computation bit for bit (one sum over a
+    2-D array of all eval times would change the summation order).
+    """
+    _check_compatible(traj_n, traj_ref)
+    bp_ref = sampling.uniform_breakpoints(traj_ref.n)
+    ia, ib, widths = catalog.overlay_partition(
+        sampling.uniform_breakpoints(traj_n.n), bp_ref
+    )
+    ref_widths = np.diff(bp_ref)
+    worst = 0.0
+    for t, x_n, x_ref in zip(traj_ref.eval_times, traj_n.states, traj_ref.states):
+        d = x_n[ia] - x_ref[ib]
+        dist = math.sqrt(np.sum(widths * np.sum(d * d, axis=1)))
+        if relative:
+            if dist == 0.0:
+                continue
+            denom = math.sqrt(np.sum(ref_widths * np.sum(x_ref * x_ref, axis=1)))
+            if denom < 1e-12:
+                raise DegenerateReferenceError(
+                    f"reference trajectory norm below 1e-12 at t={t!r}", time=float(t)
+                )
+            dist /= denom
+        worst = max(worst, dist)
+    return worst
 
 
 def trajectory_sup_absolute_error(traj_n, traj_ref) -> float:
     """max_t of the exact overlay L2 distance between induced states."""
-    _check_compatible(traj_n, traj_ref)
-    return max(
-        overlay_l2_distance(_induced(traj_n, j), _induced(traj_ref, j))
-        for j in range(traj_n.eval_times.size)
-    )
+    return _sup_overlay_error(traj_n, traj_ref, relative=False)
 
 
 def trajectory_sup_relative_error(traj_n, traj_ref) -> float:
@@ -150,21 +175,7 @@ def trajectory_sup_relative_error(traj_n, traj_ref) -> float:
     norm (identical trajectories have zero error even at an equilibrium);
     the degenerate-reference guard fires only for a genuine 0-divide.
     """
-    _check_compatible(traj_n, traj_ref)
-    worst = 0.0
-    for j in range(traj_n.eval_times.size):
-        ref = _induced(traj_ref, j)
-        dist = overlay_l2_distance(_induced(traj_n, j), ref)
-        if dist == 0.0:
-            continue
-        denom = pwc_l2_norm(ref)
-        if denom < 1e-12:
-            raise DegenerateReferenceError(
-                f"reference trajectory norm below 1e-12 at t={traj_ref.eval_times[j]!r}",
-                time=float(traj_ref.eval_times[j]),
-            )
-        worst = max(worst, dist / denom)
-    return worst
+    return _sup_overlay_error(traj_n, traj_ref, relative=True)
 
 
 def stability_bound_check(

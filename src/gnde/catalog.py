@@ -663,12 +663,21 @@ def hom_density_graphon(motif: Motif, kernel, grid: int) -> float:
 # Kernel distances (upper-bound surrogates for the cut norm)
 
 
-def _overlay_kernel_diff(ka, kb):
-    merged = np.union1d(ka.breakpoints, kb.breakpoints)
+def overlay_partition(bp_a, bp_b):
+    """Merged partition of two breakpoint arrays on [0,1]: (ia, ib, widths).
+
+    Cell c of the merged partition has width widths[c] and lies inside
+    cell ia[c] of ``bp_a`` and cell ib[c] of ``bp_b``.
+    """
+    merged = np.union1d(bp_a, bp_b)
     mids = 0.5 * (merged[:-1] + merged[1:])
-    widths = np.diff(merged)
-    ia = np.clip(np.searchsorted(ka.breakpoints, mids, side="right") - 1, 0, ka.values.shape[0] - 1)
-    ib = np.clip(np.searchsorted(kb.breakpoints, mids, side="right") - 1, 0, kb.values.shape[0] - 1)
+    ia = np.clip(np.searchsorted(bp_a, mids, side="right") - 1, 0, bp_a.size - 2)
+    ib = np.clip(np.searchsorted(bp_b, mids, side="right") - 1, 0, bp_b.size - 2)
+    return ia, ib, np.diff(merged)
+
+
+def _overlay_kernel_diff(ka, kb):
+    ia, ib, widths = overlay_partition(ka.breakpoints, kb.breakpoints)
     diff = ka.values[np.ix_(ia, ia)] - kb.values[np.ix_(ib, ib)]
     return diff, widths
 

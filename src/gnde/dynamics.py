@@ -376,12 +376,6 @@ def integrate(S, Z, bank: FilterBank, act: Activation, T: float, cfg: SolverConf
     return _integrate_picard(S, Z, bank, act, T, cfg)
 
 
-def picard_solve(S, Z, bank: FilterBank, act: Activation, T: float, cfg: SolverConfig):
-    """Fixed-point oracle; equivalent to integrate with method='picard'."""
-    S, Z = _prepare(S, Z, bank, act, T)
-    return _integrate_picard(S, Z, bank, act, T, cfg)
-
-
 def equivariance_check(S, Z, bank, act, T, cfg, perm) -> float:
     """Sup over the eval grid of the scaled-norm gap between permuted and
     relabeled trajectories; bounded by ~10x solver tolerance."""

@@ -148,9 +148,11 @@ def layer_stack_forward(S, X, coeffs, act_id: int, slope: float = 0.0) -> np.nda
         for _ in range(1, K):
             powers.append(_shift_product(S, powers[-1]))
         z = np.zeros_like(cur)
-        for g in range(F):
-            for k in range(K):
-                z += coeffs[layer, :, g, k] * powers[k][:, g : g + 1]
+        # A diverging state overflows here; dynamics reports it as DivergenceError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for g in range(F):
+                for k in range(K):
+                    z += coeffs[layer, :, g, k] * powers[k][:, g : g + 1]
         if act_id == ACT_RELU:
             cur = np.where(z > 0.0, z, 0.0)
         elif act_id == ACT_LEAKY_RELU:

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import catalog
 from .errors import (
+    ComplexityGuardError,
     DimensionMismatchError,
     EdgeListParseError,
     InvalidParameterError,
@@ -237,10 +238,25 @@ def random_holder_features(channels: int, degree: int, rng) -> FeatureFunctionSp
 # Sampling operations
 
 
-def _grid(n: int) -> np.ndarray:
-    if int(n) < 1:
+#: Largest node count accepted for a dense n x n graph (2 GiB in float64).
+MAX_DENSE_NODES = 16384
+
+
+def _node_count(n) -> int:
+    n = int(n)
+    if n < 1:
         raise InvalidParameterError("node count must be >= 1")
-    return np.arange(int(n), dtype=np.float64) / int(n)
+    if n > MAX_DENSE_NODES:
+        raise ComplexityGuardError(
+            f"n={n} exceeds the dense-size limit of {MAX_DENSE_NODES} nodes "
+            f"(an n x n float64 array would take {8.0 * n * n / 2**30:.3g} GiB)"
+        )
+    return n
+
+
+def _grid(n: int) -> np.ndarray:
+    n = _node_count(n)
+    return np.arange(n, dtype=np.float64) / n
 
 
 def sample_weighted(spec: catalog.GraphonSpec, n: int) -> SampledGraph:
@@ -264,9 +280,7 @@ def sample_unweighted(spec: catalog.GraphonSpec, n: int) -> SampledGraph:
         raise WrongRegimeError(
             "weighted kernels sample by evaluation; use sample_weighted"
         )
-    n = int(n)
-    if n < 1:
-        raise InvalidParameterError("node count must be >= 1")
+    n = _node_count(n)
     k, pre = catalog.support_grid(spec)
     idx = np.arange(n, dtype=np.int64)
     lo = (idx * k) // n
@@ -314,30 +328,23 @@ def graph_shift(graph: SampledGraph) -> np.ndarray:
 # Induced step-function representations and overlay distances
 
 
+def uniform_breakpoints(n: int) -> np.ndarray:
+    """Breakpoints i/n, i = 0..n, of the uniform n-partition I_0..I_{n-1}."""
+    return np.arange(n + 1, dtype=np.float64) / n
+
+
 def induce_kernel(graph: SampledGraph) -> PiecewiseConstantFunction:
     """Step kernel equal to adjacency[i][j] on cell I_i x I_j."""
-    n = graph.n
-    bp = np.arange(n + 1, dtype=np.float64) / n
-    return PiecewiseConstantFunction(bp, graph.adjacency, kernel=True)
+    return PiecewiseConstantFunction(
+        uniform_breakpoints(graph.n), graph.adjacency, kernel=True
+    )
 
 
 def induce_features(features: FeatureMatrix) -> PiecewiseConstantFunction:
     """Step function carrying row i on interval I_i."""
-    n = features.n
-    bp = np.arange(n + 1, dtype=np.float64) / n
-    return PiecewiseConstantFunction(bp, features.values, kernel=False)
-
-
-def _overlay_rows(f_a, f_b):
-    merged = np.union1d(f_a.breakpoints, f_b.breakpoints)
-    mids = 0.5 * (merged[:-1] + merged[1:])
-    ia = np.clip(
-        np.searchsorted(f_a.breakpoints, mids, side="right") - 1, 0, f_a.values.shape[0] - 1
+    return PiecewiseConstantFunction(
+        uniform_breakpoints(features.n), features.values, kernel=False
     )
-    ib = np.clip(
-        np.searchsorted(f_b.breakpoints, mids, side="right") - 1, 0, f_b.values.shape[0] - 1
-    )
-    return f_a.values[ia] - f_b.values[ib], np.diff(merged)
 
 
 def overlay_l2_distance(
@@ -354,7 +361,8 @@ def overlay_l2_distance(
         raise DimensionMismatchError(
             f"feature counts differ ({f_a.F} vs {f_b.F}); cannot compare"
         )
-    diff, widths = _overlay_rows(f_a, f_b)
+    ia, ib, widths = catalog.overlay_partition(f_a.breakpoints, f_b.breakpoints)
+    diff = f_a.values[ia] - f_b.values[ib]
     return float(math.sqrt(np.sum(widths * np.sum(diff * diff, axis=1))))
 
 
@@ -399,6 +407,7 @@ def read_edge_list(path) -> SampledGraph:
         raise EdgeListParseError(f"bad header {head!r}", line=1) from exc
     if n < 1 or value_class not in (WEIGHTED, UNWEIGHTED):
         raise EdgeListParseError(f"bad header {head!r}", line=1)
+    n = _node_count(n)
     adj = np.zeros((n, n), dtype=np.float64)
     start = 2 if len(lines) > 1 and lines[1].strip() == "i,j,weight" else 1
     for ln, row in enumerate(lines[start:], start=start + 1):

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnde import analysis as an
 from gnde import catalog as cat
@@ -118,6 +120,66 @@ def test_relative_error_zero_cases():
     with pytest.raises(DegenerateReferenceError) as err:
         an.trajectory_sup_relative_error(lively, zero4)
     assert err.value.time == 0.0
+
+
+@st.composite
+def _trajectory_pairs(draw):
+    """An (n-node, reference) trajectory pair on a shared eval grid.
+
+    Node counts are nested (24 in 256), non-nested (7 vs 3) or arbitrary.
+    Each eval time is free, has an all-zero reference, is all zero on both
+    sides, or has equal induced step functions (zero distance, nonzero
+    reference); the reference may also be zero at every eval time, or
+    scaled to a norm below the 1e-12 guard.
+    """
+    n, n_ref = draw(st.one_of(
+        st.sampled_from([(24, 256), (256, 24), (7, 3), (3, 7), (16, 16)]),
+        st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    ))
+    F = draw(st.integers(1, 3))
+    J = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states_n = draw(st.sampled_from([1e-8, 1.0, 1e8])) * rng.standard_normal((J, n, F))
+    states_ref = draw(st.sampled_from([1e-14, 1.0, 1e3])) * rng.standard_normal((J, n_ref, F))
+    states_n[rng.random(states_n.shape) < 0.2] = 0.0
+    for j in range(J):
+        kind = draw(st.sampled_from(["free", "free", "zero_ref", "zero_both", "same"]))
+        if kind == "same" and n_ref % n == 0:
+            states_ref[j] = np.repeat(states_n[j], n_ref // n, axis=0)
+        elif kind == "same" and n % n_ref == 0:
+            states_n[j] = np.repeat(states_ref[j], n // n_ref, axis=0)
+        elif kind != "free":
+            states_ref[j] = 0.0
+            if kind != "zero_ref":
+                states_n[j] = 0.0
+    if draw(st.integers(0, 3)) == 0:
+        states_ref[:] = 0.0
+    times = np.linspace(0.0, 1.0, J)
+    return TrajectoryRecord(times, states_n, {}), TrajectoryRecord(times, states_ref, {})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trajectory_pairs())
+def test_sup_errors_equal_per_state_overlay(pair):
+    traj_n, traj_ref = pair
+    dists, norms = [], []
+    for x_n, x_ref in zip(traj_n.states, traj_ref.states):
+        ref = smp.induce_features(smp.FeatureMatrix(x_ref))
+        dists.append(smp.overlay_l2_distance(smp.induce_features(smp.FeatureMatrix(x_n)), ref))
+        norms.append(smp.pwc_l2_norm(ref))
+    assert an.trajectory_sup_absolute_error(traj_n, traj_ref).hex() == max(dists).hex()
+    ratios = [0.0]
+    for t, dist, norm in zip(traj_ref.eval_times, dists, norms):
+        if dist == 0.0:
+            continue
+        if norm < 1e-12:
+            with pytest.raises(DegenerateReferenceError) as err:
+                an.trajectory_sup_relative_error(traj_n, traj_ref)
+            assert err.value.time == t
+            assert str(err.value) == f"reference trajectory norm below 1e-12 at t={t!r}"
+            return
+        ratios.append(dist / norm)
+    assert an.trajectory_sup_relative_error(traj_n, traj_ref).hex() == max(ratios).hex()
 
 
 def test_trajectory_compat_guards():

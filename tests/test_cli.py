@@ -232,6 +232,22 @@ def test_transfer_audit_config_errors(tmp_path):
     assert entry(["transfer-audit", "--config", bad_prop, "--out", str(tmp_path / "o.csv")]) == 2
 
 
+def test_oversized_graphs_exit_2(tmp_path, capsys):
+    # Both sizes would need a dense 10^9 x 10^9 array; the guard fires first.
+    huge = 10**9
+    edges = tmp_path / "huge.csv"
+    edges.write_text(f"n={huge},class=weighted\ni,j,weight\n0,1,0.5\n")
+    audit_cfg = _cfg(tmp_path, "a.cfg", edge_list=str(edges))
+    assert entry(["transfer-audit", "--config", audit_cfg,
+                  "--out", str(tmp_path / "o.csv")]) == 2
+    assert f"n={huge} exceeds the dense-size limit" in capsys.readouterr().err
+    conv_cfg = _cfg(tmp_path, "c.cfg", n_list="8,12,16", n_ref=str(huge), trials="1")
+    assert entry(["converge", "--config", conv_cfg,
+                  "--out", str(tmp_path / "c.csv")]) == 2
+    assert f"n={huge} exceeds the dense-size limit" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_config_errors_exit_2(tmp_path):
     unknown_key = tmp_path / "u.cfg"
     unknown_key.write_text("flux_capacitor=1\n")

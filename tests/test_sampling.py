@@ -10,6 +10,7 @@ import pytest
 from gnde import catalog as cat
 from gnde import sampling as smp
 from gnde.errors import (
+    ComplexityGuardError,
     DimensionMismatchError,
     EdgeListParseError,
     InvalidParameterError,
@@ -243,6 +244,20 @@ def test_edge_list_parse_error_carries_line(tmp_path):
     with pytest.raises(EdgeListParseError) as err:
         smp.read_edge_list(path)
     assert err.value.line == 4
+
+
+def test_dense_size_guard_fires_before_allocating(tmp_path):
+    over = smp.MAX_DENSE_NODES + 1
+    path = tmp_path / "big.csv"
+    path.write_text(f"n={over},class=unweighted\ni,j,weight\n0,1,1.0\n")
+    with pytest.raises(ComplexityGuardError):
+        smp.read_edge_list(path)
+    with pytest.raises(ComplexityGuardError):
+        smp.sample_weighted(cat.tent(1.0), over)
+    with pytest.raises(ComplexityGuardError):
+        smp.sample_unweighted(cat.from_name("hexaflake"), over)
+    with pytest.raises(ComplexityGuardError):
+        smp.sample_features_pointwise(smp.FeatureFunctionSpec("constant", [[1.0]], [[0.0]]), over)
 
 
 def test_feature_matrix_round_trip(tmp_path):
