@@ -59,6 +59,7 @@ from .sampling import (
     pwc_l2_norm,
     sample_features_cell_average,
     sample_features_pointwise,
+    sample_system,
     sample_unweighted,
     sample_weighted,
 )

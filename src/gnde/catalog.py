@@ -339,14 +339,14 @@ def support_grid(spec: GraphonSpec):
         return spec.pattern.shape[0], _block_prefix(spec)
     if spec.kind == KIND_CARPET:
         return 3 ** spec.depth, _leaf_prefix(spec)
-    raise UnsupportedOperationError("support grid is only defined for binary kernels")
+    raise UnsupportedOperationError("support grid is only defined for block and carpet kernels")
 
 
 def probe_intersects(spec: GraphonSpec, cell) -> bool:
     """Generic probe rule: nudged corners, center, and an 8x8 interior lattice.
 
-    Sound (a hit implies the cell meets the support) but incomplete; the
-    shipped binary kinds never need it because they have exact tests.
+    Sound (a hit implies the cell meets the support) but incomplete; no sampler
+    uses it: it is the independent reference for :func:`cell_intersects_support`.
     """
     a, b, c, d = _validate_cell(cell)
     b_in = np.nextafter(b, a)
@@ -363,22 +363,16 @@ def probe_intersects(spec: GraphonSpec, cell) -> bool:
 def cell_intersects_support(spec: GraphonSpec, cell) -> bool:
     """Does the half-open rectangle [a,b)x[c,d) meet the support W > 0?
 
-    Exact for the shipped binary kinds (any rectangle, not just grid-aligned
-    ones); other binary kinds would fall back to :func:`probe_intersects`.
+    Exact for any rectangle, not just grid-aligned ones, by a query on the
+    prefix table of :func:`support_grid`; a binary kernel without a support
+    grid raises :class:`UnsupportedOperationError`.
     """
     if spec.value_class != BINARY:
         raise UnsupportedOperationError(
             "support geometry is only defined for binary kernels"
         )
     a, b, c, d = _validate_cell(cell)
-    if spec.kind == KIND_BLOCK:
-        k = spec.pattern.shape[0]
-        pre = _block_prefix(spec)
-    elif spec.kind == KIND_CARPET:
-        k = 3 ** spec.depth
-        pre = _leaf_prefix(spec)
-    else:  # pragma: no cover - no other binary kinds are shipped
-        return probe_intersects(spec, cell)
+    k, pre = support_grid(spec)
     i0, i1 = _grid_lo(a, k), _grid_hi(b, k)
     j0, j1 = _grid_lo(c, k), _grid_hi(d, k)
     return bool(_prefix_any(pre, i0, i1, j0, j1))

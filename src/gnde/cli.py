@@ -227,15 +227,8 @@ def _solver_from_config(cfg, T: float) -> dynamics.SolverConfig:
     )
 
 
-def _sample_system(spec, n, feature_spec, quad_points):
-    """Graph + features under the regime the kernel's value class dictates."""
-    if spec.value_class == catalog.WEIGHTED:
-        graph = sampling.sample_weighted(spec, n)
-        feats = sampling.sample_features_pointwise(feature_spec, n)
-    else:
-        graph = sampling.sample_unweighted(spec, n)
-        feats = sampling.sample_features_cell_average(feature_spec, n, quad_points)
-    return sampling.graph_shift(graph), feats
+def _master_seed(args, cfg) -> int:
+    return args.seed if args.seed is not None else _get_int(cfg, "seed", minimum=0)
 
 
 def _trial_seed(master: int, *path) -> int:
@@ -275,7 +268,7 @@ def cmd_converge(args, cfg) -> int:
     eps = _get_float(cfg, "eps")
     act = _activation_from_config(cfg)
     solver = _solver_from_config(cfg, T)
-    master = args.seed if args.seed is not None else _get_int(cfg, "seed")
+    master = _master_seed(args, cfg)
     threads = args.threads if args.threads is not None else _get_int(cfg, "threads", 1)
     out = args.out or "converge.csv"
 
@@ -293,24 +286,22 @@ def cmd_converge(args, cfg) -> int:
         feature = _feature_from_config(cfg, channels, rng)
         trial_draws.append((trial, seed, bank, feature))
 
-    # Graph sampling is deterministic, so each shift matrix is built once.
-    shifts = {}
-    for n in [*n_list, n_ref]:
-        if spec.value_class == catalog.WEIGHTED:
-            shifts[n] = sampling.graph_shift(sampling.sample_weighted(spec, n))
-        else:
-            shifts[n] = sampling.graph_shift(sampling.sample_unweighted(spec, n))
+    # Sampling is deterministic, so each graph is sampled once per n, together
+    # with every trial's features.  Only the shift is kept: a graph left alive
+    # past its shift raises peak memory.
+    features = [feature for _, _, _, feature in trial_draws]
 
-    def _features_at(feature, n):
-        if spec.value_class == catalog.WEIGHTED:
-            return sampling.sample_features_pointwise(feature, n)
-        return sampling.sample_features_cell_average(feature, n, quad)
+    def _system(n):
+        graph, feats = sampling.sample_system(spec, n, features, quad)
+        return sampling.graph_shift(graph), feats
+
+    systems = {n: _system(n) for n in [*n_list, n_ref]}
 
     def _run_reference(draw):
-        trial, seed, bank, feature = draw
+        trial, _, bank, _ = draw
+        S, feats = systems[n_ref]
         try:
-            traj = dynamics.integrate(shifts[n_ref], _features_at(feature, n_ref),
-                                      bank, act, T, solver)
+            traj = dynamics.integrate(S, feats[trial], bank, act, T, solver)
             xsup = max(dynamics.scaled_norm(traj.states[j])
                        for j in range(traj.eval_times.size))
             return trial, traj, xsup, None
@@ -318,11 +309,11 @@ def cmd_converge(args, cfg) -> int:
             return trial, None, None, f"{type(exc).__name__}: {exc}"
 
     def _run_point(task):
-        trial, seed, bank, feature, n, ref_traj, bound = task
+        trial, seed, bank, n, ref_traj, bound = task
+        S, feats = systems[n]
         start = time.perf_counter()
         try:
-            traj = dynamics.integrate(shifts[n], _features_at(feature, n),
-                                      bank, act, T, solver)
+            traj = dynamics.integrate(S, feats[trial], bank, act, T, solver)
             rel = analysis.trajectory_sup_relative_error(traj, ref_traj)
             abs_err = analysis.trajectory_sup_absolute_error(traj, ref_traj)
             failure = None
@@ -352,7 +343,7 @@ def cmd_converge(args, cfg) -> int:
             )
             for n in n_list:
                 bound = _converge_bound(spec, inputs_kw, n, eps)
-                tasks.append((trial, seed, bank, feature, n, ref_traj, bound))
+                tasks.append((trial, seed, bank, n, ref_traj, bound))
         results = {}
         for trial, n, seed, rel, abs_err, bound, runtime_ms, failure in pool.map(
                 _run_point, tasks):
@@ -457,7 +448,7 @@ def cmd_transfer_audit(args, cfg) -> int:
     if not proportions or any(not (0.0 < p <= 1.0) for p in proportions):
         raise ConfigError("proportions must lie in (0, 1]")
     trials = _get_int(cfg, "audit_trials", minimum=1)
-    master = args.seed if args.seed is not None else _get_int(cfg, "seed")
+    master = _master_seed(args, cfg)
     out = args.out or "audit.csv"
 
     full_kernel = sampling.induce_kernel(graph)
@@ -524,17 +515,12 @@ def cmd_sample(args, cfg) -> int:
     spec = _graphon_from_config(cfg)
     n = _get_int(cfg, "n", minimum=1)
     channels = _get_int(cfg, "channels", minimum=1)
-    master = args.seed if args.seed is not None else _get_int(cfg, "seed")
+    master = _master_seed(args, cfg)
     rng = np.random.default_rng(_trial_seed(master, 0))
     feature = _feature_from_config(cfg, channels, rng)
     out = args.out or "sample.csv"
-    if spec.value_class == catalog.WEIGHTED:
-        graph = sampling.sample_weighted(spec, n)
-        feats = sampling.sample_features_pointwise(feature, n)
-    else:
-        graph = sampling.sample_unweighted(spec, n)
-        feats = sampling.sample_features_cell_average(
-            feature, n, _get_int(cfg, "quad_points", minimum=1))
+    graph, (feats,) = sampling.sample_system(
+        spec, n, [feature], _get_int(cfg, "quad_points", minimum=1))
     sampling.write_edge_list(graph, out)
     sampling.write_feature_matrix(feats, _features_path(out))
     print(f"sample: n={n} {graph.value_class} -> {out}, {_features_path(out)}")
@@ -546,14 +532,17 @@ def cmd_integrate(args, cfg) -> int:
     n = _get_int(cfg, "n", minimum=1)
     channels = _get_int(cfg, "channels", minimum=1)
     T = _get_float(cfg, "T")
-    master = args.seed if args.seed is not None else _get_int(cfg, "seed")
+    master = _master_seed(args, cfg)
     rng = np.random.default_rng(_trial_seed(master, 0))
     bank = _bank_from_config(cfg, T, rng)
     feature = _feature_from_config(cfg, channels, rng)
     act = _activation_from_config(cfg)
     solver = _solver_from_config(cfg, T)
-    S, Z = _sample_system(spec, n, feature, _get_int(cfg, "quad_points", minimum=1))
-    traj = dynamics.integrate(S, Z, bank, act, T, solver)
+    graph, (feats,) = sampling.sample_system(
+        spec, n, [feature], _get_int(cfg, "quad_points", minimum=1))
+    S = sampling.graph_shift(graph)
+    del graph  # the adjacency is not needed past the shift
+    traj = dynamics.integrate(S, feats, bank, act, T, solver)
     out = args.out or "trajectory.csv"
     dynamics.write_trajectory(traj, out)
     final_norm = dynamics.scaled_norm(traj.states[-1])

@@ -164,8 +164,8 @@ def _eval_times(T: float, M: int) -> np.ndarray:
 def _prepare(S, Z, bank, act, T):
     S = np.ascontiguousarray(S, dtype=np.float64)
     Z = Z.values if isinstance(Z, FeatureMatrix) else np.ascontiguousarray(Z, np.float64)
-    if not T > 0.0:
-        raise InvalidParameterError("horizon T must be positive")
+    if not 0.0 < T < math.inf:
+        raise InvalidParameterError(f"horizon T must be positive and finite, got {T!r}")
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise InvalidParameterError("shift array must be square")
     if not np.array_equal(S, S.T):

@@ -319,6 +319,20 @@ def sample_features_cell_average(
     return FeatureMatrix(0.5 * np.tensordot(weights, vals, axes=(0, 1)))
 
 
+def sample_system(spec: catalog.GraphonSpec, n: int, features, quad_points: int = 8):
+    """Graph and one feature matrix per spec in ``features``, in the regime
+    the kernel's value class dictates: pointwise graph and features for
+    weighted kernels, cell intersection and cell averages for binary ones.
+
+    Returns ``(SampledGraph, [FeatureMatrix, ...])``.
+    """
+    if spec.value_class == catalog.WEIGHTED:
+        return sample_weighted(spec, n), [sample_features_pointwise(z, n) for z in features]
+    return sample_unweighted(spec, n), [
+        sample_features_cell_average(z, n, quad_points) for z in features
+    ]
+
+
 def graph_shift(graph: SampledGraph) -> np.ndarray:
     """Shift operator S = adjacency / n (induced operator norm <= 1)."""
     return graph.adjacency / graph.n

@@ -137,6 +137,10 @@ def test_cell_intersects_support_exact():
     assert not cat.cell_intersects_support(cb, (0.0, 0.49, 0.51, 0.99))
     with pytest.raises(UnsupportedOperationError):
         cat.cell_intersects_support(cat.tent(), (0.0, 0.5, 0.0, 0.5))
+    # binary value class but no support grid: refused, as sample_unweighted does
+    binary_tent = cat.GraphonSpec(kind="tent", value_class="binary", alpha=1.0)
+    with pytest.raises(UnsupportedOperationError):
+        cat.cell_intersects_support(binary_tent, (0.0, 0.5, 0.0, 0.5))
     with pytest.raises(InvalidParameterError):
         cat.cell_intersects_support(cb, (0.5, 0.5, 0.0, 1.0))
 

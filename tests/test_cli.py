@@ -261,6 +261,16 @@ def test_config_errors_exit_2(tmp_path):
     assert entry(["sample", "--config", bad_int, "--out", str(tmp_path / "s.csv")]) == 2
     assert entry(["catalog", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert entry(["catalog", "--seed", "-3"]) == 2
+    negative_seed = _cfg(tmp_path, "ns.cfg", seed="-1", n="4", n_list="4,5,6", n_ref="8")
+    for command in ("sample", "integrate", "converge"):
+        assert entry([command, "--config", negative_seed,
+                      "--out", str(tmp_path / "ns.csv")]) == 2
+    infinite_T = _cfg(tmp_path, "t.cfg", T="inf", n="4", n_list="4,5,6", n_ref="8")
+    for command in ("integrate", "converge"):
+        assert entry([command, "--config", infinite_T,
+                      "--out", str(tmp_path / "t.csv")]) == 2
+    no_quad = _cfg(tmp_path, "q.cfg", graphon="tent", n="4", quad_points="0")
+    assert entry(["sample", "--config", no_quad, "--out", str(tmp_path / "q.csv")]) == 2
 
 
 def test_numerical_failure_exit_3(tmp_path):

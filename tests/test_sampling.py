@@ -54,6 +54,26 @@ def test_sample_unweighted_matches_cell_queries():
                     assert g.adjacency[i, j] == want, (spec.kind, n, i, j)
 
 
+def test_sample_system_matches_regime_samplers():
+    rng = np.random.default_rng(5)
+    features = [smp.random_fourier_features(2, 4, rng), smp.random_holder_features(1, 3, rng)]
+    quad = 3  # not the default, so a dropped quad_points shows
+    pointwise = (smp.sample_weighted, smp.sample_features_pointwise)
+    cells = (smp.sample_unweighted,
+             lambda z, n: smp.sample_features_cell_average(z, n, quad))
+    cases = ((cat.tent(), pointwise), (cat.oscillatory(), pointwise),
+             (cat.checkerboard(), cells), (cat.hexaflake(), cells))
+    for spec, (sample_graph, sample_feature) in cases:
+        for n in (7, 30):
+            graph, feats = smp.sample_system(spec, n, features, quad)
+            want = sample_graph(spec, n)
+            assert graph.value_class == want.value_class
+            assert np.array_equal(graph.adjacency, want.adjacency), (spec.kind, n)
+            assert len(feats) == len(features)
+            for z, got in zip(features, feats):
+                assert np.array_equal(got.values, sample_feature(z, n).values), (spec.kind, n)
+
+
 def test_sample_unweighted_aligned_induces_kernel_exactly():
     # when the block grid divides n the induced kernel IS the kernel
     for spec, n in ((cat.checkerboard(8), 16), (cat.hsbm(3), 24)):
