@@ -7,7 +7,7 @@ executable checks.  The ``gnde`` console script exposes the experiment
 pipelines; see the module docstrings for library use.
 """
 
-from . import analysis, catalog, cli, dynamics, kernels, neural, sampling
+from . import analysis, catalog, dynamics, kernels, neural, sampling
 from .analysis import (
     BoundInputs,
     fit_rate,

@@ -1,0 +1,7 @@
+"""``python -m gnde``: the ``gnde`` command line."""
+import sys
+
+from .cli import entry
+
+if __name__ == "__main__":
+    sys.exit(entry())

@@ -51,6 +51,7 @@ SIERPINSKI_DEFAULT_DEPTH = 5
 HEXAFLAKE_DEFAULT_DEPTH = 7
 
 _MAX_MESH = 4096  # finest 1/m mesh accepted by the box counters
+_MAX_CARPET_DEPTH = 9  # 3^9 leaves per side: a 387 MB boolean support pattern
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,38 +309,29 @@ def _grid_hi(b, k):
     return i
 
 
-@lru_cache(maxsize=32)
-def _block_prefix(spec: GraphonSpec):
-    k = spec.pattern.shape[0]
-    pre = np.zeros((k + 1, k + 1), dtype=np.int64)
-    pre[1:, 1:] = np.cumsum(np.cumsum(spec.pattern, axis=0), axis=1)
-    return pre
+@lru_cache(maxsize=8)
+def support_pattern(spec: GraphonSpec) -> np.ndarray:
+    """Read-only k x k boolean support indicator of a binary kernel.
 
-
-@lru_cache(maxsize=4)
-def _leaf_prefix(spec: GraphonSpec):
-    alive = spec.mask.astype(np.uint8)
-    for _ in range(spec.depth - 1):
-        alive = np.kron(alive, spec.mask.astype(np.uint8))
-    m = alive.shape[0]
-    pre = np.zeros((m + 1, m + 1), dtype=np.int64)
-    pre[1:, 1:] = np.cumsum(np.cumsum(alive, axis=0, dtype=np.int64), axis=1)
-    return pre
-
-
-def _prefix_any(pre, i0, i1, j0, j1):
-    s = pre[i1 + 1, j1 + 1] - pre[i0, j1 + 1] - pre[i1 + 1, j0] + pre[i0, j0]
-    return s > 0
-
-
-def support_grid(spec: GraphonSpec):
-    """Natural grid size k and (k+1)x(k+1) 2-D prefix-sum table of the
-    support indicator, for exact cell queries on binary kernels."""
+    Entry [i, j] is W on the grid cell [i/k, (i+1)/k) x [j/k, (j+1)/k): the
+    block pattern itself, or the 3^depth x 3^depth leaves of a carpet.
+    """
     if spec.kind == KIND_BLOCK:
-        return spec.pattern.shape[0], _block_prefix(spec)
-    if spec.kind == KIND_CARPET:
-        return 3 ** spec.depth, _leaf_prefix(spec)
-    raise UnsupportedOperationError("support grid is only defined for block and carpet kernels")
+        return _locked(spec.pattern, bool)
+    if spec.kind != KIND_CARPET:
+        raise UnsupportedOperationError(
+            "support pattern is only defined for block and carpet kernels"
+        )
+    if spec.depth > _MAX_CARPET_DEPTH:
+        raise ComplexityGuardError(
+            f"carpet depth {spec.depth} exceeds the support-pattern limit of "
+            f"{_MAX_CARPET_DEPTH} (3^{_MAX_CARPET_DEPTH} leaves per side)"
+        )
+    mask = spec.mask.astype(bool)
+    pattern = mask
+    for _ in range(spec.depth - 1):
+        pattern = np.kron(pattern, mask)
+    return _locked(pattern, bool)
 
 
 def probe_intersects(spec: GraphonSpec, cell) -> bool:
@@ -363,19 +355,21 @@ def probe_intersects(spec: GraphonSpec, cell) -> bool:
 def cell_intersects_support(spec: GraphonSpec, cell) -> bool:
     """Does the half-open rectangle [a,b)x[c,d) meet the support W > 0?
 
-    Exact for any rectangle, not just grid-aligned ones, by a query on the
-    prefix table of :func:`support_grid`; a binary kernel without a support
-    grid raises :class:`UnsupportedOperationError`.
+    Exact for any rectangle, not just grid-aligned ones: the rectangle meets
+    the support iff one of the grid cells it touches in
+    :func:`support_pattern` does.  A binary kernel without a support pattern
+    raises :class:`UnsupportedOperationError`.
     """
     if spec.value_class != BINARY:
         raise UnsupportedOperationError(
             "support geometry is only defined for binary kernels"
         )
     a, b, c, d = _validate_cell(cell)
-    k, pre = support_grid(spec)
+    pattern = support_pattern(spec)
+    k = pattern.shape[0]
     i0, i1 = _grid_lo(a, k), _grid_hi(b, k)
     j0, j1 = _grid_lo(c, k), _grid_hi(d, k)
-    return bool(_prefix_any(pre, i0, i1, j0, j1))
+    return bool(pattern[i0 : i1 + 1, j0 : j1 + 1].any())
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +471,7 @@ class CarpetSet:
             raise InvalidParameterError(f"mesh finer than 1/{_MAX_MESH} is not supported")
         j = round(math.log(m) / math.log(3.0))
         if 3**j == m:
-            alive = self.mask.astype(np.uint8)
-            for _ in range(j - 1):
-                alive = np.kron(alive, self.mask.astype(np.uint8))
-            return int(alive.sum())
+            return int(self.mask.sum()) ** j
         # Non-triadic mesh: exact rational descent per cell (slow path).
         if m > 729:
             raise InvalidParameterError("non-triadic meshes are limited to m <= 729")

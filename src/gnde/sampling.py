@@ -273,25 +273,26 @@ def sample_weighted(spec: catalog.GraphonSpec, n: int) -> SampledGraph:
 def sample_unweighted(spec: catalog.GraphonSpec, n: int) -> SampledGraph:
     """Cell sample: adjacency[i][j] = 1 iff cell I_i x I_j meets the support.
 
-    Computed exactly in integer arithmetic on the kernel's natural k-grid:
-    cell I_i covers grid columns floor(i*k/n) .. floor(((i+1)*k - 1)/n).
+    Computed exactly in integer arithmetic on the kernel's k x k support
+    pattern: cell I_i covers grid lines lo[i] = floor(i*k/n) .. hi[i] =
+    floor(((i+1)*k - 1)/n), and the entry ORs the pattern over those lines.
     """
     if spec.value_class != catalog.BINARY:
         raise WrongRegimeError(
             "weighted kernels sample by evaluation; use sample_weighted"
         )
     n = _node_count(n)
-    k, pre = catalog.support_grid(spec)
+    pattern = catalog.support_pattern(spec)
+    k = pattern.shape[0]
     idx = np.arange(n, dtype=np.int64)
     lo = (idx * k) // n
     hi = ((idx + 1) * k - 1) // n
-    counts = (
-        pre[np.ix_(hi + 1, hi + 1)]
-        - pre[np.ix_(lo, hi + 1)]
-        - pre[np.ix_(hi + 1, lo)]
-        + pre[np.ix_(lo, lo)]
-    )
-    return SampledGraph((counts > 0).astype(np.float64), UNWEIGHTED)
+    # reduceat ORs lines lo[i] .. lo[i+1]-1 (the single line lo[i] when lo
+    # repeats); hi[i] adds lo[i+1] exactly when I_i straddles a grid line.
+    # The contiguous axis goes first: about twice as fast as rows first.
+    cols = np.logical_or.reduceat(pattern, lo, axis=1) | pattern[:, hi]
+    hit = np.logical_or.reduceat(cols, lo, axis=0) | cols[hi]
+    return SampledGraph(hit.astype(np.float64), UNWEIGHTED)
 
 
 def sample_features_pointwise(z: FeatureFunctionSpec, n: int) -> FeatureMatrix:

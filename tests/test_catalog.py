@@ -145,6 +145,18 @@ def test_cell_intersects_support_exact():
         cat.cell_intersects_support(cb, (0.5, 0.5, 0.0, 1.0))
 
 
+def test_support_pattern_matches_evaluate():
+    for spec in (cat.sierpinski(3), cat.hexaflake(3), cat.checkerboard(5), cat.hsbm(2)):
+        pattern = cat.support_pattern(spec)
+        k = pattern.shape[0]
+        assert pattern.shape == (k, k) and pattern.dtype == bool
+        c = (np.arange(k) + 0.5) / k
+        assert np.array_equal(pattern, cat.evaluate(spec, c[:, None], c[None, :]) > 0)
+        assert not pattern.flags.writeable
+    with pytest.raises(UnsupportedOperationError):
+        cat.support_pattern(cat.tent())
+
+
 def test_probe_agrees_with_exact_on_random_cells():
     rng = np.random.default_rng(11)
     spec = cat.sierpinski(depth=3)
@@ -176,6 +188,7 @@ def test_segment_and_square_dimensions():
 def test_sierpinski_counts_and_dimension():
     bset = cat.support_boundary(cat.sierpinski())
     assert [bset.count(3**j) for j in range(1, 7)] == [8**j for j in range(1, 7)]
+    assert bset.count(1) == 1  # a single mesh cell
     dim, _ = cat.box_counting_dimension(bset, cat.default_delta_schedule(bset))
     assert dim == pytest.approx(math.log(8.0) / math.log(3.0), abs=1e-12)
 
@@ -183,6 +196,7 @@ def test_sierpinski_counts_and_dimension():
 def test_hexaflake_counts_and_dimension():
     bset = cat.support_boundary(cat.hexaflake())
     assert [bset.count(3**j) for j in range(1, 7)] == [7**j for j in range(1, 7)]
+    assert bset.count(1) == 1  # a single mesh cell
     dim, _ = cat.box_counting_dimension(bset, cat.default_delta_schedule(bset))
     assert dim == pytest.approx(math.log(7.0) / math.log(3.0), abs=1e-12)
     # the dropped pair keeps the mask, and hence the kernel, symmetric

@@ -5,10 +5,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gnde
 from gnde import sampling as smp
 from gnde.analysis import REPORT_COLUMNS
 from gnde.cli import entry
@@ -246,6 +250,26 @@ def test_oversized_graphs_exit_2(tmp_path, capsys):
                   "--out", str(tmp_path / "c.csv")]) == 2
     assert f"n={huge} exceeds the dense-size limit" in capsys.readouterr().err
     assert not (tmp_path / "c.csv").exists()
+    # A depth-10 carpet would need a 3^10 x 3^10 support pattern.
+    deep_cfg = _cfg(tmp_path, "d.cfg", graphon="hexaflake", depth="10", n="16",
+                    n_list="8,12,16", n_ref="32", trials="1")
+    for command in ("sample", "converge"):
+        out = tmp_path / f"deep_{command}.csv"
+        assert entry([command, "--config", deep_cfg, "--out", str(out)]) == 2
+        assert "carpet depth 10 exceeds the support-pattern limit" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_module_entry_points_run_clean(tmp_path):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gnde.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    for module in ("gnde", "gnde.cli"):
+        done = subprocess.run([sys.executable, "-m", module, "catalog"], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (module, done.stderr)
+        assert done.stderr == "", (module, done.stderr)
+        assert "hexaflake" in done.stdout
 
 
 def test_config_errors_exit_2(tmp_path):

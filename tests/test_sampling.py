@@ -44,14 +44,18 @@ def test_sample_unweighted_aligned_blocks():
 
 def test_sample_unweighted_matches_cell_queries():
     # independent float-robust path through cell_intersects_support
-    for spec in (cat.checkerboard(2), cat.hsbm(2), cat.sierpinski(depth=2)):
-        for n in (3, 5, 7):
-            g = smp.sample_unweighted(spec, n)
-            for i in range(n):
-                for j in range(n):
-                    cell = (i / n, (i + 1) / n, j / n, (j + 1) / n)
-                    want = float(cat.cell_intersects_support(spec, cell))
-                    assert g.adjacency[i, j] == want, (spec.kind, n, i, j)
+    cases = [(spec, n) for spec in (cat.checkerboard(2), cat.hsbm(2), cat.sierpinski(depth=2))
+             for n in (3, 5, 7)]
+    # hexaflake(3) has k = 27: straddling cells with k > n, n dividing k, and n > k
+    cases += [(cat.hexaflake(depth=3), n) for n in (5, 27, 30)]
+    cases += [(cat.hexaflake(), 30), (cat.sierpinski(depth=2), 20)]
+    for spec, n in cases:
+        g = smp.sample_unweighted(spec, n)
+        for i in range(n):
+            for j in range(n):
+                cell = (i / n, (i + 1) / n, j / n, (j + 1) / n)
+                want = float(cat.cell_intersects_support(spec, cell))
+                assert g.adjacency[i, j] == want, (spec.kind, n, i, j)
 
 
 def test_sample_system_matches_regime_samplers():
@@ -276,6 +280,12 @@ def test_dense_size_guard_fires_before_allocating(tmp_path):
         smp.sample_weighted(cat.tent(1.0), over)
     with pytest.raises(ComplexityGuardError):
         smp.sample_unweighted(cat.from_name("hexaflake"), over)
+    deep = cat.hexaflake(depth=10)
+    with pytest.raises(ComplexityGuardError):  # a 3^10 x 3^10 support pattern
+        smp.sample_unweighted(deep, 16)
+    # evaluation and box counting need no pattern and keep working
+    assert cat.evaluate(deep, 0.5, 0.5) == 1.0
+    assert cat.support_boundary(deep).count(27) == 7**3
     with pytest.raises(ComplexityGuardError):
         smp.sample_features_pointwise(smp.FeatureFunctionSpec("constant", [[1.0]], [[0.0]]), over)
 
