@@ -334,24 +334,6 @@ def support_pattern(spec: GraphonSpec) -> np.ndarray:
     return _locked(pattern, bool)
 
 
-def probe_intersects(spec: GraphonSpec, cell) -> bool:
-    """Generic probe rule: nudged corners, center, and an 8x8 interior lattice.
-
-    Sound (a hit implies the cell meets the support) but incomplete; no sampler
-    uses it: it is the independent reference for :func:`cell_intersects_support`.
-    """
-    a, b, c, d = _validate_cell(cell)
-    b_in = np.nextafter(b, a)
-    d_in = np.nextafter(d, c)
-    us = [a, a, b_in, b_in, 0.5 * (a + b)]
-    vs = [c, d_in, c, d_in, 0.5 * (c + d)]
-    frac = (np.arange(8) + 1.0) / 9.0
-    gu, gv = np.meshgrid(a + (b - a) * frac, c + (d - c) * frac)
-    uu = np.concatenate([np.asarray(us), gu.ravel()])
-    vv = np.concatenate([np.asarray(vs), gv.ravel()])
-    return bool(np.any(evaluate(spec, uu, vv) > 0.0))
-
-
 def cell_intersects_support(spec: GraphonSpec, cell) -> bool:
     """Does the half-open rectangle [a,b)x[c,d) meet the support W > 0?
 
@@ -690,53 +672,3 @@ def kernel_distance(kernel_a, kernel_b, norm: str = "L2", grid: int = 256) -> fl
     if norm == "L1":
         return float(np.mean(np.abs(diff)))
     return float(math.sqrt(np.mean(diff * diff)))
-
-
-# ---------------------------------------------------------------------------
-# Plain-text serialization
-
-
-def spec_to_text(spec: GraphonSpec) -> str:
-    """Serialize a kernel spec to the flat key=value config format."""
-    lines = [f"kind={spec.kind}"]
-    if spec.kind == KIND_TENT:
-        lines.append(f"alpha={spec.alpha!r}")
-    elif spec.kind == KIND_OSCILLATORY:
-        lines.append(f"frequency={spec.frequency}")
-    elif spec.kind == KIND_BLOCK:
-        rows = ";".join("".join(str(int(x)) for x in row) for row in spec.pattern)
-        lines.append(f"pattern={rows}")
-    else:
-        rows = ";".join("".join(str(int(x)) for x in row) for row in spec.mask)
-        lines.append(f"mask={rows}")
-        lines.append(f"depth={spec.depth}")
-    return "\n".join(lines) + "\n"
-
-
-def spec_from_text(text: str) -> GraphonSpec:
-    """Inverse of :func:`spec_to_text`."""
-    fields = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InvalidParameterError(f"bad spec line {line!r}")
-        key, val = line.split("=", 1)
-        fields[key.strip()] = val.strip()
-    kind = fields.get("kind")
-    if kind == KIND_TENT:
-        return tent(alpha=float(fields["alpha"]))
-    if kind == KIND_OSCILLATORY:
-        return oscillatory(frequency=int(fields["frequency"]))
-    if kind in (KIND_BLOCK, KIND_CARPET):
-        key = "pattern" if kind == KIND_BLOCK else "mask"
-        try:
-            rows = [[int(ch) for ch in row] for row in fields[key].split(";")]
-        except (KeyError, ValueError) as exc:
-            raise InvalidParameterError(f"bad {key} rows in spec text") from exc
-        mat = np.asarray(rows, dtype=np.int8)
-        if kind == KIND_BLOCK:
-            return block_pattern(mat)
-        return triadic_carpet(mat, depth=int(fields["depth"]))
-    raise InvalidParameterError(f"unknown kernel kind {kind!r} in spec text")

@@ -22,31 +22,15 @@ import numpy as np
 
 from . import analysis, catalog, dynamics, neural, sampling
 from .errors import (
-    ComplexityGuardError,
     ConfigError,
     DegenerateReferenceError,
-    DimensionMismatchError,
     DivergenceError,
-    EdgeListParseError,
     GndeError,
-    InsufficientDataError,
-    InvalidParameterError,
     LogDomainError,
     NonConvergenceError,
-    UnsupportedOperationError,
-    WrongRegimeError,
 )
 
-CONFIG_EXIT_ERRORS = (
-    ConfigError,
-    InvalidParameterError,
-    WrongRegimeError,
-    EdgeListParseError,
-    UnsupportedOperationError,
-    InsufficientDataError,
-    DimensionMismatchError,
-    ComplexityGuardError,
-)
+#: Errors that exit 3; every other GndeError is a config error (exit 2).
 NUMERICAL_EXIT_ERRORS = (
     NonConvergenceError,
     DivergenceError,
@@ -100,10 +84,12 @@ def load_config(path: str | None) -> dict:
     if path is None:
         return cfg
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path!r} is not UTF-8 text") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -615,16 +601,13 @@ def entry(argv=None) -> int:
         if args.seed is not None and args.seed < 0:
             raise ConfigError("--seed must be a nonnegative integer")
         return args.fn(args, cfg)
-    except CONFIG_EXIT_ERRORS as exc:
-        print(f"gnde: config error: {exc}", file=sys.stderr)
-        return 2
     except NUMERICAL_EXIT_ERRORS as exc:
         print(f"gnde: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"gnde: {exc}", file=sys.stderr)
+    except GndeError as exc:
+        print(f"gnde: config error: {exc}", file=sys.stderr)
         return 2
-    except GndeError as exc:  # future error classes default to config exit
+    except OSError as exc:
         print(f"gnde: {exc}", file=sys.stderr)
         return 2
 

@@ -33,6 +33,9 @@ MAX_FACTOR = 10.0
 PICARD_MAX_N = 64
 PICARD_MAX_T = 2.0
 PICARD_CONTRACTION = 0.4
+PICARD_GRID_PER_UNIT = 2048
+PICARD_MAX_ITER = 80
+PICARD_TOL = 1e-11
 
 # Dormand-Prince 5(4) tableau; B is the 5th-order weight row, E the
 # embedded error weights, P the dense-output polynomial coefficients
@@ -90,18 +93,14 @@ _DP_P = np.array(
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Integration settings; unused fields are ignored by other methods."""
+    """Integration settings."""
 
     method: str = "dp5"
     eval_grid: int = 100
     rk4_step: float | None = None  # default T/200
     atol: float = 1e-7
     rtol: float = 1e-7
-    initial_step: float | None = None  # default T/100
     max_steps: int = 1_000_000
-    picard_grid_per_unit: int = 2048
-    picard_max_iter: int = 80
-    picard_tol: float = 1e-11
 
     def __post_init__(self):
         if self.method not in ("rk4", "dp5", "picard"):
@@ -214,10 +213,24 @@ def _integrate_rk4(S, Z, bank, act, T, cfg):
     return TrajectoryRecord(times, states, meta)
 
 
+def _combine(w, K):
+    """w[0]*K[0] + w[1]*K[1] + ... summed elementwise in stage order, so each
+    entry rounds the same wherever its node sits (BLAS contractions do not)."""
+    acc = w[0] * K[0]
+    for i in range(1, len(w)):
+        acc += w[i] * K[i]
+    return acc
+
+
 def _error_norm(err, y0, y1, atol, rtol):
+    """RMS of the scaled error; the exactly rounded sum makes it independent
+    of node order."""
     scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
     q = err / scale
-    return float(np.sqrt(np.mean(q * q)))
+    try:
+        return math.sqrt(math.fsum((q * q).ravel().tolist()) / q.size)
+    except OverflowError:  # finite squares whose sum exceeds the float range
+        return math.inf
 
 
 def _integrate_dp5(S, Z, bank, act, T, cfg):
@@ -230,8 +243,7 @@ def _integrate_dp5(S, Z, bank, act, T, cfg):
     t = 0.0
     y = Z.copy()
     f_cur = rhs(S, y, bank, act, 0.0)
-    h = cfg.initial_step if cfg.initial_step is not None else T / 100.0
-    h = min(h, T)
+    h = T / 100.0
     accepted = 0
     rejected = 0
     K = np.empty((7, n, F))
@@ -248,13 +260,13 @@ def _integrate_dp5(S, Z, bank, act, T, cfg):
         K[0] = f_cur
         for s in range(1, 6):
             ts = min(t + _DP_C[s] * h, T)
-            ys = y + h * np.tensordot(_DP_A[s], K[:s], axes=(0, 0))
+            ys = y + h * _combine(_DP_A[s], K)
             K[s] = rhs(S, ys, bank, act, ts)
         t_new = min(t + h, T)
-        y_new = y + h * np.tensordot(_DP_B, K[:6], axes=(0, 0))
+        y_new = y + h * _combine(_DP_B, K)
         K[6] = rhs(S, y_new, bank, act, t_new)
 
-        err = h * np.tensordot(_DP_E, K, axes=(0, 0))
+        err = h * _combine(_DP_E, K)
         if np.isfinite(err).all() and np.isfinite(y_new).all():
             norm = _error_norm(err, y, y_new, cfg.atol, cfg.rtol)
         else:
@@ -305,7 +317,7 @@ def _integrate_picard(S, Z, bank, act, T, cfg):
         )
     times = _eval_times(T, cfg.eval_grid)
     M = cfg.eval_grid
-    sub = max(1, math.ceil(cfg.picard_grid_per_unit * T / M))
+    sub = max(1, math.ceil(PICARD_GRID_PER_UNIT * T / M))
     # Fine quadrature grid aligned with the eval grid: sub points per interval.
     fine = np.empty(M * sub + 1)
     for j in range(M):
@@ -330,7 +342,7 @@ def _integrate_picard(S, Z, bank, act, T, cfg):
         idx = np.arange(start, stop + 1)
         X[idx[1:]] = X[start]  # constant initial iterate on the window
         prev_change = None
-        for it in range(cfg.picard_max_iter):
+        for it in range(PICARD_MAX_ITER):
             vel = np.stack(
                 [rhs(S, X[i], bank, act, min(fine[i], T)) for i in idx]
             )
@@ -345,7 +357,7 @@ def _integrate_picard(S, Z, bank, act, T, cfg):
             if prev_change is not None and prev_change > 0.0:
                 contraction = change / prev_change
             prev_change = change
-            if change < cfg.picard_tol:
+            if change < PICARD_TOL:
                 break
         else:
             raise NonConvergenceError(
@@ -374,26 +386,6 @@ def integrate(S, Z, bank: FilterBank, act: Activation, T: float, cfg: SolverConf
     if cfg.method == "dp5":
         return _integrate_dp5(S, Z, bank, act, T, cfg)
     return _integrate_picard(S, Z, bank, act, T, cfg)
-
-
-def equivariance_check(S, Z, bank, act, T, cfg, perm) -> float:
-    """Sup over the eval grid of the scaled-norm gap between permuted and
-    relabeled trajectories; bounded by ~10x solver tolerance."""
-    perm = np.asarray(perm)
-    n = np.asarray(S).shape[0]
-    if sorted(perm.tolist()) != list(range(n)):
-        raise InvalidParameterError("perm must be a permutation of 0..n-1")
-    base = integrate(S, Z, bank, act, T, cfg)
-    Z_arr = Z.values if isinstance(Z, FeatureMatrix) else np.asarray(Z)
-    S_arr = np.asarray(S)
-    relab = integrate(
-        np.ascontiguousarray(S_arr[np.ix_(perm, perm)]), Z_arr[perm], bank, act, T, cfg
-    )
-    gaps = [
-        scaled_norm(base.states[j][perm] - relab.states[j])
-        for j in range(base.eval_times.size)
-    ]
-    return float(max(gaps))
 
 
 # ---------------------------------------------------------------------------

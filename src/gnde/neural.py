@@ -189,53 +189,3 @@ def gnn_forward(S, X, coeffs, act: Activation):
         )
     out = kernels.layer_stack_forward(S, vals, coeffs, act.act_id, act.slope)
     return FeatureMatrix(out) if wrapped else out
-
-
-# ---------------------------------------------------------------------------
-# Plain-text serialization
-
-
-def bank_to_text(bank: FilterBank, seed=None) -> str:
-    """Flat config record; coefficients in row-major (l,f,g,k[,mode]) order."""
-    lines = [
-        f"L={bank.L}",
-        f"F={bank.F}",
-        f"K={bank.K}",
-        f"law={bank.time_law}",
-    ]
-    if bank.time_law == FOURIER:
-        lines.append(f"modes={bank.modes}")
-        lines.append(f"horizon={bank.horizon!r}")
-    if seed is not None:
-        lines.append(f"seed={seed}")
-    flat = ",".join(repr(float(x)) for x in bank.coeffs.ravel())
-    lines.append(f"coeffs={flat}")
-    return "\n".join(lines) + "\n"
-
-
-def bank_from_text(text: str) -> FilterBank:
-    fields = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InvalidParameterError(f"bad bank line {line!r}")
-        key, val = line.split("=", 1)
-        fields[key.strip()] = val.strip()
-    try:
-        L, F, K = int(fields["L"]), int(fields["F"]), int(fields["K"])
-        law = fields.get("law", CONSTANT)
-        flat = np.asarray([float(x) for x in fields["coeffs"].split(",")])
-    except (KeyError, ValueError) as exc:
-        raise InvalidParameterError("bank record is missing or has bad fields") from exc
-    if law == CONSTANT:
-        return FilterBank(flat.reshape(L, F, F, K))
-    modes = int(fields["modes"])
-    horizon = float(fields.get("horizon", "1.0"))
-    return FilterBank(
-        flat.reshape(L, F, F, K, 2 * modes + 1),
-        time_law=FOURIER,
-        modes=modes,
-        horizon=horizon,
-    )

@@ -11,6 +11,7 @@ merged partition.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -407,10 +408,23 @@ def write_edge_list(graph: SampledGraph, path):
             fh.write(f"{i},{j},{float(wij)!r}\n")
 
 
+def _read_utf8(path) -> str:
+    """The whole file decoded as UTF-8; an undecodable byte raises
+    :class:`EdgeListParseError` with its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # "?" stands in for the bad byte, so that a prefix ending in a line
+        # break still counts the line the byte starts
+        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise EdgeListParseError(f"{path}:{line}: not UTF-8 text", line=line) from exc
+
+
 def read_edge_list(path) -> SampledGraph:
     """Parse the edge-list format of :func:`write_edge_list`."""
-    with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_utf8(path).splitlines()
     if not lines:
         raise EdgeListParseError("empty edge-list file", line=1)
     head = lines[0].strip()
@@ -449,8 +463,7 @@ def write_feature_matrix(features: FeatureMatrix, path):
 
 
 def read_feature_matrix(path) -> FeatureMatrix:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(_read_utf8(path), newline="")))
     if len(rows) < 2:
         raise EdgeListParseError("feature CSV needs a header and at least one row", line=1)
     try:

@@ -97,19 +97,6 @@ def test_from_name_overrides():
         cat.from_name("tent", cells=3)
 
 
-def test_spec_text_round_trip():
-    for name in cat.CATALOG_NAMES:
-        spec = cat.from_name(name)
-        back = cat.spec_from_text(cat.spec_to_text(spec))
-        assert back.kind == spec.kind
-        assert back.value_class == spec.value_class
-        u = np.linspace(0.0, 1.0, 17)
-        assert np.array_equal(
-            cat.evaluate(spec, u[:, None], u[None, :]),
-            cat.evaluate(back, u[:, None], u[None, :]),
-        ), name
-
-
 def test_spec_validation():
     with pytest.raises(InvalidParameterError):
         cat.tent(alpha=0.0)
@@ -157,6 +144,24 @@ def test_support_pattern_matches_evaluate():
         cat.support_pattern(cat.tent())
 
 
+def _probe_intersects(spec, cell) -> bool:
+    """Generic probe rule: nudged corners, center, and an 8x8 interior lattice.
+
+    Sound (a hit implies the cell meets the support) but incomplete; it is the
+    independent reference for :func:`cat.cell_intersects_support`.
+    """
+    a, b, c, d = (float(x) for x in cell)
+    b_in = np.nextafter(b, a)
+    d_in = np.nextafter(d, c)
+    us = [a, a, b_in, b_in, 0.5 * (a + b)]
+    vs = [c, d_in, c, d_in, 0.5 * (c + d)]
+    frac = (np.arange(8) + 1.0) / 9.0
+    gu, gv = np.meshgrid(a + (b - a) * frac, c + (d - c) * frac)
+    uu = np.concatenate([np.asarray(us), gu.ravel()])
+    vv = np.concatenate([np.asarray(vs), gv.ravel()])
+    return bool(np.any(cat.evaluate(spec, uu, vv) > 0.0))
+
+
 def test_probe_agrees_with_exact_on_random_cells():
     rng = np.random.default_rng(11)
     spec = cat.sierpinski(depth=3)
@@ -167,7 +172,7 @@ def test_probe_agrees_with_exact_on_random_cells():
         d = c + 0.02 + rng.random() * (1.0 - c - 0.02)
         cell = (a, min(b, 1.0), c, min(d, 1.0))
         exact = cat.cell_intersects_support(spec, cell)
-        probe = cat.probe_intersects(spec, cell)
+        probe = _probe_intersects(spec, cell)
         # the probe is sound: it never claims a hit that is not there
         assert not (probe and not exact)
         agree += probe == exact

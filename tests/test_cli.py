@@ -234,6 +234,10 @@ def test_transfer_audit_config_errors(tmp_path):
     assert entry(["sample", "--config", graph_cfg, "--out", edges]) == 0
     bad_prop = _cfg(tmp_path, "p.cfg", edge_list=edges, proportions="0.5,1.5")
     assert entry(["transfer-audit", "--config", bad_prop, "--out", str(tmp_path / "o.csv")]) == 2
+    binary = tmp_path / "bin.csv"
+    binary.write_bytes(b"\xff\xfe\x00\x01")
+    bin_cfg = _cfg(tmp_path, "bin.cfg", edge_list=str(binary))
+    assert entry(["transfer-audit", "--config", bin_cfg, "--out", str(tmp_path / "o.csv")]) == 2
 
 
 def test_oversized_graphs_exit_2(tmp_path, capsys):
@@ -295,6 +299,9 @@ def test_config_errors_exit_2(tmp_path):
                       "--out", str(tmp_path / "t.csv")]) == 2
     no_quad = _cfg(tmp_path, "q.cfg", graphon="tent", n="4", quad_points="0")
     assert entry(["sample", "--config", no_quad, "--out", str(tmp_path / "q.csv")]) == 2
+    binary = tmp_path / "bin.cfg"
+    binary.write_bytes(b"\xffn=4\n")
+    assert entry(["sample", "--config", str(binary), "--out", str(tmp_path / "b.csv")]) == 2
 
 
 def test_numerical_failure_exit_3(tmp_path):

@@ -192,15 +192,28 @@ def test_input_validation():
         dyn.SolverConfig(rk4_step=-0.1)
 
 
-def test_equivariance_check_tiny_gap():
-    s, z, bank = _tent_system(n=9, seed=3)
-    rng = np.random.default_rng(40)
-    perm = rng.permutation(9)
-    cfg = dyn.SolverConfig(method="rk4", eval_grid=10)
-    gap = dyn.equivariance_check(s, z, bank, TANH, 1.0, cfg, perm)
-    assert gap <= 1e-9
-    with pytest.raises(InvalidParameterError):
-        dyn.equivariance_check(s, z, bank, TANH, 1.0, cfg, perm[:5])
+def test_trajectory_equivariance_bit_exact():
+    # relabeling the nodes permutes every state bit for bit, for both the
+    # fixed-step and the adaptive solver (dp5's step control included)
+    for n, seed in ((9, 3), (31, 4)):
+        s, z, bank = _tent_system(n=n, seed=seed)
+        perm = np.random.default_rng(40).permutation(n)
+        for method in ("rk4", "dp5"):
+            cfg = dyn.SolverConfig(method=method, eval_grid=10)
+            base = dyn.integrate(s, z, bank, TANH, 1.0, cfg)
+            relab = dyn.integrate(s[np.ix_(perm, perm)], z[perm], bank, TANH, 1.0, cfg)
+            assert np.array_equal(base.states[:, perm], relab.states), (n, method)
+
+
+def test_error_norm_exact_and_saturating():
+    rng = np.random.default_rng(8)
+    err, y = rng.normal(size=(40, 3)), rng.normal(size=(40, 3))
+    perm = rng.permutation(40)
+    norm = dyn._error_norm(err, y, 2.0 * y, 1e-7, 1e-7)
+    assert norm == dyn._error_norm(err[perm], y[perm], 2.0 * y[perm], 1e-7, 1e-7)
+    # finite squares whose sum overflows reject the step instead of raising
+    big = np.full((2, 1), 1e154)
+    assert dyn._error_norm(big, 0.0 * big, 0.0 * big, 1.0, 1.0) == math.inf
 
 
 def test_scaled_norm_definition():

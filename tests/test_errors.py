@@ -46,3 +46,29 @@ def test_payload_attributes():
     assert errors.NonConvergenceError("stuck").last_time is None
     assert errors.DegenerateReferenceError("flat", time=0.25).time == 0.25
     assert errors.EdgeListParseError("bad", line=3).line == 3
+
+
+NUMERICAL_ERRORS = {
+    errors.NonConvergenceError,
+    errors.DivergenceError,
+    errors.DegenerateReferenceError,
+    errors.LogDomainError,
+}
+
+
+def test_cli_exit_mapping(monkeypatch, capsys):
+    # numerical failures exit 3, every other library error exits 2
+    from gnde import cli
+
+    assert set(errors.GndeError.__subclasses__()) == set(ALL_ERRORS)
+    for cls in ALL_ERRORS:
+        def boom(args, cfg, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "cmd_catalog", boom)
+        code = cli.entry(["catalog"])
+        err = capsys.readouterr().err
+        if cls in NUMERICAL_ERRORS:
+            assert (code, err) == (3, "gnde: numerical failure: boom\n"), cls
+        else:
+            assert (code, err) == (2, "gnde: config error: boom\n"), cls

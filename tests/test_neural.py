@@ -308,22 +308,6 @@ def test_forward_lipschitz_growth_bound():
         assert dout <= bound * np.linalg.norm(x - y) * (1.0 + 1e-12)
 
 
-def test_bank_text_round_trip():
-    rng = np.random.default_rng(3)
-    const = neural.random_filter_bank(2, 2, 3, rng)
-    back = neural.bank_from_text(neural.bank_to_text(const, seed=7))
-    assert np.array_equal(back.coeffs, const.coeffs)
-    assert back.time_law == "constant"
-    four = neural.random_filter_bank(1, 2, 2, rng, time_law="fourier", modes=2, horizon=1.5)
-    back2 = neural.bank_from_text(neural.bank_to_text(four))
-    assert np.array_equal(back2.coeffs, four.coeffs)
-    assert back2.modes == 2 and back2.horizon == 1.5
-    with pytest.raises(InvalidParameterError):
-        neural.bank_from_text("L=1\nF=1\n")
-    with pytest.raises(InvalidParameterError):
-        neural.bank_from_text("just words\n")
-
-
 def test_random_filter_bank_reproducible():
     a = neural.random_filter_bank(2, 3, 2, np.random.default_rng(99))
     b = neural.random_filter_bank(2, 3, 2, np.random.default_rng(99))

@@ -268,6 +268,10 @@ def test_edge_list_parse_error_carries_line(tmp_path):
     with pytest.raises(EdgeListParseError) as err:
         smp.read_edge_list(path)
     assert err.value.line == 4
+    path.write_bytes(b"n=4,class=unweighted\ni,j,weight\n0,1,1.0\n0,\xff,1.0\n")
+    with pytest.raises(EdgeListParseError) as err:  # not UTF-8
+        smp.read_edge_list(path)
+    assert err.value.line == 4
 
 
 def test_dense_size_guard_fires_before_allocating(tmp_path):
@@ -303,6 +307,10 @@ def test_feature_matrix_round_trip(tmp_path):
     path.write_text("f0\nabc\n")
     with pytest.raises(EdgeListParseError):
         smp.read_feature_matrix(path)
+    path.write_bytes(b"f0\n\xff\n")
+    with pytest.raises(EdgeListParseError) as err:
+        smp.read_feature_matrix(path)
+    assert err.value.line == 2
 
 
 def test_sampled_graph_validation():
