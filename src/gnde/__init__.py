@@ -16,7 +16,7 @@ from .analysis import (
     stability_bound_check,
     stability_constants,
     trajectory_sup_absolute_error,
-    trajectory_sup_relative_error,
+    trajectory_sup_errors,
     transferability_gap_check,
 )
 from .catalog import (

@@ -72,13 +72,22 @@ class BoundInputs:
 
 
 def _growth(inp: BoundInputs) -> float:
-    return math.exp(inp.T * (inp.F * inp.K * inp.h_T) ** inp.L)
+    """exp(T (F K h_T)^L), or inf where that overflows a float."""
+    try:
+        return math.exp(inp.T * (inp.F * inp.K * inp.h_T) ** inp.L)
+    except OverflowError:
+        return math.inf
+
+
+def _grown(inp: BoundInputs, factor: float) -> float:
+    """_growth(inp) * factor; a zero factor gives 0 even where the growth is inf."""
+    return 0.0 if factor == 0.0 else _growth(inp) * factor
 
 
 def stability_constants(inp: BoundInputs) -> tuple[float, float]:
     """P = exp(T (F K h_T)^L); Q = (P - 1) L K X_sup_norm."""
     P = _growth(inp)
-    return P, (P - 1.0) * inp.L * inp.K * inp.X_sup_norm
+    return P, 0.0 if inp.X_sup_norm == 0.0 else (P - 1.0) * inp.L * inp.K * inp.X_sup_norm
 
 
 def holder_kernel_radical(alpha: float) -> float:
@@ -101,17 +110,15 @@ def feature_sampling_bound(A2: float, F: int, n: int) -> float:
 
 def rate_constant_weighted(inp: BoundInputs) -> float:
     """C with ||X_n - X||_C <= C n^{-alpha} for weighted sampling."""
-    return _growth(inp) * (
-        inp.A2 * math.sqrt(inp.F / 3.0)
-        + inp.L * inp.K * inp.X_sup_norm * inp.A1 * holder_kernel_radical(inp.alpha)
-    )
+    return _grown(inp, inp.A2 * math.sqrt(inp.F / 3.0)
+                  + inp.L * inp.K * inp.X_sup_norm * inp.A1 * holder_kernel_radical(inp.alpha))
 
 
 def rate_constant_unweighted(inp: BoundInputs) -> tuple[float, float]:
     """(C_tilde, exponent) with ||X_n - X||_C <= C_tilde n^{-exponent}."""
     if inp.b is None or inp.eps is None:
         raise InvalidParameterError("unweighted rate needs box dimension b and eps")
-    c = _growth(inp) * (inp.A2 * math.sqrt(inp.F / 3.0) + inp.L * inp.K * inp.X_sup_norm)
+    c = _grown(inp, inp.A2 * math.sqrt(inp.F / 3.0) + inp.L * inp.K * inp.X_sup_norm)
     return c, 1.0 - (inp.b + inp.eps) / 2.0
 
 
@@ -130,52 +137,58 @@ def _check_compatible(traj_a, traj_b):
         raise InvalidParameterError("feature values must be finite")
 
 
-def _sup_overlay_error(traj_n, traj_ref, relative: bool) -> float:
-    """sup over the eval grid of the overlay L2 distance between the induced
-    states, divided by the reference norm at the same t when ``relative``.
+def _overlay_distances(traj_n, traj_ref):
+    """The overlay L2 distance between the induced states at each eval time.
 
     The merged partition of the two uniform partitions is built once; each
     eval time then reduces its own cells with its own 1-D sums, exactly as
-    ``sampling.overlay_l2_distance`` and ``sampling.pwc_l2_norm`` do, so the
-    result equals the per-state computation bit for bit (one sum over a
-    2-D array of all eval times would change the summation order).
+    ``sampling.overlay_l2_distance`` does, so every distance equals the
+    per-state computation bit for bit (one sum over a 2-D array of all eval
+    times would change the summation order).
     """
     _check_compatible(traj_n, traj_ref)
-    bp_ref = sampling.uniform_breakpoints(traj_ref.n)
     ia, ib, widths = catalog.overlay_partition(
-        sampling.uniform_breakpoints(traj_n.n), bp_ref
+        sampling.uniform_breakpoints(traj_n.n), sampling.uniform_breakpoints(traj_ref.n)
     )
-    ref_widths = np.diff(bp_ref)
-    worst = 0.0
-    for t, x_n, x_ref in zip(traj_ref.eval_times, traj_n.states, traj_ref.states):
+    for x_n, x_ref in zip(traj_n.states, traj_ref.states):
         d = x_n[ia] - x_ref[ib]
-        dist = math.sqrt(np.sum(widths * np.sum(d * d, axis=1)))
-        if relative:
-            if dist == 0.0:
-                continue
-            denom = math.sqrt(np.sum(ref_widths * np.sum(x_ref * x_ref, axis=1)))
-            if denom < 1e-12:
-                raise DegenerateReferenceError(
-                    f"reference trajectory norm below 1e-12 at t={t!r}", time=float(t)
-                )
-            dist /= denom
-        worst = max(worst, dist)
-    return worst
+        yield math.sqrt(np.sum(widths * np.sum(d * d, axis=1)))
+
+
+def trajectory_norms(traj) -> list[float]:
+    """L2 norm of the induced state at each eval time, summed as
+    ``sampling.pwc_l2_norm`` sums it."""
+    widths = np.diff(sampling.uniform_breakpoints(traj.n))
+    return [math.sqrt(np.sum(widths * np.sum(x * x, axis=1))) for x in traj.states]
 
 
 def trajectory_sup_absolute_error(traj_n, traj_ref) -> float:
     """max_t of the exact overlay L2 distance between induced states."""
-    return _sup_overlay_error(traj_n, traj_ref, relative=False)
+    return max(_overlay_distances(traj_n, traj_ref), default=0.0)
 
 
-def trajectory_sup_relative_error(traj_n, traj_ref) -> float:
-    """max_t overlay distance over the reference norm at the same t.
+def trajectory_sup_errors(traj_n, traj_ref, ref_norms) -> tuple[float, float]:
+    """(absolute, relative) sup error from one overlay pass.
 
+    The relative error divides each distance by the reference norm at the
+    same t, ``ref_norms`` being :func:`trajectory_norms` of ``traj_ref``.
     An exactly-zero distance contributes ratio 0 whatever the reference
     norm (identical trajectories have zero error even at an equilibrium);
     the degenerate-reference guard fires only for a genuine 0-divide.
     """
-    return _sup_overlay_error(traj_n, traj_ref, relative=True)
+    if len(ref_norms) != traj_ref.eval_times.size:
+        raise InvalidParameterError("ref_norms must hold one norm per reference eval time")
+    worst_abs = worst_rel = 0.0
+    for dist, t, norm in zip(_overlay_distances(traj_n, traj_ref), traj_ref.eval_times,
+                             ref_norms):
+        worst_abs = max(worst_abs, dist)
+        if dist == 0.0:
+            continue
+        if norm < 1e-12:
+            raise DegenerateReferenceError(f"reference trajectory norm below 1e-12 at t={t!r}",
+                                           time=float(t))
+        worst_rel = max(worst_rel, dist / norm)
+    return worst_abs, worst_rel
 
 
 def stability_bound_check(

@@ -264,92 +264,76 @@ def cmd_converge(args, cfg) -> int:
         alpha_or_dim = spec.nominal_box_dim
 
     # Per-trial draws: bank and feature coefficients from the recorded seed.
-    trial_draws = []
+    draws = []
     for trial in range(trials):
         seed = _trial_seed(master, trial)
         rng = np.random.default_rng(seed)
         bank = _bank_from_config(cfg, T, rng)
-        feature = _feature_from_config(cfg, channels, rng)
-        trial_draws.append((trial, seed, bank, feature))
+        draws.append((seed, bank, _feature_from_config(cfg, channels, rng)))
+    features = [feature for _, _, feature in draws]
 
-    # Sampling is deterministic, so each graph is sampled once per n, together
-    # with every trial's features.  Only the shift is kept: a graph left alive
-    # past its shift raises peak memory.
-    features = [feature for _, _, _, feature in trial_draws]
-
-    def _system(n):
+    def _run_size(n, trial_ids, measure):
+        """Integrate the listed trials at size n on the pool: {trial:
+        (measure(trial, traj) or None, failure message or None, wall ms)}."""
+        # Sampling is deterministic, so each graph is sampled once, together
+        # with every trial's features.  Only the shift is kept, and only for
+        # this size: a graph or shift left alive raises peak memory.
         graph, feats = sampling.sample_system(spec, n, features, quad)
-        return sampling.graph_shift(graph), feats
+        S = sampling.graph_shift(graph)
+        del graph
 
-    systems = {n: _system(n) for n in [*n_list, n_ref]}
+        def task(trial):
+            start = time.perf_counter()
+            try:
+                traj = dynamics.integrate(S, feats[trial], draws[trial][1], act, T, solver)
+                result, failure = measure(trial, traj), None
+            except NUMERICAL_EXIT_ERRORS as exc:
+                result, failure = None, f"{type(exc).__name__}: {exc}"
+            return result, failure, (time.perf_counter() - start) * 1e3
 
-    def _run_reference(draw):
-        trial, _, bank, _ = draw
-        S, feats = systems[n_ref]
-        try:
-            traj = dynamics.integrate(S, feats[trial], bank, act, T, solver)
-            xsup = max(dynamics.scaled_norm(traj.states[j])
-                       for j in range(traj.eval_times.size))
-            return trial, traj, xsup, None
-        except NUMERICAL_EXIT_ERRORS as exc:
-            return trial, None, None, f"{type(exc).__name__}: {exc}"
+        return dict(zip(trial_ids, pool.map(task, trial_ids)))
 
-    def _run_point(task):
-        trial, seed, bank, n, ref_traj, bound = task
-        S, feats = systems[n]
-        start = time.perf_counter()
-        try:
-            traj = dynamics.integrate(S, feats[trial], bank, act, T, solver)
-            rel = analysis.trajectory_sup_relative_error(traj, ref_traj)
-            abs_err = analysis.trajectory_sup_absolute_error(traj, ref_traj)
-            failure = None
-        except NUMERICAL_EXIT_ERRORS as exc:
-            rel = abs_err = None
-            failure = f"{type(exc).__name__}: {exc}"
-        runtime_ms = (time.perf_counter() - start) * 1e3
-        return trial, n, seed, rel, abs_err, bound, runtime_ms, failure
+    def _reference(trial, traj):
+        # what every other size compares against, and the bound at each n
+        _, bank, feature = draws[trial]
+        inputs_kw = dict(F=bank.F, K=bank.K, L=bank.L, T=T, h_T=neural.h_sup_certified(bank),
+                         X_sup_norm=max(dynamics.scaled_norm(x) for x in traj.states),
+                         A2=feature.lipschitz_bound())
+        bounds = [_converge_bound(spec, inputs_kw, n, eps) for n in n_list]
+        return traj, analysis.trajectory_norms(traj), bounds
 
-    row_errors = []
+    def _errors(trial, traj):
+        ref_traj, ref_norms, _ = refs[trial][0]
+        return analysis.trajectory_sup_errors(traj, ref_traj, ref_norms)
+
+    # Size-major: the reference first, then each n with every live trial.
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        refs = {}
-        for trial, traj, xsup, failure in pool.map(_run_reference, trial_draws):
-            refs[trial] = (traj, xsup, failure)
+        refs = _run_size(n_ref, range(trials), _reference)
+        live = [trial for trial, (ref, _, _) in refs.items() if ref is not None]
+        by_size = [_run_size(n, live, _errors) for n in n_list]
 
-        tasks = []
-        for trial, seed, bank, feature in trial_draws:
-            ref_traj, xsup, ref_failure = refs[trial]
-            if ref_failure is not None:
-                row_errors.append({"trial": trial, "n": None,
-                                   "stage": "reference", "error": ref_failure})
-                continue
-            inputs_kw = dict(
-                F=bank.F, K=bank.K, L=bank.L, T=T,
-                h_T=neural.h_sup_certified(bank),
-                X_sup_norm=xsup, A2=feature.lipschitz_bound(),
-            )
-            for n in n_list:
-                bound = _converge_bound(spec, inputs_kw, n, eps)
-                tasks.append((trial, seed, bank, n, ref_traj, bound))
-        results = {}
-        for trial, n, seed, rel, abs_err, bound, runtime_ms, failure in pool.map(
-                _run_point, tasks):
-            results[(trial, n)] = (seed, rel, abs_err, bound, runtime_ms, failure)
+    row_errors = [{"trial": trial, "n": None, "stage": "reference", "error": failure}
+                  for trial, (_, failure, _) in refs.items() if failure is not None]
 
     rows = []
     per_trial_slopes = []
     log_domain_trials = []
-    for trial, seed, bank, feature in trial_draws:
-        if refs[trial][2] is not None:
-            for n in n_list:
-                rows.append(dict(graphon=cfg["graphon"], alpha_or_dim=alpha_or_dim,
-                                 n=n, n_ref=n_ref, T=T, seed=seed))
+    rel_errs = {n: [] for n in n_list}
+    for trial, (seed, _, _) in enumerate(draws):
+        cells = dict(graphon=cfg["graphon"], alpha_or_dim=alpha_or_dim,
+                     n_ref=n_ref, T=T, seed=seed)
+        ref = refs[trial][0]
+        if ref is None:
+            rows.extend({**cells, "n": n} for n in n_list)
             per_trial_slopes.append(None)
             continue
         fit_points = []
-        for n in n_list:
-            seed_out, rel, abs_err, bound, runtime_ms, failure = results[(trial, n)]
-            slope_running = None
+        for n, bound, at_n in zip(n_list, ref[2], by_size):
+            errors, failure, runtime_ms = at_n[trial]
+            abs_err = rel = slope_running = None
             if failure is None:
+                abs_err, rel = errors
+                rel_errs[n].append(rel)
                 fit_points.append((n, rel))
                 if len(fit_points) >= 3:
                     try:
@@ -359,9 +343,7 @@ def cmd_converge(args, cfg) -> int:
             else:
                 row_errors.append({"trial": trial, "n": n,
                                    "stage": "system", "error": failure})
-            rows.append(dict(graphon=cfg["graphon"], alpha_or_dim=alpha_or_dim,
-                             n=n, n_ref=n_ref, T=T, seed=seed_out,
-                             sup_rel_err=rel, abs_err=abs_err, bound=bound,
+            rows.append(dict(cells, n=n, sup_rel_err=rel, abs_err=abs_err, bound=bound,
                              slope_running=slope_running, runtime_ms=runtime_ms))
         try:
             per_trial_slopes.append(analysis.fit_rate(fit_points)[0]
@@ -372,11 +354,8 @@ def cmd_converge(args, cfg) -> int:
 
     analysis.write_report_csv(rows, out)
     valid = [s for s in per_trial_slopes if s is not None]
-    per_n_mean = {}
-    for n in n_list:
-        errs = [results[(t, n)][1] for t, _, _, _ in trial_draws
-                if (t, n) in results and results[(t, n)][5] is None]
-        per_n_mean[str(n)] = float(np.mean(errs)) if errs else None
+    per_n_mean = {str(n): float(np.mean(errs)) if errs else None
+                  for n, errs in rel_errs.items()}
     summary = {
         "graphon": cfg["graphon"],
         "alpha_or_dim": alpha_or_dim,

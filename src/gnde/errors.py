@@ -70,10 +70,11 @@ class LogDomainError(GndeError, ValueError):
 
 
 class EdgeListParseError(GndeError, ValueError):
-    """An edge-list file failed to parse; ``line`` is the 1-based line number."""
+    """An edge-list or feature CSV failed to parse at 1-based ``line``; given
+    the file's ``path``, the message reads ``<path>:<line>: <message>``."""
 
-    def __init__(self, message, line=None):
-        super().__init__(message)
+    def __init__(self, message, line=None, path=None):
+        super().__init__(message if path is None else f"{path}:{line}: {message}")
         self.line = line
 
 

@@ -419,23 +419,23 @@ def _read_utf8(path) -> str:
         # "?" stands in for the bad byte, so that a prefix ending in a line
         # break still counts the line the byte starts
         line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
-        raise EdgeListParseError(f"{path}:{line}: not UTF-8 text", line=line) from exc
+        raise EdgeListParseError("not UTF-8 text", line=line, path=path) from exc
 
 
 def read_edge_list(path) -> SampledGraph:
     """Parse the edge-list format of :func:`write_edge_list`."""
     lines = _read_utf8(path).splitlines()
     if not lines:
-        raise EdgeListParseError("empty edge-list file", line=1)
+        raise EdgeListParseError("empty edge-list file", line=1, path=path)
     head = lines[0].strip()
     try:
         fields = dict(part.split("=", 1) for part in head.split(","))
         n = int(fields["n"])
         value_class = fields["class"]
     except (ValueError, KeyError) as exc:
-        raise EdgeListParseError(f"bad header {head!r}", line=1) from exc
+        raise EdgeListParseError(f"bad header {head!r}", line=1, path=path) from exc
     if n < 1 or value_class not in (WEIGHTED, UNWEIGHTED):
-        raise EdgeListParseError(f"bad header {head!r}", line=1)
+        raise EdgeListParseError(f"bad header {head!r}", line=1, path=path)
     n = _node_count(n)
     adj = np.zeros((n, n), dtype=np.float64)
     start = 2 if len(lines) > 1 and lines[1].strip() == "i,j,weight" else 1
@@ -446,9 +446,9 @@ def read_edge_list(path) -> SampledGraph:
         try:
             i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
         except (IndexError, ValueError) as exc:
-            raise EdgeListParseError(f"bad edge row {row!r}", line=ln) from exc
+            raise EdgeListParseError(f"bad edge row {row!r}", line=ln, path=path) from exc
         if not (0 <= i <= j < n) or not math.isfinite(w):
-            raise EdgeListParseError(f"edge row out of range {row!r}", line=ln)
+            raise EdgeListParseError(f"edge row out of range {row!r}", line=ln, path=path)
         adj[i, j] = w
         adj[j, i] = w
     return SampledGraph(adj, value_class)
@@ -463,11 +463,17 @@ def write_feature_matrix(features: FeatureMatrix, path):
 
 
 def read_feature_matrix(path) -> FeatureMatrix:
-    rows = list(csv.reader(io.StringIO(_read_utf8(path), newline="")))
-    if len(rows) < 2:
-        raise EdgeListParseError("feature CSV needs a header and at least one row", line=1)
-    try:
-        vals = np.asarray([[float(x) for x in row] for row in rows[1:]], dtype=np.float64)
-    except ValueError as exc:
-        raise EdgeListParseError("non-numeric feature entry", line=2) from exc
-    return FeatureMatrix(vals)
+    """Parse the CSV of :func:`write_feature_matrix`: a header, then one row per node."""
+    reader = csv.reader(io.StringIO(_read_utf8(path), newline=""))
+    next(reader, None)  # the header
+    rows = []
+    for row in reader:
+        try:
+            rows.append([float(x) for x in row])
+        except ValueError as exc:
+            raise EdgeListParseError("non-numeric feature entry", reader.line_num, path) from exc
+        if len(row) != len(rows[0]):
+            raise EdgeListParseError("ragged feature row", reader.line_num, path)
+    if not rows:
+        raise EdgeListParseError("feature CSV needs a header and at least one row", 1, path)
+    return FeatureMatrix(np.asarray(rows, dtype=np.float64))

@@ -29,6 +29,21 @@ def test_stability_constants_formulas():
     assert q == pytest.approx((p - 1.0) * 2 * 3 * 2.0, rel=1e-15)
 
 
+def test_constants_overflow_to_inf():
+    # F K h_T = 90: exp(3 * 90^3) overflows, and at L=300 so does 90^300 itself
+    for L in (3, 300):
+        big = dict(F=3, K=3, L=L, T=3.0, h_T=10.0, X_sup_norm=1.0)
+        assert an.stability_constants(an.BoundInputs(**big)) == (math.inf, math.inf)
+        assert an.rate_constant_weighted(an.BoundInputs(**big, A2=1.0)) == math.inf
+        unweighted = an.BoundInputs(**big, b=1.5, eps=0.1)
+        assert an.rate_constant_unweighted(unweighted)[0] == math.inf
+        # a zero factor gives a zero constant, not inf * 0 = nan
+        still = an.BoundInputs(**{**big, "X_sup_norm": 0.0}, b=1.5, eps=0.1)
+        assert an.stability_constants(still) == (math.inf, 0.0)
+        assert an.rate_constant_weighted(still) == 0.0
+        assert an.rate_constant_unweighted(still)[0] == 0.0
+
+
 def test_holder_radical_against_quadrature():
     # radical(a)^2 = int_0^1 int_0^1 (u+v)^(2a) du dv, evaluated independently
     nodes, weights = np.polynomial.legendre.leggauss(60)
@@ -109,16 +124,18 @@ def test_trajectory_errors_cross_resolution():
     fine = _record([[[1.0], [1.0], [0.0], [0.0]], [[1.0], [0.0], [0.0], [0.0]]])
     # t=0: identical step functions; t=1: they differ by 1 on [1/4, 1/2)
     assert an.trajectory_sup_absolute_error(coarse, fine) == pytest.approx(0.5, abs=1e-15)
-    assert an.trajectory_sup_relative_error(coarse, fine) == pytest.approx(1.0, abs=1e-14)
+    abs_err, rel_err = an.trajectory_sup_errors(coarse, fine, an.trajectory_norms(fine))
+    assert abs_err == an.trajectory_sup_absolute_error(coarse, fine)
+    assert rel_err == pytest.approx(1.0, abs=1e-14)
 
 
 def test_relative_error_zero_cases():
     zero2 = _record(np.zeros((2, 2, 1)))
     zero4 = _record(np.zeros((2, 4, 1)))
-    assert an.trajectory_sup_relative_error(zero2, zero4) == 0.0
+    assert an.trajectory_sup_errors(zero2, zero4, an.trajectory_norms(zero4)) == (0.0, 0.0)
     lively = _record(np.ones((2, 2, 1)))
     with pytest.raises(DegenerateReferenceError) as err:
-        an.trajectory_sup_relative_error(lively, zero4)
+        an.trajectory_sup_errors(lively, zero4, an.trajectory_norms(zero4))
     assert err.value.time == 0.0
 
 
@@ -168,18 +185,22 @@ def test_sup_errors_equal_per_state_overlay(pair):
         dists.append(smp.overlay_l2_distance(smp.induce_features(smp.FeatureMatrix(x_n)), ref))
         norms.append(smp.pwc_l2_norm(ref))
     assert an.trajectory_sup_absolute_error(traj_n, traj_ref).hex() == max(dists).hex()
+    ref_norms = an.trajectory_norms(traj_ref)
+    assert [norm.hex() for norm in ref_norms] == [norm.hex() for norm in norms]
     ratios = [0.0]
     for t, dist, norm in zip(traj_ref.eval_times, dists, norms):
         if dist == 0.0:
             continue
         if norm < 1e-12:
             with pytest.raises(DegenerateReferenceError) as err:
-                an.trajectory_sup_relative_error(traj_n, traj_ref)
+                an.trajectory_sup_errors(traj_n, traj_ref, ref_norms)
             assert err.value.time == t
             assert str(err.value) == f"reference trajectory norm below 1e-12 at t={t!r}"
             return
         ratios.append(dist / norm)
-    assert an.trajectory_sup_relative_error(traj_n, traj_ref).hex() == max(ratios).hex()
+    abs_err, rel_err = an.trajectory_sup_errors(traj_n, traj_ref, ref_norms)
+    assert abs_err.hex() == max(dists).hex()
+    assert rel_err.hex() == max(ratios).hex()
 
 
 def test_trajectory_compat_guards():
@@ -190,6 +211,11 @@ def test_trajectory_compat_guards():
     c = TrajectoryRecord(np.array([0.0, 0.5]), np.zeros((2, 2, 1)), {})
     with pytest.raises(InvalidParameterError):
         an.trajectory_sup_absolute_error(a, c)
+    for other in (b, c):
+        with pytest.raises(InvalidParameterError):
+            an.trajectory_sup_errors(a, other, an.trajectory_norms(other))
+    with pytest.raises(InvalidParameterError):  # norms of another eval grid
+        an.trajectory_sup_errors(a, a, an.trajectory_norms(a)[:1])
 
 
 def test_stability_bound_check():

@@ -162,6 +162,123 @@ def test_converge_unweighted_bound_column(tmp_path):
     assert all(float(row[REPORT_COLUMNS.index("bound")]) > 0 for row in rows[1:])
 
 
+def test_converge_overflowing_bound_reads_inf(tmp_path):
+    # exp(T (F K h_T)^L) overflows a float for this model; every solve succeeds
+    cfg = _cfg(
+        tmp_path, graphon="tent", n_list="4,6,8", n_ref="12", trials="1", T="3",
+        layers="3", channels="3", taps="3", eval_grid="10",
+    )
+    out1, out3 = str(tmp_path / "o1.csv"), str(tmp_path / "o3.csv")
+    assert entry(["converge", "--config", cfg, "--out", out1, "--threads", "1"]) == 0
+    assert entry(["converge", "--config", cfg, "--out", out3, "--threads", "3"]) == 0
+    rows = [dict(zip(REPORT_COLUMNS, row)) for row in _read_csv(out1)[1:]]
+    assert [row["bound"] for row in rows] == ["inf"] * 3
+    assert all(float(row["sup_rel_err"]) > 0.0 for row in rows)
+    assert _rows_sans_runtime(out1) == _rows_sans_runtime(out3)
+    assert (tmp_path / "o1.csv.summary.json").read_bytes() == (
+        tmp_path / "o3.csv.summary.json").read_bytes()
+
+
+def test_converge_failure_rows(tmp_path, monkeypatch):
+    # Forced DivergenceErrors: the references of trials 1 and 2, and trial 0
+    # at n=12.  The pool reorders calls, so each call's trial is found from
+    # its bank object.
+    from gnde import cli, dynamics
+    from gnde.errors import DivergenceError
+
+    banks = []
+    draw_bank = cli._bank_from_config
+
+    def recording_bank(*args):
+        banks.append(draw_bank(*args))
+        return banks[-1]
+
+    solve = dynamics.integrate
+
+    def failing_integrate(S, X0, bank, *args):
+        trial = next(i for i, b in enumerate(banks) if b is bank)
+        n = S.shape[0]
+        if (trial, n) in {(1, 32), (2, 32), (0, 12)}:
+            raise DivergenceError(f"forced at trial {trial}, n={n}")
+        return solve(S, X0, bank, *args)
+
+    monkeypatch.setattr(cli, "_bank_from_config", recording_bank)
+    monkeypatch.setattr(dynamics, "integrate", failing_integrate)
+    cfg = _cfg(
+        tmp_path, graphon="tent", n_list="8,12,16,20", n_ref="32", trials="3",
+        T="0.25", solver="rk4", eval_grid="10",
+    )
+    out = str(tmp_path / "fail.csv")
+    assert entry(["converge", "--config", cfg, "--out", out, "--threads", "2"]) == 0
+    rows = [dict(zip(REPORT_COLUMNS, row)) for row in _read_csv(out)[1:]]
+    assert [row["n"] for row in rows] == ["8", "12", "16", "20"] * 3
+    seeds = [row["seed"] for row in rows]
+    assert seeds == [seed for seed in seeds[::4] for _ in range(4)]
+    assert len(set(seeds)) == 3
+    # trial 0 fits its slope from n = 8, 16, 20; trials 1 and 2 have no reference
+    computed = ["sup_rel_err", "abs_err", "bound", "slope_running", "runtime_ms"]
+    blank = [[col for col in computed if row[col] == ""] for row in rows]
+    assert blank == [["slope_running"], ["sup_rel_err", "abs_err", "slope_running"],
+                     ["slope_running"], []] + [computed] * 8
+    summary = json.loads((tmp_path / "fail.csv.summary.json").read_text())
+    assert summary["row_errors"] == [
+        {"trial": 1, "n": None, "stage": "reference",
+         "error": "DivergenceError: forced at trial 1, n=32"},
+        {"trial": 2, "n": None, "stage": "reference",
+         "error": "DivergenceError: forced at trial 2, n=32"},
+        {"trial": 0, "n": 12, "stage": "system",
+         "error": "DivergenceError: forced at trial 0, n=12"},
+    ]
+    slopes = summary["per_trial_slopes"]
+    assert isinstance(slopes[0], float) and slopes[1:] == [None, None]
+    assert summary["mean_slope"] == slopes[0]
+    assert summary["per_n_mean_rel_err"]["12"] is None
+    assert summary["per_n_mean_rel_err"]["8"] == float(rows[0]["sup_rel_err"])
+
+
+def test_converge_computes_each_quantity_once(tmp_path, monkeypatch):
+    # one overlay partition per (trial, n), one norm pass per reference, and
+    # only the running size's shift alive during a solve
+    import gc
+    import weakref
+
+    from gnde import analysis, catalog, dynamics
+
+    calls = {"partition": 0, "norms": 0}
+    shifts, most_alive = [], []
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    def tracked_shift(graph, make=smp.graph_shift):
+        S = make(graph)
+        shifts.append(weakref.ref(S))
+        return S
+
+    def watched_integrate(*args, solve=dynamics.integrate):
+        gc.collect()
+        most_alive.append(sum(ref() is not None for ref in shifts))
+        return solve(*args)
+
+    monkeypatch.setattr(catalog, "overlay_partition",
+                        counted("partition", catalog.overlay_partition))
+    monkeypatch.setattr(analysis, "trajectory_norms",
+                        counted("norms", analysis.trajectory_norms))
+    monkeypatch.setattr(smp, "graph_shift", tracked_shift)
+    monkeypatch.setattr(dynamics, "integrate", watched_integrate)
+    cfg = _cfg(
+        tmp_path, graphon="tent", n_list="8,12,16", n_ref="32", trials="2",
+        T="0.25", solver="rk4", eval_grid="10",
+    )
+    assert entry(["converge", "--config", cfg, "--out", str(tmp_path / "c.csv"),
+                  "--threads", "2"]) == 0
+    assert calls == {"partition": 2 * 3, "norms": 2}
+    assert len(shifts) == 4 and max(most_alive) == 1
+
+
 def test_converge_rejects_bad_reference(tmp_path):
     cfg = _cfg(tmp_path, n_list="8,12,16", n_ref="16", trials="1")
     assert entry(["converge", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
@@ -224,7 +341,7 @@ def test_transfer_audit_determinism(tmp_path):
     assert (tmp_path / "a1.csv").read_bytes() == (tmp_path / "a2.csv").read_bytes()
 
 
-def test_transfer_audit_config_errors(tmp_path):
+def test_transfer_audit_config_errors(tmp_path, capsys):
     no_list = _cfg(tmp_path, "n.cfg")
     assert entry(["transfer-audit", "--config", no_list, "--out", str(tmp_path / "o.csv")]) == 2
     missing = _cfg(tmp_path, "m.cfg", edge_list=str(tmp_path / "absent.csv"))
@@ -238,6 +355,12 @@ def test_transfer_audit_config_errors(tmp_path):
     binary.write_bytes(b"\xff\xfe\x00\x01")
     bin_cfg = _cfg(tmp_path, "bin.cfg", edge_list=str(binary))
     assert entry(["transfer-audit", "--config", bin_cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    bad_row = tmp_path / "row.csv"
+    bad_row.write_text("n=4,class=unweighted\ni,j,weight\n0,1,1.0\n0,oops,1.0\n")
+    row_cfg = _cfg(tmp_path, "row.cfg", edge_list=str(bad_row))
+    capsys.readouterr()
+    assert entry(["transfer-audit", "--config", row_cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    assert f"{bad_row}:4: bad edge row '0,oops,1.0'" in capsys.readouterr().err
 
 
 def test_oversized_graphs_exit_2(tmp_path, capsys):
@@ -297,6 +420,12 @@ def test_config_errors_exit_2(tmp_path):
     for command in ("integrate", "converge"):
         assert entry([command, "--config", infinite_T,
                       "--out", str(tmp_path / "t.csv")]) == 2
+    bad_eps = _cfg(tmp_path, "e.cfg", graphon="checkerboard", cells="2", feature="linear",
+                   n_list="4,5,6", n_ref="8", trials="2", T="0.25", solver="rk4",
+                   eval_grid="10", eps="1.5")  # eps must lie in (0, 2 - 1)
+    assert entry(["converge", "--config", bad_eps, "--out", str(tmp_path / "e.csv"),
+                  "--threads", "2"]) == 2
+    assert not (tmp_path / "e.csv").exists()
     no_quad = _cfg(tmp_path, "q.cfg", graphon="tent", n="4", quad_points="0")
     assert entry(["sample", "--config", no_quad, "--out", str(tmp_path / "q.csv")]) == 2
     binary = tmp_path / "bin.cfg"

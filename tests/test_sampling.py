@@ -311,6 +311,15 @@ def test_feature_matrix_round_trip(tmp_path):
     with pytest.raises(EdgeListParseError) as err:
         smp.read_feature_matrix(path)
     assert err.value.line == 2
+    path.write_text("f0\n1.0\n2.0\nabc\n")
+    with pytest.raises(EdgeListParseError) as err:
+        smp.read_feature_matrix(path)
+    assert err.value.line == 4
+    assert str(err.value) == f"{path}:4: non-numeric feature entry"
+    path.write_text("f0,f1\n1.0,2.0\n3.0\n")
+    with pytest.raises(EdgeListParseError) as err:
+        smp.read_feature_matrix(path)
+    assert err.value.line == 3
 
 
 def test_sampled_graph_validation():
