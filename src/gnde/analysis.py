@@ -65,10 +65,7 @@ class BoundInputs:
         if not (0.0 < self.alpha <= 1.0):
             raise InvalidParameterError("alpha must be in (0, 1]")
         if self.b is not None:
-            if not (1.0 <= self.b < 2.0):
-                raise InvalidParameterError("box dimension b must be in [1, 2)")
-            if self.eps is None or not (0.0 < self.eps < 2.0 - self.b):
-                raise InvalidParameterError("eps must be in (0, 2 - b)")
+            unweighted_exponent(self.b, self.eps)
 
 
 def _growth(inp: BoundInputs) -> float:
@@ -108,18 +105,35 @@ def feature_sampling_bound(A2: float, F: int, n: int) -> float:
     return A2 * math.sqrt(F / 3.0) / float(n)
 
 
+def unweighted_exponent(b: float, eps: float | None) -> float:
+    """1 - (b + eps)/2, the binary-regime rate exponent for a support
+    boundary of box dimension b in [1, 2) and a slack eps in (0, 2 - b)."""
+    if not (1.0 <= b < 2.0):
+        raise InvalidParameterError("box dimension b must be in [1, 2)")
+    if eps is None or not (0.0 < eps < 2.0 - b):
+        raise InvalidParameterError("eps must be in (0, 2 - b)")
+    return 1.0 - (b + eps) / 2.0
+
+
+def rate_constant(inp: BoundInputs, kernel_term: float) -> float:
+    """C with ||X_n - X||_C <= C n^{-exponent}: the growth times the sampling
+    bounds at n = 1, feature_sampling_bound(A2, F, 1) + L K X_sup_norm
+    kernel_term, where kernel_term is kernel_sampling_bound(A1, alpha, 1)
+    for weighted sampling and 1 for binary sampling."""
+    return _grown(inp, feature_sampling_bound(inp.A2, inp.F, 1)
+                  + inp.L * inp.K * inp.X_sup_norm * kernel_term)
+
+
 def rate_constant_weighted(inp: BoundInputs) -> float:
     """C with ||X_n - X||_C <= C n^{-alpha} for weighted sampling."""
-    return _grown(inp, inp.A2 * math.sqrt(inp.F / 3.0)
-                  + inp.L * inp.K * inp.X_sup_norm * inp.A1 * holder_kernel_radical(inp.alpha))
+    return rate_constant(inp, kernel_sampling_bound(inp.A1, inp.alpha, 1))
 
 
 def rate_constant_unweighted(inp: BoundInputs) -> tuple[float, float]:
     """(C_tilde, exponent) with ||X_n - X||_C <= C_tilde n^{-exponent}."""
     if inp.b is None or inp.eps is None:
         raise InvalidParameterError("unweighted rate needs box dimension b and eps")
-    c = _grown(inp, inp.A2 * math.sqrt(inp.F / 3.0) + inp.L * inp.K * inp.X_sup_norm)
-    return c, 1.0 - (inp.b + inp.eps) / 2.0
+    return rate_constant(inp, 1.0), unweighted_exponent(inp.b, inp.eps)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -70,7 +69,6 @@ DEFAULTS = {
     "quad_points": "8",
     "eps": "0.1",
     "seed": "42",
-    "threads": "1",
     "proportions": "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
     "audit_trials": "20",
     "edge_list": "",
@@ -150,6 +148,9 @@ def _graphon_from_config(cfg) -> catalog.GraphonSpec:
 def _feature_from_config(cfg, channels: int, rng) -> sampling.FeatureFunctionSpec:
     kind = cfg["feature"]
     degree = _get_int(cfg, "degree", minimum=1)
+    # fourier and holder features draw a (channels, degree) coefficient array
+    sampling.check_entries(("channels", channels),
+                           ("degree", degree if kind in ("fourier", "holder") else 1))
     if kind == "fourier":
         return sampling.random_fourier_features(channels, degree, rng)
     if kind == "holder":
@@ -182,6 +183,8 @@ def _bank_from_config(cfg, horizon: float, rng) -> neural.FilterBank:
     if law not in (neural.CONSTANT, neural.FOURIER):
         raise ConfigError(f"unknown filter law {law!r}; choose constant or fourier")
     modes = _get_int(cfg, "modes", minimum=1) if law == neural.FOURIER else 0
+    sampling.check_entries(("layers", L), ("channels", F), ("channels", F), ("taps", K),
+                           ("modes", 2 * modes + 1))
     override = _get_float_list(cfg, "filter_coeffs")
     if not override:
         return neural.random_filter_bank(L, F, K, rng, time_law=law, modes=modes,
@@ -202,7 +205,7 @@ def _activation_from_config(cfg) -> neural.Activation:
     return neural.Activation(cfg["activation"], slope=_get_float(cfg, "leaky_slope"))
 
 
-def _solver_from_config(cfg, T: float) -> dynamics.SolverConfig:
+def _solver_from_config(cfg) -> dynamics.SolverConfig:
     rk4_step = _get_float(cfg, "rk4_step") if cfg["rk4_step"] else None
     return dynamics.SolverConfig(
         method=cfg["solver"],
@@ -226,17 +229,15 @@ def _trial_seed(master: int, *path) -> int:
 # converge
 
 
-def _converge_bound(spec, inputs_kw, n, eps):
-    """Theoretical error bound for one row, or None when not certified."""
+def _rate_form(spec, eps):
+    """(alpha_or_dim, exponent, kernel_term) of the row bound c * n**-exponent,
+    c being ``analysis.rate_constant`` with that kernel term; the exponent is
+    None where no bound is certified."""
     if spec.value_class == catalog.WEIGHTED:
         A1, alpha = spec.holder_meta
-        bi = analysis.BoundInputs(A1=A1, alpha=alpha, **inputs_kw)
-        return analysis.rate_constant_weighted(bi) * float(n) ** -alpha
-    if spec.nominal_box_dim is None:
-        return None
-    bi = analysis.BoundInputs(b=spec.nominal_box_dim, eps=eps, **inputs_kw)
-    c, exponent = analysis.rate_constant_unweighted(bi)
-    return c * float(n) ** -exponent
+        return alpha, alpha, analysis.kernel_sampling_bound(A1, alpha, 1)
+    b = spec.nominal_box_dim
+    return b, None if b is None else analysis.unweighted_exponent(b, eps), 1.0
 
 
 def cmd_converge(args, cfg) -> int:
@@ -251,17 +252,11 @@ def cmd_converge(args, cfg) -> int:
     T = _get_float(cfg, "T")
     channels = _get_int(cfg, "channels", minimum=1)
     quad = _get_int(cfg, "quad_points", minimum=1)
-    eps = _get_float(cfg, "eps")
+    alpha_or_dim, exponent, kernel_term = _rate_form(spec, _get_float(cfg, "eps"))
     act = _activation_from_config(cfg)
-    solver = _solver_from_config(cfg, T)
+    solver = _solver_from_config(cfg)
     master = _master_seed(args, cfg)
-    threads = args.threads if args.threads is not None else _get_int(cfg, "threads", 1)
     out = args.out or "converge.csv"
-
-    if spec.value_class == catalog.WEIGHTED:
-        alpha_or_dim = spec.holder_meta[1]
-    else:
-        alpha_or_dim = spec.nominal_box_dim
 
     # Per-trial draws: bank and feature coefficients from the recorded seed.
     draws = []
@@ -273,7 +268,7 @@ def cmd_converge(args, cfg) -> int:
     features = [feature for _, _, feature in draws]
 
     def _run_size(n, trial_ids, measure):
-        """Integrate the listed trials at size n on the pool: {trial:
+        """Integrate the listed trials at size n, in order: {trial:
         (measure(trial, traj) or None, failure message or None, wall ms)}."""
         # Sampling is deterministic, so each graph is sampled once, together
         # with every trial's features.  Only the shift is kept, and only for
@@ -291,26 +286,25 @@ def cmd_converge(args, cfg) -> int:
                 result, failure = None, f"{type(exc).__name__}: {exc}"
             return result, failure, (time.perf_counter() - start) * 1e3
 
-        return dict(zip(trial_ids, pool.map(task, trial_ids)))
+        return {trial: task(trial) for trial in trial_ids}
 
     def _reference(trial, traj):
-        # what every other size compares against, and the bound at each n
+        # what every other size compares against, and the trial's rate constant
         _, bank, feature = draws[trial]
-        inputs_kw = dict(F=bank.F, K=bank.K, L=bank.L, T=T, h_T=neural.h_sup_certified(bank),
-                         X_sup_norm=max(dynamics.scaled_norm(x) for x in traj.states),
-                         A2=feature.lipschitz_bound())
-        bounds = [_converge_bound(spec, inputs_kw, n, eps) for n in n_list]
-        return traj, analysis.trajectory_norms(traj), bounds
+        inputs = analysis.BoundInputs(
+            F=bank.F, K=bank.K, L=bank.L, T=T, h_T=neural.h_sup_certified(bank),
+            X_sup_norm=max(dynamics.scaled_norm(x) for x in traj.states),
+            A2=feature.lipschitz_bound())
+        return traj, analysis.trajectory_norms(traj), analysis.rate_constant(inputs, kernel_term)
 
     def _errors(trial, traj):
         ref_traj, ref_norms, _ = refs[trial][0]
         return analysis.trajectory_sup_errors(traj, ref_traj, ref_norms)
 
     # Size-major: the reference first, then each n with every live trial.
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        refs = _run_size(n_ref, range(trials), _reference)
-        live = [trial for trial, (ref, _, _) in refs.items() if ref is not None]
-        by_size = [_run_size(n, live, _errors) for n in n_list]
+    refs = _run_size(n_ref, range(trials), _reference)
+    live = [trial for trial, (ref, _, _) in refs.items() if ref is not None]
+    by_size = [_run_size(n, live, _errors) for n in n_list]
 
     row_errors = [{"trial": trial, "n": None, "stage": "reference", "error": failure}
                   for trial, (_, failure, _) in refs.items() if failure is not None]
@@ -328,8 +322,9 @@ def cmd_converge(args, cfg) -> int:
             per_trial_slopes.append(None)
             continue
         fit_points = []
-        for n, bound, at_n in zip(n_list, ref[2], by_size):
+        for n, at_n in zip(n_list, by_size):
             errors, failure, runtime_ms = at_n[trial]
+            bound = None if exponent is None else ref[2] * float(n) ** -exponent
             abs_err = rel = slope_running = None
             if failure is None:
                 abs_err, rel = errors
@@ -502,7 +497,7 @@ def cmd_integrate(args, cfg) -> int:
     bank = _bank_from_config(cfg, T, rng)
     feature = _feature_from_config(cfg, channels, rng)
     act = _activation_from_config(cfg)
-    solver = _solver_from_config(cfg, T)
+    solver = _solver_from_config(cfg)
     graph, (feats,) = sampling.sample_system(
         spec, n, [feature], _get_int(cfg, "quad_points", minimum=1))
     S = sampling.graph_shift(graph)
@@ -546,7 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None, help="flat key=value config file")
     common.add_argument("--seed", type=int, default=None, help="master seed (u64)")
     common.add_argument("--out", default=None, help="output path")
-    common.add_argument("--threads", type=int, default=None, help="worker pool size")
+    common.add_argument("--threads", type=int, default=None,
+                        help="accepted for older scripts; has no effect (every "
+                             "command runs in one thread)")
 
     parser = argparse.ArgumentParser(
         prog="gnde",

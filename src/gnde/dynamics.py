@@ -24,7 +24,7 @@ from .errors import (
     NonConvergenceError,
 )
 from .neural import Activation, FilterBank, filters_at, h_sup_certified
-from .sampling import FeatureMatrix
+from .sampling import FeatureMatrix, check_entries
 
 SAFETY = 0.9
 MIN_FACTOR = 0.2
@@ -381,6 +381,7 @@ def _integrate_picard(S, Z, bank, act, T, cfg):
 def integrate(S, Z, bank: FilterBank, act: Activation, T: float, cfg: SolverConfig):
     """Solve the IVP and report states on the uniform eval grid."""
     S, Z = _prepare(S, Z, bank, act, T)
+    check_entries(("n", Z.shape[0]), ("channels", Z.shape[1]), ("eval_grid", cfg.eval_grid + 1))
     if cfg.method == "rk4":
         return _integrate_rk4(S, Z, bank, act, T, cfg)
     if cfg.method == "dp5":

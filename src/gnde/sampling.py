@@ -255,6 +255,20 @@ def _node_count(n) -> int:
     return n
 
 
+def check_entries(*axes) -> None:
+    """Refuse, before allocating it, a float64 array with more entries than
+    a dense ``MAX_DENSE_NODES`` graph; ``axes`` are ``(name, size)`` pairs,
+    and the error names the axis where the running product crosses that."""
+    entries = 1
+    for name, size in axes:
+        entries *= size
+        if entries > MAX_DENSE_NODES**2:
+            raise ComplexityGuardError(
+                f"{name} sizes an array beyond the dense limit of "
+                f"{MAX_DENSE_NODES**2} float64 entries (2 GiB)"
+            )
+
+
 def _grid(n: int) -> np.ndarray:
     n = _node_count(n)
     return np.arange(n, dtype=np.float64) / n
@@ -314,6 +328,7 @@ def sample_features_cell_average(
         raise InvalidParameterError("quad_points must be >= 1")
     n = int(n)
     u = _grid(n)
+    check_entries(("n", n), ("channels", z.F), ("quad_points", q))
     nodes, weights = np.polynomial.legendre.leggauss(q)
     # Map [-1,1] nodes into each cell; the cell mean is (1/2) sum_j w_j Z(x_ij).
     pts = (u[:, None] + 0.5 / n) + (0.5 / n) * nodes[None, :]

@@ -5,21 +5,17 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 
 import pytest
 
 from gnde.cli import entry
-
-THREADS = str(min(8, os.cpu_count() or 1))
 
 
 def _run_sweep(dirpath, name, **overrides):
     cfg = dirpath / f"{name}.cfg"
     cfg.write_text("".join(f"{k}={v}\n" for k, v in overrides.items()))
     out = dirpath / f"{name}.csv"
-    code = entry(["converge", "--config", str(cfg), "--out", str(out),
-                  "--threads", THREADS])
+    code = entry(["converge", "--config", str(cfg), "--out", str(out)])
     assert code == 0, f"sweep {name} exited {code}"
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))

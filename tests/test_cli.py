@@ -15,7 +15,7 @@ import pytest
 import gnde
 from gnde import sampling as smp
 from gnde.analysis import REPORT_COLUMNS
-from gnde.cli import entry
+from gnde.cli import DEFAULTS, build_parser, entry
 
 
 def _cfg(tmp_path, name="run.cfg", **kv):
@@ -181,8 +181,7 @@ def test_converge_overflowing_bound_reads_inf(tmp_path):
 
 def test_converge_failure_rows(tmp_path, monkeypatch):
     # Forced DivergenceErrors: the references of trials 1 and 2, and trial 0
-    # at n=12.  The pool reorders calls, so each call's trial is found from
-    # its bank object.
+    # at n=12.  Each call's trial is found from its bank object.
     from gnde import cli, dynamics
     from gnde.errors import DivergenceError
 
@@ -209,7 +208,7 @@ def test_converge_failure_rows(tmp_path, monkeypatch):
         T="0.25", solver="rk4", eval_grid="10",
     )
     out = str(tmp_path / "fail.csv")
-    assert entry(["converge", "--config", cfg, "--out", out, "--threads", "2"]) == 0
+    assert entry(["converge", "--config", cfg, "--out", out]) == 0
     rows = [dict(zip(REPORT_COLUMNS, row)) for row in _read_csv(out)[1:]]
     assert [row["n"] for row in rows] == ["8", "12", "16", "20"] * 3
     seeds = [row["seed"] for row in rows]
@@ -237,15 +236,17 @@ def test_converge_failure_rows(tmp_path, monkeypatch):
 
 
 def test_converge_computes_each_quantity_once(tmp_path, monkeypatch):
-    # one overlay partition per (trial, n), one norm pass per reference, and
-    # only the running size's shift alive during a solve
+    # one overlay partition per (trial, n), one norm pass per reference, only
+    # the running size's shift alive during a solve, and every solve on the
+    # main thread whatever --threads says
     import gc
+    import threading
     import weakref
 
     from gnde import analysis, catalog, dynamics
 
     calls = {"partition": 0, "norms": 0}
-    shifts, most_alive = [], []
+    shifts, most_alive, threads = [], [], set()
 
     def counted(key, fn):
         def wrapper(*args):
@@ -261,6 +262,7 @@ def test_converge_computes_each_quantity_once(tmp_path, monkeypatch):
     def watched_integrate(*args, solve=dynamics.integrate):
         gc.collect()
         most_alive.append(sum(ref() is not None for ref in shifts))
+        threads.add(threading.current_thread())
         return solve(*args)
 
     monkeypatch.setattr(catalog, "overlay_partition",
@@ -277,6 +279,16 @@ def test_converge_computes_each_quantity_once(tmp_path, monkeypatch):
                   "--threads", "2"]) == 0
     assert calls == {"partition": 2 * 3, "norms": 2}
     assert len(shifts) == 4 and max(most_alive) == 1
+    assert threads == {threading.main_thread()}
+
+
+def test_threads_flag_parses_on_every_command():
+    # --threads is accepted everywhere and changes nothing
+    parser = build_parser()
+    for command in ("catalog", "sample", "integrate", "converge", "boxdim",
+                    "transfer-audit"):
+        assert parser.parse_args([command, "--threads", "3"]).threads == 3
+    assert "threads" not in DEFAULTS
 
 
 def test_converge_rejects_bad_reference(tmp_path):
@@ -399,7 +411,9 @@ def test_module_entry_points_run_clean(tmp_path):
         assert "hexaflake" in done.stdout
 
 
-def test_config_errors_exit_2(tmp_path):
+def test_config_errors_exit_2(tmp_path, monkeypatch):
+    from gnde import dynamics
+
     unknown_key = tmp_path / "u.cfg"
     unknown_key.write_text("flux_capacitor=1\n")
     assert entry(["catalog", "--config", str(unknown_key)]) == 2
@@ -423,14 +437,34 @@ def test_config_errors_exit_2(tmp_path):
     bad_eps = _cfg(tmp_path, "e.cfg", graphon="checkerboard", cells="2", feature="linear",
                    n_list="4,5,6", n_ref="8", trials="2", T="0.25", solver="rk4",
                    eval_grid="10", eps="1.5")  # eps must lie in (0, 2 - 1)
-    assert entry(["converge", "--config", bad_eps, "--out", str(tmp_path / "e.csv"),
-                  "--threads", "2"]) == 2
-    assert not (tmp_path / "e.csv").exists()
+    solves = []
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "integrate", lambda *args: solves.append(args))
+        assert entry(["converge", "--config", bad_eps, "--out", str(tmp_path / "e.csv")]) == 2
+    assert solves == [] and not (tmp_path / "e.csv").exists()
+    pool_size = _cfg(tmp_path, "p.cfg", threads="2")  # no longer a config key
+    assert entry(["catalog", "--config", pool_size]) == 2
     no_quad = _cfg(tmp_path, "q.cfg", graphon="tent", n="4", quad_points="0")
     assert entry(["sample", "--config", no_quad, "--out", str(tmp_path / "q.csv")]) == 2
     binary = tmp_path / "bin.cfg"
     binary.write_bytes(b"\xffn=4\n")
     assert entry(["sample", "--config", str(binary), "--out", str(tmp_path / "b.csv")]) == 2
+
+
+@pytest.mark.parametrize("key, extra", [
+    ("eval_grid", {}), ("channels", {}), ("layers", {}), ("taps", {}),
+    ("modes", {"law": "fourier"}), ("degree", {}),
+    ("quad_points", {"graphon": "checkerboard"}),
+])
+def test_oversized_config_sizes_exit_2(tmp_path, capsys, key, extra):
+    # each key sizes an array of more than 10^20 entries; the guard fires
+    # before numpy is asked for it
+    cfg = _cfg(tmp_path, n="4", **{key: str(10**20)}, **extra)
+    out = tmp_path / "t.csv"
+    assert entry(["integrate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"gnde: config error: {key} sizes an array")
+    assert not out.exists()
 
 
 def test_numerical_failure_exit_3(tmp_path):

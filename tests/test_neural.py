@@ -141,7 +141,7 @@ def test_forward_shape_guards():
         neural.gnn_forward(np.eye(2), np.ones((2, 2)), good, act)
 
 
-def test_backend_selection(monkeypatch):
+def test_stale_backend_setting_is_inert(monkeypatch):
     # one arithmetic path: a stale GNDE_BACKEND setting neither changes a
     # bit of the output nor raises
     rng = np.random.default_rng(5)
@@ -180,7 +180,7 @@ def _assert_product_bound(got, s, x):
             assert abs(Fraction(got[i, f]) - exact[i][f]) <= bound, (i, f)
 
 
-def test_backends_agree():
+def test_forward_matches_checked_shift_products():
     # the forward map against a forward whose every shift product is
     # checked against exact rational arithmetic with the stated bound
     rng = np.random.default_rng(21)
