@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from . import analysis, catalog, dynamics, neural, sampling
+from . import analysis, catalog, dynamics, kernels, neural, sampling
 from .errors import (
     ConfigError,
     DegenerateReferenceError,
@@ -271,16 +271,19 @@ def cmd_converge(args, cfg) -> int:
         """Integrate the listed trials at size n, in order: {trial:
         (measure(trial, traj) or None, failure message or None, wall ms)}."""
         # Sampling is deterministic, so each graph is sampled once, together
-        # with every trial's features.  Only the shift is kept, and only for
-        # this size: a graph or shift left alive raises peak memory.
+        # with every trial's features.  Only the split shift operator is
+        # kept, and only for this size: a graph or dense shift left alive
+        # raises peak memory.
         graph, feats = sampling.sample_system(spec, n, features, quad)
         S = sampling.graph_shift(graph)
         del graph
+        op = kernels.ShiftOperator(S)
+        del S  # the operator drops its own reference once symmetry is checked
 
         def task(trial):
             start = time.perf_counter()
             try:
-                traj = dynamics.integrate(S, feats[trial], draws[trial][1], act, T, solver)
+                traj = dynamics.integrate(op, feats[trial], draws[trial][1], act, T, solver)
                 result, failure = measure(trial, traj), None
             except NUMERICAL_EXIT_ERRORS as exc:
                 result, failure = None, f"{type(exc).__name__}: {exc}"
@@ -502,7 +505,9 @@ def cmd_integrate(args, cfg) -> int:
         spec, n, [feature], _get_int(cfg, "quad_points", minimum=1))
     S = sampling.graph_shift(graph)
     del graph  # the adjacency is not needed past the shift
-    traj = dynamics.integrate(S, feats, bank, act, T, solver)
+    op = kernels.ShiftOperator(S)
+    del S
+    traj = dynamics.integrate(op, feats, bank, act, T, solver)
     out = args.out or "trajectory.csv"
     dynamics.write_trajectory(traj, out)
     final_norm = dynamics.scaled_norm(traj.states[-1])

@@ -147,7 +147,8 @@ def scaled_norm(v: np.ndarray) -> float:
 
 
 def rhs(S, X, bank: FilterBank, act: Activation, t: float) -> np.ndarray:
-    """Velocity field Phi(S; X; H(t)) on raw arrays."""
+    """Velocity field Phi(S; X; H(t)); S is a ``kernels.ShiftOperator`` or
+    an array."""
     vals = X.values if isinstance(X, FeatureMatrix) else X
     return kernels.layer_stack_forward(
         S, vals, filters_at(bank, t), act.act_id, act.slope
@@ -161,13 +162,14 @@ def _eval_times(T: float, M: int) -> np.ndarray:
 
 
 def _prepare(S, Z, bank, act, T):
-    S = np.ascontiguousarray(S, dtype=np.float64)
     Z = Z.values if isinstance(Z, FeatureMatrix) else np.ascontiguousarray(Z, np.float64)
     if not 0.0 < T < math.inf:
         raise InvalidParameterError(f"horizon T must be positive and finite, got {T!r}")
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+    shape = S.shape if isinstance(S, kernels.ShiftOperator) else np.shape(S)
+    if len(shape) != 2 or shape[0] != shape[1]:
         raise InvalidParameterError("shift array must be square")
-    if not np.array_equal(S, S.T):
+    S = kernels.as_operator(S)
+    if not S.symmetric:
         raise InvalidParameterError("shift array must be symmetric")
     if Z.ndim != 2 or Z.shape[0] != S.shape[0]:
         raise InvalidParameterError("initial features must be (n, F) for the shift array")
@@ -188,14 +190,20 @@ def _check_finite(y, t):
 def _integrate_rk4(S, Z, bank, act, T, cfg):
     times = _eval_times(T, cfg.eval_grid)
     h_target = cfg.rk4_step if cfg.rk4_step is not None else T / 200.0
+    spans = np.diff(times)
+    with np.errstate(over="ignore"):  # a huge ratio is refused just below
+        subs = np.maximum(1.0, np.ceil(spans / h_target - 1e-12))
+    if not subs.sum() <= cfg.max_steps:
+        raise InvalidParameterError(
+            f"rk4_step={h_target!r} needs more than max_steps={cfg.max_steps} steps")
     states = np.empty((times.size, Z.shape[0], Z.shape[1]))
     states[0] = Z
     y = Z.copy()
     steps = 0
     for j in range(times.size - 1):
         t0, t1 = times[j], times[j + 1]
-        span = t1 - t0
-        sub = max(1, math.ceil(span / h_target - 1e-12))
+        span = spans[j]
+        sub = int(subs[j])
         h = span / sub
         for s in range(sub):
             t = min(t0 + s * h, T)
@@ -226,9 +234,11 @@ def _error_norm(err, y0, y1, atol, rtol):
     """RMS of the scaled error; the exactly rounded sum makes it independent
     of node order."""
     scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    q = err / scale
+    with np.errstate(over="ignore"):  # an overflowing square reads as inf
+        q = err / scale
+        squares = q * q
     try:
-        return math.sqrt(math.fsum((q * q).ravel().tolist()) / q.size)
+        return math.sqrt(math.fsum(squares.ravel().tolist()) / q.size)
     except OverflowError:  # finite squares whose sum exceeds the float range
         return math.inf
 
@@ -379,7 +389,10 @@ def _integrate_picard(S, Z, bank, act, T, cfg):
 
 
 def integrate(S, Z, bank: FilterBank, act: Activation, T: float, cfg: SolverConfig):
-    """Solve the IVP and report states on the uniform eval grid."""
+    """Solve the IVP and report states on the uniform eval grid.
+
+    ``S`` is a ``kernels.ShiftOperator`` or an array; an array is split
+    once for the whole trajectory."""
     S, Z = _prepare(S, Z, bank, act, T)
     check_entries(("n", Z.shape[0]), ("channels", Z.shape[1]), ("eval_grid", cfg.eval_grid + 1))
     if cfg.method == "rk4":

@@ -13,6 +13,14 @@ returns the same bits whatever order it sums in.  The slice products are
 then added in a fixed order, scaled back, and rows or columns holding a
 non-finite entry come out NaN.
 
+S is fixed for a whole trajectory, so it is split once: a ``ShiftOperator``
+keeps the slices of S with its row exponents and non-finite-row mask, and
+every product at that size splits only X.  For n >= 9, beta <= 24, and
+every slice entry, an integer of magnitude at most 2**24, is exact in
+float32; the operator stores its slices as float32 then (1.5 times the
+bytes of S instead of 3 times) and casts each row block back to float64
+before the GEMM, so the GEMM sees the same numbers as a fresh split.
+
 Every step reads an entry, its row's or column's maximum, and fixed
 constants, never the position of an entry in its row, so relabeling the
 nodes (S -> P S P^T, X -> P X) permutes the output bit-exactly: node-order
@@ -23,6 +31,8 @@ reproducibility contract.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +46,9 @@ SLICES = 3
 
 #: Entries of S split at once; bounds the product's transient memory.
 BLOCK_ENTRIES = 1 << 14
+
+#: Widest slice that float32 holds exactly (its significand has 24 bits).
+FLOAT32_BITS = 24
 
 # Slice pairs (p, q) from the smallest weight 2**(-(p+q) beta) to the largest.
 _PAIRS = sorted(
@@ -83,37 +96,80 @@ def _split(a, beta: int, axis: int, out):
     return e, bad
 
 
-def _shift_product(S, X):
-    n, F = X.shape
+class ShiftOperator:
+    """An (m, n) shift matrix S split once for every product ``S @ X``.
+
+    ``slices[p]`` holds slice p of every row of S (float32 when
+    ``slice_bits(n) <= FLOAT32_BITS``, else float64), ``exps`` each row's
+    exponent and ``bad`` the rows holding a non-finite entry.  ``op @ X``
+    is ``shift_matvec(S, X)`` bit for bit.  ``symmetric`` (S == S.T) is
+    decided on its first read; the operator holds the dense S until then.
+    """
+
+    def __init__(self, S):
+        S = np.ascontiguousarray(S, dtype=np.float64)
+        if S.ndim != 2:
+            raise ValueError("a shift operator needs a 2-D array")
+        m, n = self.shape = S.shape
+        self.beta = slice_bits(n)
+        self.rows = max(1, min(m, BLOCK_ENTRIES // max(n, 1)))
+        store = np.float32 if self.beta <= FLOAT32_BITS else np.float64
+        self.slices = np.empty((SLICES, m, n), dtype=store)
+        self.exps = np.zeros((m, 1), dtype=np.int32)
+        self.bad = np.zeros((m, 1), dtype=bool)
+        if n:
+            buf = np.empty(SLICES * self.rows * n)
+            for lo in range(0, m, self.rows):
+                blk = S[lo : lo + self.rows]
+                hi = lo + blk.shape[0]
+                ss = buf[: SLICES * blk.size].reshape((SLICES,) + blk.shape)
+                self.exps[lo:hi], self.bad[lo:hi] = _split(blk, self.beta, 1, ss)
+                self.slices[:, lo:hi] = ss
+        self._dense = S
+
+    @cached_property
+    def symmetric(self) -> bool:
+        S, self._dense = self._dense, None
+        return S.shape[0] == S.shape[1] and bool(np.array_equal(S, S.T))
+
+    def __matmul__(self, X) -> np.ndarray:
+        return _shift_product(self, np.ascontiguousarray(X, dtype=np.float64))
+
+
+def as_operator(S) -> ShiftOperator:
+    """``S`` if it is already a ShiftOperator, else a new one on the array S."""
+    return S if isinstance(S, ShiftOperator) else ShiftOperator(S)
+
+
+def _shift_product(op, X):
+    m, n = op.shape
+    F = X.shape[1]
     if n == 0:
-        return np.zeros((0, F))
-    beta = slice_bits(n)
+        return np.zeros((m, F))
+    beta = op.beta
     xs = np.empty((SLICES, n, F))
     ex, xbad = _split(X, beta, 0, xs)
     rhs = xs.transpose(1, 0, 2).reshape(n, SLICES * F)
     # prods[p, i, q] = (slice p of row i of S) . (slice q of X), exact
-    prods = np.empty((SLICES, n, SLICES, F))
-    es = np.empty((n, 1), dtype=np.int32)
-    sbad = np.empty((n, 1), dtype=bool)
-    rows = min(n, max(1, BLOCK_ENTRIES // n))
-    buf = np.empty(SLICES * rows * n)
-    for lo in range(0, n, rows):
-        blk = S[lo : lo + rows]
-        hi = lo + blk.shape[0]
-        ss = buf[: SLICES * blk.size].reshape((SLICES,) + blk.shape)
-        es[lo:hi], sbad[lo:hi] = _split(blk, beta, 1, ss)
-        prods[:, lo:hi] = (ss.reshape(-1, n) @ rhs).reshape(SLICES, -1, SLICES, F)
-    acc = np.zeros((n, F))
+    prods = np.empty((SLICES, m, SLICES, F))
+    buf = np.empty(SLICES * op.rows * n)
+    for lo in range(0, m, op.rows):
+        blk = op.slices[:, lo : lo + op.rows]
+        ss = buf[: blk.size].reshape(blk.shape)
+        ss[...] = blk  # exact: every entry is an integer of at most 2**beta
+        prods[:, lo : lo + blk.shape[1]] = (
+            ss.reshape(-1, n) @ rhs).reshape(SLICES, -1, SLICES, F)
+    acc = np.zeros((m, F))
     for p, q in _PAIRS:
         acc += prods[p, :, q] * 2.0 ** (-(p + q) * beta)
-    out = np.ldexp(acc, es + ex - 2 * beta)
-    out[sbad[:, 0]] = np.nan
+    out = np.ldexp(acc, op.exps + ex - 2 * beta)
+    out[op.bad[:, 0]] = np.nan
     out[:, xbad[0]] = np.nan
     return out
 
 
 def shift_matvec(S, X) -> np.ndarray:
-    """S @ X for an (n, n) S and an (n, F) X, independent of node order.
+    """S @ X for an (m, n) S and an (n, F) X, independent of node order.
 
     With beta = ``slice_bits(n)`` (so 2 beta + ceil(log2 n) <= 53),
     r_i = max_j |S_ij|, c_f = max_j |X_jf| and u = 2**-53, every finite
@@ -126,27 +182,27 @@ def shift_matvec(S, X) -> np.ndarray:
     three slices and the rounding of the fixed-order slice sum.  Entries
     within a factor 2**(3 beta - 53) of their row's (column's) maximum lose
     no bits.  A row of S or a column of X holding inf or NaN gives a NaN
-    row or column.
+    row or column.  ``S`` may be a ShiftOperator; an array is split here,
+    so a caller with several products on one S builds the operator once.
     """
-    S = np.ascontiguousarray(S, dtype=np.float64)
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    return _shift_product(S, X)
+    return as_operator(S) @ X
 
 
 def layer_stack_forward(S, X, coeffs, act_id: int, slope: float = 0.0) -> np.ndarray:
-    """Full L-layer filter-bank forward pass on raw arrays.
+    """Full L-layer filter-bank forward pass on a shift operator or array.
 
     ``coeffs`` has shape (L, F, F, K); tap k applies S^k with S^0 = I,
-    powers built by repeated ``shift_matvec`` (S^k is never materialized).
+    powers built by repeated shift products (S^k is never materialized).
+    An array S is split once for the whole pass.
     """
-    S = np.ascontiguousarray(S, dtype=np.float64)
+    op = as_operator(S)
     cur = np.array(X, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.float64)
     L, F, _, K = coeffs.shape
     for layer in range(L):
         powers = [cur]
         for _ in range(1, K):
-            powers.append(_shift_product(S, powers[-1]))
+            powers.append(op @ powers[-1])
         z = np.zeros_like(cur)
         # A diverging state overflows here; dynamics reports it as DivergenceError.
         with np.errstate(over="ignore", invalid="ignore"):

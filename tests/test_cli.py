@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -236,17 +237,19 @@ def test_converge_failure_rows(tmp_path, monkeypatch):
 
 
 def test_converge_computes_each_quantity_once(tmp_path, monkeypatch):
-    # one overlay partition per (trial, n), one norm pass per reference, only
-    # the running size's shift alive during a solve, and every solve on the
-    # main thread whatever --threads says
+    # one overlay partition per (trial, n), one norm pass per reference, one
+    # shift operator per size with one symmetry check, at most that operator
+    # and no dense shift alive during a solve, and every solve on the main
+    # thread whatever --threads says
     import gc
     import threading
     import weakref
 
-    from gnde import analysis, catalog, dynamics
+    from gnde import analysis, catalog, dynamics, kernels
 
     calls = {"partition": 0, "norms": 0}
-    shifts, most_alive, threads = [], [], set()
+    shifts, operators, checks, threads = [], [], [], set()
+    alive = {"integrate": [], "solve": []}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -259,18 +262,35 @@ def test_converge_computes_each_quantity_once(tmp_path, monkeypatch):
         shifts.append(weakref.ref(S))
         return S
 
-    def watched_integrate(*args, solve=dynamics.integrate):
-        gc.collect()
-        most_alive.append(sum(ref() is not None for ref in shifts))
-        threads.add(threading.current_thread())
-        return solve(*args)
+    base = kernels.ShiftOperator
+
+    class TrackedOperator(base):
+        def __init__(self, S):
+            super().__init__(S)
+            operators.append(weakref.ref(self))
+
+        @functools.cached_property
+        def symmetric(self):
+            checks.append(self.shape)
+            return base.symmetric.func(self)
+
+    def watched(key, fn):
+        def wrapper(*args):
+            gc.collect()
+            alive[key].append((sum(ref() is not None for ref in operators),
+                               sum(ref() is not None for ref in shifts)))
+            threads.add(threading.current_thread())
+            return fn(*args)
+        return wrapper
 
     monkeypatch.setattr(catalog, "overlay_partition",
                         counted("partition", catalog.overlay_partition))
     monkeypatch.setattr(analysis, "trajectory_norms",
                         counted("norms", analysis.trajectory_norms))
     monkeypatch.setattr(smp, "graph_shift", tracked_shift)
-    monkeypatch.setattr(dynamics, "integrate", watched_integrate)
+    monkeypatch.setattr(kernels, "ShiftOperator", TrackedOperator)
+    monkeypatch.setattr(dynamics, "integrate", watched("integrate", dynamics.integrate))
+    monkeypatch.setattr(dynamics, "_integrate_rk4", watched("solve", dynamics._integrate_rk4))
     cfg = _cfg(
         tmp_path, graphon="tent", n_list="8,12,16", n_ref="32", trials="2",
         T="0.25", solver="rk4", eval_grid="10",
@@ -278,7 +298,12 @@ def test_converge_computes_each_quantity_once(tmp_path, monkeypatch):
     assert entry(["converge", "--config", cfg, "--out", str(tmp_path / "c.csv"),
                   "--threads", "2"]) == 0
     assert calls == {"partition": 2 * 3, "norms": 2}
-    assert len(shifts) == 4 and max(most_alive) == 1
+    assert len(shifts) == 4 and len(operators) == 4
+    assert checks == [(32, 32), (8, 8), (12, 12), (16, 16)]
+    assert len(alive["integrate"]) == len(alive["solve"]) == 2 * 4
+    assert max(ops for ops, _ in alive["integrate"]) == 1
+    # the operator holds the dense shift only until its symmetry check
+    assert alive["solve"] == [(1, 0)] * (2 * 4)
     assert threads == {threading.main_thread()}
 
 
@@ -474,6 +499,30 @@ def test_numerical_failure_exit_3(tmp_path):
         feature="constant", feature_values="1e308",
     )
     assert entry(["integrate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 3
+
+
+def _run_module(tmp_path, *argv, timeout=60):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gnde.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "gnde", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_rk4_step_beyond_budget_exits_2(tmp_path):
+    # ~5e297 substeps would run until killed; the count is refused up front
+    cfg = _cfg(tmp_path, n="4", solver="rk4", rk4_step="1e-300", eval_grid="2")
+    done = _run_module(tmp_path, "integrate", "--config", cfg, "--out", "t.csv")
+    assert done.returncode == 2, done.stderr
+    assert "max_steps" in done.stderr and "Traceback" not in done.stderr
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_dp5_underflowing_tolerances_exit_3_without_warning(tmp_path):
+    cfg = _cfg(tmp_path, n="4", solver="dp5", atol="1e-300", rtol="1e-300")
+    done = _run_module(tmp_path, "integrate", "--config", cfg, "--out", "t.csv")
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == "gnde: numerical failure: dp5 step size underflow\n"
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from gnde import catalog as cat
 from gnde import dynamics as dyn
+from gnde import kernels
 from gnde import sampling as smp
 from gnde.errors import DivergenceError, InvalidParameterError, NonConvergenceError
 from gnde.neural import Activation, FilterBank, random_filter_bank
@@ -161,6 +164,18 @@ def test_divergence_raises():
         dyn.integrate(s, z, _scalar_bank(1e3), IDENT, 1.0, cfg)
 
 
+def test_rk4_step_budget():
+    # the substep count is known before the first step; one beyond
+    # max_steps is refused instead of run
+    s, z, bank = _tent_system(n=4)
+    cfg = dyn.SolverConfig(method="rk4", rk4_step=0.25, eval_grid=2, max_steps=4)
+    assert dyn.integrate(s, z, bank, TANH, 1.0, cfg).solver_meta["steps"] == 4
+    for step, grid in ((0.2, 2), (1e-300, 2), (5e-324, 2), (1.0, 5)):
+        cfg = dyn.SolverConfig(method="rk4", rk4_step=step, eval_grid=grid, max_steps=4)
+        with pytest.raises(InvalidParameterError, match="max_steps"):
+            dyn.integrate(s, z, bank, TANH, 1.0, cfg)
+
+
 def test_dp5_step_budget():
     s, z, bank = _tent_system()
     cfg = dyn.SolverConfig(method="dp5", atol=1e-12, rtol=1e-12, max_steps=3)
@@ -176,6 +191,12 @@ def test_input_validation():
         dyn.integrate(s, z, bank, TANH, 0.0, cfg)
     with pytest.raises(InvalidParameterError):
         dyn.integrate(np.triu(s), z, bank, TANH, 1.0, cfg)
+    with pytest.raises(InvalidParameterError):
+        dyn.integrate(kernels.ShiftOperator(np.triu(s)), z, bank, TANH, 1.0, cfg)
+    with pytest.raises(InvalidParameterError):
+        dyn.integrate(kernels.ShiftOperator(s[:4]), z, bank, TANH, 1.0, cfg)
+    with pytest.raises(InvalidParameterError):
+        dyn.integrate(s[0], z, bank, TANH, 1.0, cfg)
     with pytest.raises(InvalidParameterError):
         dyn.integrate(s, z[:3], bank, TANH, 1.0, cfg)
     with pytest.raises(InvalidParameterError):
@@ -205,6 +226,38 @@ def test_trajectory_equivariance_bit_exact():
             assert np.array_equal(base.states[:, perm], relab.states), (n, method)
 
 
+def test_integrate_reuses_an_operator():
+    # one operator serves several trajectories, bit-equal to fresh arrays
+    s, z, bank = _tent_system(n=12, seed=7)
+    op = kernels.ShiftOperator(s)
+    for method in ("rk4", "dp5"):
+        cfg = dyn.SolverConfig(method=method, eval_grid=5)
+        for scale in (1.0, -0.5):
+            want = dyn.integrate(s, scale * z, bank, TANH, 0.5, cfg)
+            got = dyn.integrate(op, scale * z, bank, TANH, 0.5, cfg)
+            assert np.array_equal(got.states, want.states), (method, scale)
+            assert got.solver_meta == want.solver_meta
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(2, 14), channels=st.integers(1, 2),
+       method=st.sampled_from(["rk4", "dp5"]), seed=st.integers(0, 2**32 - 1))
+def test_trajectory_equivariance_random_systems(n, channels, method, seed):
+    # any symmetric shift, bank and initial state: relabeling the nodes
+    # permutes every state bit for bit
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 1.0, size=(n, n)) / n
+    s = a + a.T
+    z = rng.normal(size=(n, channels))
+    bank = random_filter_bank(2, channels, 3, rng)
+    perm = rng.permutation(n)
+    cfg = dyn.SolverConfig(method=method, eval_grid=4)
+    base = dyn.integrate(s, z, bank, TANH, 0.5, cfg)
+    relab = dyn.integrate(s[np.ix_(perm, perm)], z[perm], bank, TANH, 0.5, cfg)
+    assert np.array_equal(base.states[:, perm], relab.states)
+    assert base.solver_meta == relab.solver_meta
+
+
 def test_error_norm_exact_and_saturating():
     rng = np.random.default_rng(8)
     err, y = rng.normal(size=(40, 3)), rng.normal(size=(40, 3))
@@ -214,6 +267,10 @@ def test_error_norm_exact_and_saturating():
     # finite squares whose sum overflows reject the step instead of raising
     big = np.full((2, 1), 1e154)
     assert dyn._error_norm(big, 0.0 * big, 0.0 * big, 1.0, 1.0) == math.inf
+    # a square beyond the float range reads as inf, without a warning
+    huge = np.array([[1.5e154], [1e-3]])
+    assert dyn._error_norm(huge, 0.0 * huge, 0.0 * huge, 1.0, 1.0) == math.inf
+    assert dyn._error_norm(huge, 0.0 * huge, 0.0 * huge, 1e-300, 1e-300) == math.inf
 
 
 def test_scaled_norm_definition():

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnde import kernels
 from gnde import neural
@@ -161,7 +163,7 @@ def _exact_product(s, x):
     n, F = x.shape
     return [
         [sum(Fraction(s[i, j]) * Fraction(x[j, f]) for j in range(n)) for f in range(F)]
-        for i in range(n)
+        for i in range(s.shape[0])
     ]
 
 
@@ -174,7 +176,7 @@ def _assert_product_bound(got, s, x):
     rows = np.max(np.abs(s), axis=1)
     cols = np.max(np.abs(x), axis=0)
     exact = _exact_product(s, x)
-    for i in range(n):
+    for i in range(s.shape[0]):
         for f in range(F):
             bound = u * abs(exact[i][f]) + n * Fraction(rows[i]) * Fraction(cols[f]) * slack
             assert abs(Fraction(got[i, f]) - exact[i][f]) <= bound, (i, f)
@@ -315,3 +317,92 @@ def test_random_filter_bank_reproducible():
     assert a.coeffs.shape == (2, 3, 3, 2)
     four = neural.random_filter_bank(1, 1, 2, np.random.default_rng(0), time_law="fourier", modes=3)
     assert four.coeffs.shape == (1, 1, 1, 2, 7)
+
+
+def _fresh_split_product(s, x):
+    """S @ X the way every product split S before the operator existed: one
+    float64 split of all of S per call, then the same GEMM and slice sum."""
+    m, n = s.shape
+    F = x.shape[1]
+    beta = kernels.slice_bits(n)
+    ss = np.empty((kernels.SLICES, m, n))
+    es, sbad = kernels._split(s, beta, 1, ss)
+    xs = np.empty((kernels.SLICES, n, F))
+    ex, xbad = kernels._split(x, beta, 0, xs)
+    rhs = xs.transpose(1, 0, 2).reshape(n, kernels.SLICES * F)
+    prods = (ss.reshape(-1, n) @ rhs).reshape(kernels.SLICES, m, kernels.SLICES, F)
+    acc = np.zeros((m, F))
+    for p, q in kernels._PAIRS:
+        acc += prods[p, :, q] * 2.0 ** (-(p + q) * beta)
+    out = np.ldexp(acc, es + ex - 2 * beta)
+    out[sbad[:, 0]] = np.nan
+    out[:, xbad[0]] = np.nan
+    return out
+
+
+@st.composite
+def _shift_operands(draw, n_min, n_max):
+    """An (m, n) S and three (n, F) X: normal entries, optionally spread over
+    2**+-40 within rows and columns, optionally with inf/NaN entries."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(n_min, n_max))
+    F = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = rng.normal(size=(m, n))
+    xs = [rng.normal(size=(n, F)) for _ in range(3)]
+    if draw(st.booleans()):
+        s *= np.exp2(rng.integers(-40, 41, size=s.shape))
+        for x in xs:
+            x *= np.exp2(rng.integers(-40, 41, size=x.shape))
+    poison = draw(st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from([np.inf, -np.inf, np.nan])),
+        max_size=3))
+    for which, value in poison:
+        a = s if which == 3 else xs[which]
+        a[rng.integers(a.shape[0]), rng.integers(a.shape[1])] = value
+    return s, xs, not poison
+
+
+@pytest.mark.parametrize("n_min, n_max", [(1, 8), (9, 24)])  # float64, float32 store
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_operator_reuse_matches_fresh_split(n_min, n_max, data):
+    s, xs, finite = data.draw(_shift_operands(n_min, n_max))
+    m, n = s.shape
+    op = kernels.ShiftOperator(s)
+    float32 = kernels.slice_bits(n) <= kernels.FLOAT32_BITS
+    assert op.slices.dtype == (np.float32 if float32 else np.float64)
+    assert float32 == (n >= 9)
+    rng = np.random.default_rng(n)
+    rows, cols = rng.permutation(m), rng.permutation(n)
+    moved = kernels.ShiftOperator(s[np.ix_(rows, cols)])
+    for x in xs:
+        got = op @ x
+        assert np.array_equal(got, kernels.shift_matvec(s, x), equal_nan=True)
+        assert np.array_equal(got, _fresh_split_product(s, x), equal_nan=True)
+        # relabeling rows and the contraction index permutes every bit
+        assert np.array_equal(moved @ x[cols], got[rows], equal_nan=True)
+        if finite:
+            _assert_product_bound(got, s, x)
+
+
+def test_operator_symmetry_read_once_and_dense_dropped():
+    s = np.array([[0.0, 0.5], [0.5, 1.0]])
+    op = kernels.ShiftOperator(s)
+    assert op.symmetric and op._dense is None and op.symmetric
+    assert not kernels.ShiftOperator(np.array([[0.0, 0.5], [0.25, 1.0]])).symmetric
+    assert not kernels.ShiftOperator(np.full((2, 2), np.nan)).symmetric
+    assert not kernels.ShiftOperator(np.ones((2, 3))).symmetric
+    assert kernels.as_operator(op) is op
+    # an operator and its array give the same forward pass bit for bit
+    x = np.array([[1.0], [-2.0]])
+    coeffs = np.array([0.5, 1.5, -0.25]).reshape(1, 1, 1, 3)
+    assert np.array_equal(kernels.layer_stack_forward(op, x, coeffs, kernels.ACT_TANH),
+                          kernels.layer_stack_forward(s, x, coeffs, kernels.ACT_TANH))
+
+
+def test_operator_empty_shapes():
+    assert kernels.shift_matvec(np.zeros((0, 0)), np.zeros((0, 2))).shape == (0, 2)
+    assert np.array_equal(kernels.shift_matvec(np.zeros((3, 0)), np.zeros((0, 2))),
+                          np.zeros((3, 2)))
+    assert kernels.shift_matvec(np.zeros((0, 4)), np.ones((4, 1))).shape == (0, 1)
