@@ -8,6 +8,17 @@ solver-free oracle at small scale.
 
 All trajectories are reported on a shared uniform eval grid so that
 different solvers and different node counts compare directly.
+
+Systems that share one shift are integrated together (``integrate_batch``;
+``integrate`` is its batch of one).  RK4 and DP5 are each written once, as
+a generator that yields every state whose velocity it needs; a lockstep
+driver stacks the states of all live systems into one (n, B*F) forward
+pass per solver stage.  Each system keeps its own t, h, stages,
+accept/reject decisions, dense output, counters and failure, and leaves
+the batch when it reaches T or fails.  Its trajectory is bit-identical to
+a solo run: every column of the batched forward pass equals the solo pass
+of its own system (see ``kernels``), and everything else a system computes
+reads only its own arrays.
 """
 
 from __future__ import annotations
@@ -161,25 +172,27 @@ def _eval_times(T: float, M: int) -> np.ndarray:
     return times
 
 
-def _prepare(S, Z, bank, act, T):
-    Z = Z.values if isinstance(Z, FeatureMatrix) else np.ascontiguousarray(Z, np.float64)
+def _prepare_shift(S, T):
     if not 0.0 < T < math.inf:
         raise InvalidParameterError(f"horizon T must be positive and finite, got {T!r}")
     shape = S.shape if isinstance(S, kernels.ShiftOperator) else np.shape(S)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise InvalidParameterError("shift array must be square")
-    S = kernels.as_operator(S)
-    if not S.symmetric:
+    op = kernels.as_operator(S)
+    if not op.symmetric:
         raise InvalidParameterError("shift array must be symmetric")
-    if Z.ndim != 2 or Z.shape[0] != S.shape[0]:
+    return op
+
+
+def _prepare_system(op, Z, bank):
+    Z = Z.values if isinstance(Z, FeatureMatrix) else np.ascontiguousarray(Z, np.float64)
+    if Z.ndim != 2 or Z.shape[0] != op.shape[0]:
         raise InvalidParameterError("initial features must be (n, F) for the shift array")
     if bank.F != Z.shape[1]:
         raise InvalidParameterError(
             f"bank has {bank.F} channels but initial features have {Z.shape[1]}"
         )
-    if not isinstance(act, Activation):
-        raise InvalidParameterError("act must be an Activation")
-    return S, Z
+    return Z
 
 
 def _check_finite(y, t):
@@ -187,7 +200,10 @@ def _check_finite(y, t):
         raise DivergenceError(f"non-finite state at t={float(t)!r}")
 
 
-def _integrate_rk4(S, Z, bank, act, T, cfg):
+def _rk4(Z, T, cfg):
+    """Fixed-step RK4 for one system.  A generator: it yields each
+    (state, time) whose velocity it needs, is sent that velocity, and
+    returns the TrajectoryRecord."""
     times = _eval_times(T, cfg.eval_grid)
     h_target = cfg.rk4_step if cfg.rk4_step is not None else T / 200.0
     spans = np.diff(times)
@@ -209,10 +225,10 @@ def _integrate_rk4(S, Z, bank, act, T, cfg):
             t = min(t0 + s * h, T)
             th = min(t0 + (s + 1) * h, T)
             tm = min(t + 0.5 * h, T)
-            k1 = rhs(S, y, bank, act, t)
-            k2 = rhs(S, y + (0.5 * h) * k1, bank, act, tm)
-            k3 = rhs(S, y + (0.5 * h) * k2, bank, act, tm)
-            k4 = rhs(S, y + h * k3, bank, act, th)
+            k1 = yield y, t
+            k2 = yield y + (0.5 * h) * k1, tm
+            k3 = yield y + (0.5 * h) * k2, tm
+            k4 = yield y + h * k3, th
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             steps += 1
         _check_finite(y, t1)
@@ -243,7 +259,8 @@ def _error_norm(err, y0, y1, atol, rtol):
         return math.inf
 
 
-def _integrate_dp5(S, Z, bank, act, T, cfg):
+def _dp5(Z, T, cfg):
+    """Dormand-Prince 5(4) for one system, a generator like ``_rk4``."""
     times = _eval_times(T, cfg.eval_grid)
     n, F = Z.shape
     states = np.empty((times.size, n, F))
@@ -252,7 +269,7 @@ def _integrate_dp5(S, Z, bank, act, T, cfg):
 
     t = 0.0
     y = Z.copy()
-    f_cur = rhs(S, y, bank, act, 0.0)
+    f_cur = yield y, 0.0
     h = T / 100.0
     accepted = 0
     rejected = 0
@@ -270,11 +287,10 @@ def _integrate_dp5(S, Z, bank, act, T, cfg):
         K[0] = f_cur
         for s in range(1, 6):
             ts = min(t + _DP_C[s] * h, T)
-            ys = y + h * _combine(_DP_A[s], K)
-            K[s] = rhs(S, ys, bank, act, ts)
+            K[s] = yield y + h * _combine(_DP_A[s], K), ts
         t_new = min(t + h, T)
         y_new = y + h * _combine(_DP_B, K)
-        K[6] = rhs(S, y_new, bank, act, t_new)
+        K[6] = yield y_new, t_new
 
         err = h * _combine(_DP_E, K)
         if np.isfinite(err).all() and np.isfinite(y_new).all():
@@ -388,18 +404,76 @@ def _integrate_picard(S, Z, bank, act, T, cfg):
     return TrajectoryRecord(times, states.copy(), meta)
 
 
-def integrate(S, Z, bank: FilterBank, act: Activation, T: float, cfg: SolverConfig):
-    """Solve the IVP and report states on the uniform eval grid.
+def _lockstep(op, solvers, banks, act):
+    """Run one solver generator per system together.  Each round stacks the
+    state every live system asks about into one (n, B*F) forward pass; a
+    system leaves when it returns its record or fails."""
+    results = [None] * len(solvers)
+    asks = {}
 
-    ``S`` is a ``kernels.ShiftOperator`` or an array; an array is split
-    once for the whole trajectory."""
-    S, Z = _prepare(S, Z, bank, act, T)
-    check_entries(("n", Z.shape[0]), ("channels", Z.shape[1]), ("eval_grid", cfg.eval_grid + 1))
-    if cfg.method == "rk4":
-        return _integrate_rk4(S, Z, bank, act, T, cfg)
-    if cfg.method == "dp5":
-        return _integrate_dp5(S, Z, bank, act, T, cfg)
-    return _integrate_picard(S, Z, bank, act, T, cfg)
+    def resume(b, velocity):
+        try:
+            asks[b] = solvers[b].send(velocity)
+        except StopIteration as done:
+            results[b] = done.value
+        except (DivergenceError, NonConvergenceError) as exc:
+            results[b] = exc
+
+    for b in range(len(solvers)):
+        resume(b, None)
+    while asks:
+        live = list(asks)
+        X = np.concatenate([asks[b][0] for b in live], axis=1)
+        coeffs = np.stack([filters_at(banks[b], asks[b][1]) for b in live])
+        asks.clear()
+        V = kernels.layer_stack_forward_batch(op, X, coeffs, act.act_id, act.slope)
+        F = V.shape[1] // len(live)
+        for i, b in enumerate(live):
+            resume(b, V[:, i * F : (i + 1) * F])
+    return results
+
+
+def integrate_batch(S, systems, act: Activation, T: float, cfg: SolverConfig) -> list:
+    """Solve the IVPs of several systems that share one shift.
+
+    ``systems`` is a sequence of ``(Z, bank)`` pairs whose banks share one
+    (L, F, K) shape; ``S`` is a ``kernels.ShiftOperator`` or an array (an
+    array is split once for the batch).  Returns one entry per system, in
+    order: its TrajectoryRecord, or the DivergenceError or
+    NonConvergenceError it failed with.  rk4 and dp5 advance every system
+    in lockstep, one shift product per tap and solver stage for all of
+    them, while each keeps its own steps, error control and failure; the
+    picard oracle runs one system after another.
+    """
+    op = _prepare_shift(S, T)
+    if not isinstance(act, Activation):
+        raise InvalidParameterError("act must be an Activation")
+    Zs = [_prepare_system(op, Z, bank) for Z, bank in systems]
+    banks = [bank for _, bank in systems]
+    if len({bank.coeffs.shape[:4] for bank in banks}) > 1:
+        raise InvalidParameterError("the systems of a batch need one (L, F, K) shape")
+    if Zs:
+        n, F = Zs[0].shape
+        check_entries(("n", n), ("channels", F), ("eval_grid", cfg.eval_grid + 1))
+    if cfg.method == "picard":
+        results = []
+        for Z, bank in zip(Zs, banks):
+            try:
+                results.append(_integrate_picard(op, Z, bank, act, T, cfg))
+            except (DivergenceError, NonConvergenceError) as exc:
+                results.append(exc)
+        return results
+    solver = _rk4 if cfg.method == "rk4" else _dp5
+    return _lockstep(op, [solver(Z, T, cfg) for Z in Zs], banks, act)
+
+
+def integrate(S, Z, bank: FilterBank, act: Activation, T: float, cfg: SolverConfig):
+    """Solve the IVP and report states on the uniform eval grid: the batch
+    of one of ``integrate_batch``, raising the failure it reports."""
+    (result,) = integrate_batch(S, [(Z, bank)], act, T, cfg)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,14 @@ float32; the operator stores its slices as float32 then (1.5 times the
 bytes of S instead of 3 times) and casts each row block back to float64
 before the GEMM, so the GEMM sees the same numbers as a fresh split.
 
+Systems that share S are pushed through one product: B systems of F
+channels each form one (n, B*F) X.  That changes no output bit.  Each
+column of X gets its own exponent and its own slices, whichever branch of
+``_split`` scales it; every slice product is exact, so a column's GEMM
+result does not depend on the columns beside it; and the slice sum, the
+rescaling and the NaN marking are elementwise.  Column j of the batched
+product is therefore column j of the product of that column alone.
+
 Every step reads an entry, its row's or column's maximum, and fixed
 constants, never the position of an entry in its row, so relabeling the
 nodes (S -> P S P^T, X -> P X) permutes the output bit-exactly: node-order
@@ -193,28 +201,42 @@ def layer_stack_forward(S, X, coeffs, act_id: int, slope: float = 0.0) -> np.nda
 
     ``coeffs`` has shape (L, F, F, K); tap k applies S^k with S^0 = I,
     powers built by repeated shift products (S^k is never materialized).
-    An array S is split once for the whole pass.
+    An array S is split once for the whole pass.  This is the one-system
+    call of ``layer_stack_forward_batch``.
+    """
+    return layer_stack_forward_batch(S, X, np.asarray(coeffs)[None], act_id, slope)
+
+
+def layer_stack_forward_batch(S, X, coeffs, act_id: int, slope: float = 0.0) -> np.ndarray:
+    """The forward pass of B systems that share one shift, in one sweep.
+
+    ``X`` is (n, B*F), system b owning columns b*F .. b*F + F - 1, and
+    ``coeffs`` is (B, L, F, F, K), system b's filter bank at its own time.
+    Each tap is one (n, B*F) shift product for all systems.  Every output
+    column is bit-identical to the one-system pass of its own system: the
+    product treats each column alone, and each system mixes its own taps
+    in the same (g ascending, then k ascending) order.
     """
     op = as_operator(S)
-    cur = np.array(X, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    L, F, _, K = coeffs.shape
+    B, L, F, _, K = coeffs.shape
+    cur = np.array(X, dtype=np.float64)
+    n = cur.shape[0]
     for layer in range(L):
-        powers = [cur]
+        powers = [cur.reshape(n, B, F)]
         for _ in range(1, K):
-            powers.append(op @ powers[-1])
-        z = np.zeros_like(cur)
+            powers.append((op @ powers[-1].reshape(n, B * F)).reshape(n, B, F))
+        z = np.zeros((n, B, F))
         # A diverging state overflows here; dynamics reports it as DivergenceError.
         with np.errstate(over="ignore", invalid="ignore"):
             for g in range(F):
                 for k in range(K):
-                    z += coeffs[layer, :, g, k] * powers[k][:, g : g + 1]
+                    z += coeffs[:, layer, :, g, k] * powers[k][:, :, g : g + 1]
         if act_id == ACT_RELU:
-            cur = np.where(z > 0.0, z, 0.0)
+            z = np.where(z > 0.0, z, 0.0)
         elif act_id == ACT_LEAKY_RELU:
-            cur = np.where(z > 0.0, z, slope * z)
+            z = np.where(z > 0.0, z, slope * z)
         elif act_id == ACT_TANH:
-            cur = np.tanh(z)
-        else:
-            cur = z
+            z = np.tanh(z)
+        cur = z.reshape(n, B * F)
     return cur

@@ -182,7 +182,7 @@ def test_converge_overflowing_bound_reads_inf(tmp_path):
 
 def test_converge_failure_rows(tmp_path, monkeypatch):
     # Forced DivergenceErrors: the references of trials 1 and 2, and trial 0
-    # at n=12.  Each call's trial is found from its bank object.
+    # at n=12.  Each system's trial is found from its bank object.
     from gnde import cli, dynamics
     from gnde.errors import DivergenceError
 
@@ -193,17 +193,21 @@ def test_converge_failure_rows(tmp_path, monkeypatch):
         banks.append(draw_bank(*args))
         return banks[-1]
 
-    solve = dynamics.integrate
+    solve = dynamics.integrate_batch
+    batches = []
 
-    def failing_integrate(S, X0, bank, *args):
-        trial = next(i for i, b in enumerate(banks) if b is bank)
+    def failing_batch(S, systems, *args):
         n = S.shape[0]
-        if (trial, n) in {(1, 32), (2, 32), (0, 12)}:
-            raise DivergenceError(f"forced at trial {trial}, n={n}")
-        return solve(S, X0, bank, *args)
+        trials = [next(i for i, b in enumerate(banks) if b is bank) for _, bank in systems]
+        batches.append((n, trials))
+        forced = {trial for trial in trials if (trial, n) in {(1, 32), (2, 32), (0, 12)}}
+        kept = iter(solve(S, [sys for sys, trial in zip(systems, trials)
+                              if trial not in forced], *args))
+        return [DivergenceError(f"forced at trial {trial}, n={n}") if trial in forced
+                else next(kept) for trial in trials]
 
     monkeypatch.setattr(cli, "_bank_from_config", recording_bank)
-    monkeypatch.setattr(dynamics, "integrate", failing_integrate)
+    monkeypatch.setattr(dynamics, "integrate_batch", failing_batch)
     cfg = _cfg(
         tmp_path, graphon="tent", n_list="8,12,16,20", n_ref="32", trials="3",
         T="0.25", solver="rk4", eval_grid="10",
@@ -234,13 +238,15 @@ def test_converge_failure_rows(tmp_path, monkeypatch):
     assert summary["mean_slope"] == slopes[0]
     assert summary["per_n_mean_rel_err"]["12"] is None
     assert summary["per_n_mean_rel_err"]["8"] == float(rows[0]["sup_rel_err"])
+    # one batched solve per size, holding every trial with a reference
+    assert batches == [(32, [0, 1, 2]), (8, [0]), (12, [0]), (16, [0]), (20, [0])]
 
 
 def test_converge_computes_each_quantity_once(tmp_path, monkeypatch):
     # one overlay partition per (trial, n), one norm pass per reference, one
-    # shift operator per size with one symmetry check, at most that operator
-    # and no dense shift alive during a solve, and every solve on the main
-    # thread whatever --threads says
+    # shift operator per size with one symmetry check, one batched solve per
+    # size, at most that operator and no dense shift alive during a solve,
+    # and every solve on the main thread whatever --threads says
     import gc
     import threading
     import weakref
@@ -249,7 +255,7 @@ def test_converge_computes_each_quantity_once(tmp_path, monkeypatch):
 
     calls = {"partition": 0, "norms": 0}
     shifts, operators, checks, threads = [], [], [], set()
-    alive = {"integrate": [], "solve": []}
+    alive = {"batch": [], "solve": []}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -289,8 +295,9 @@ def test_converge_computes_each_quantity_once(tmp_path, monkeypatch):
                         counted("norms", analysis.trajectory_norms))
     monkeypatch.setattr(smp, "graph_shift", tracked_shift)
     monkeypatch.setattr(kernels, "ShiftOperator", TrackedOperator)
-    monkeypatch.setattr(dynamics, "integrate", watched("integrate", dynamics.integrate))
-    monkeypatch.setattr(dynamics, "_integrate_rk4", watched("solve", dynamics._integrate_rk4))
+    monkeypatch.setattr(dynamics, "integrate_batch",
+                        watched("batch", dynamics.integrate_batch))
+    monkeypatch.setattr(dynamics, "_rk4", watched("solve", dynamics._rk4))
     cfg = _cfg(
         tmp_path, graphon="tent", n_list="8,12,16", n_ref="32", trials="2",
         T="0.25", solver="rk4", eval_grid="10",
@@ -300,8 +307,8 @@ def test_converge_computes_each_quantity_once(tmp_path, monkeypatch):
     assert calls == {"partition": 2 * 3, "norms": 2}
     assert len(shifts) == 4 and len(operators) == 4
     assert checks == [(32, 32), (8, 8), (12, 12), (16, 16)]
-    assert len(alive["integrate"]) == len(alive["solve"]) == 2 * 4
-    assert max(ops for ops, _ in alive["integrate"]) == 1
+    assert len(alive["batch"]) == 4 and len(alive["solve"]) == 2 * 4
+    assert max(ops for ops, _ in alive["batch"]) == 1
     # the operator holds the dense shift only until its symmetry check
     assert alive["solve"] == [(1, 0)] * (2 * 4)
     assert threads == {threading.main_thread()}
@@ -464,7 +471,7 @@ def test_config_errors_exit_2(tmp_path, monkeypatch):
                    eval_grid="10", eps="1.5")  # eps must lie in (0, 2 - 1)
     solves = []
     with monkeypatch.context() as patch:
-        patch.setattr(dynamics, "integrate", lambda *args: solves.append(args))
+        patch.setattr(dynamics, "integrate_batch", lambda *args: solves.append(args))
         assert entry(["converge", "--config", bad_eps, "--out", str(tmp_path / "e.csv")]) == 2
     assert solves == [] and not (tmp_path / "e.csv").exists()
     pool_size = _cfg(tmp_path, "p.cfg", threads="2")  # no longer a config key
@@ -501,8 +508,8 @@ def test_numerical_failure_exit_3(tmp_path):
     assert entry(["integrate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 3
 
 
-def _run_module(tmp_path, *argv, timeout=60):
-    env = dict(os.environ)
+def _run_module(tmp_path, *argv, timeout=60, **env_vars):
+    env = dict(os.environ, **env_vars)
     src = os.path.dirname(os.path.dirname(os.path.abspath(gnde.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "gnde", *argv], cwd=tmp_path, env=env,
@@ -523,6 +530,30 @@ def test_dp5_underflowing_tolerances_exit_3_without_warning(tmp_path):
     done = _run_module(tmp_path, "integrate", "--config", cfg, "--out", "t.csv")
     assert done.returncode == 3, done.stderr
     assert done.stderr == "gnde: numerical failure: dp5 step size underflow\n"
+
+
+def test_converge_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # a batched solve widens each product to 3 * trials * F columns, where
+    # BLAS may split a GEMM over threads; the exact slice products keep the
+    # bytes whatever it does.  At most 2 BLAS threads are started.
+    configs = {
+        "weighted": dict(graphon="tent", n_list="32,48,64", n_ref="256", trials="4",
+                         eval_grid="20"),
+        "binary": dict(graphon="hexaflake", feature="linear", n_list="16,24,32",
+                       n_ref="128", trials="4", eval_grid="20"),
+    }
+    for name, kv in configs.items():
+        cfg = _cfg(tmp_path, f"{name}.cfg", **kv)
+        outputs = []
+        for threads in ("1", "2"):
+            out = f"{name}-{threads}.csv"
+            done = _run_module(tmp_path, "converge", "--config", cfg, "--out", out,
+                               timeout=120, OPENBLAS_NUM_THREADS=threads,
+                               OMP_NUM_THREADS=threads)
+            assert done.returncode == 0, done.stderr
+            outputs.append((_rows_sans_runtime(tmp_path / out),
+                            (tmp_path / f"{out}.summary.json").read_bytes()))
+        assert outputs[0] == outputs[1], name
 
 
 def test_unknown_subcommand_is_usage_error():

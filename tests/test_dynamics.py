@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -203,6 +203,10 @@ def test_input_validation():
         dyn.integrate(s, z[:, :1], bank, TANH, 1.0, cfg)
     with pytest.raises(InvalidParameterError):
         dyn.integrate(s, z, bank, np.tanh, 1.0, cfg)
+    taps3 = random_filter_bank(2, 2, 3, np.random.default_rng(1))
+    with pytest.raises(InvalidParameterError, match="one \\(L, F, K\\) shape"):
+        dyn.integrate_batch(s, [(z, bank), (z, taps3)], TANH, 1.0, cfg)
+    assert dyn.integrate_batch(s, [], TANH, 1.0, cfg) == []
     with pytest.raises(InvalidParameterError):
         dyn.SolverConfig(method="euler")
     with pytest.raises(InvalidParameterError):
@@ -256,6 +260,91 @@ def test_trajectory_equivariance_random_systems(n, channels, method, seed):
     relab = dyn.integrate(s[np.ix_(perm, perm)], z[perm], bank, TANH, 0.5, cfg)
     assert np.array_equal(base.states[:, perm], relab.states)
     assert base.solver_meta == relab.solver_meta
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DivergenceError, NonConvergenceError) as exc:
+        return exc
+
+
+def _assert_batch_is_solo(op, systems, act, T, cfg):
+    """Integrate the systems as one batch and each alone: every trajectory,
+    solver_meta and failure must agree bit for bit.  Returns the outcomes."""
+    batch = dyn.integrate_batch(op, systems, act, T, cfg)
+    assert len(batch) == len(systems)
+    for (z, bank), got in zip(systems, batch):
+        want = _outcome(dyn.integrate, op, z, bank, act, T, cfg)
+        assert type(got) is type(want)
+        if isinstance(want, Exception):
+            assert str(got) == str(want)
+            assert getattr(got, "last_time", None) == getattr(want, "last_time", None)
+        else:
+            assert np.array_equal(got.eval_times, want.eval_times)
+            assert np.array_equal(got.states, want.states)
+            assert got.solver_meta == want.solver_meta
+    return batch
+
+
+def _batch_run(method, n, channels, scales, tiny, identity, max_steps, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 1.0, size=(n, n)) / n
+    op = kernels.ShiftOperator(a + a.T)
+    systems = []
+    for b, scale in enumerate(scales):
+        bank = FilterBank(scale * rng.uniform(-1.0, 1.0, size=(2, channels, channels, 3)))
+        z = rng.normal(size=(n, channels))
+        systems.append((1e-306 * z if b == 0 and tiny else z, bank))
+    cfg = dyn.SolverConfig(method=method, eval_grid=4, rk4_step=0.05, max_steps=max_steps)
+    return systems, _assert_batch_is_solo(op, systems, IDENT if identity else TANH, 0.5, cfg)
+
+
+_DIFFERENT_ATTEMPTS = dict(method="dp5", n=9, channels=1, scales=[0.05, 4.0, 1.0],
+                           tiny=False, identity=False, max_steps=40, seed=3)
+_DIVERGES = dict(method="rk4", n=9, channels=2, scales=[1.0, 1e5, 0.05],
+                 tiny=False, identity=True, max_steps=40, seed=4)
+_EXCEEDS_MAX_STEPS = dict(method="dp5", n=9, channels=1, scales=[0.0, 4.0, 1e5],
+                          tiny=False, identity=False, max_steps=5, seed=5)
+_TINY = dict(method="dp5", n=9, channels=2, scales=[1.0, 1.0],
+             tiny=True, identity=False, max_steps=40, seed=6)
+
+
+@settings(max_examples=12, deadline=None)
+@given(method=st.sampled_from(["rk4", "dp5"]), n=st.integers(2, 12),
+       channels=st.integers(1, 2),
+       scales=st.lists(st.sampled_from([0.0, 0.05, 1.0, 4.0, 1e5]), min_size=1, max_size=4),
+       tiny=st.booleans(), identity=st.booleans(), max_steps=st.sampled_from([5, 40]),
+       seed=st.integers(0, 2**32 - 1))
+@example(**_DIFFERENT_ATTEMPTS)
+@example(**_DIVERGES)
+@example(**_EXCEEDS_MAX_STEPS)
+@example(**_TINY)
+def test_batch_is_bitwise_solo(method, n, channels, scales, tiny, identity, max_steps,
+                               seed):
+    # B systems on one operator, integrated in lockstep, each equal to its
+    # solo run: systems leave after different numbers of dp5 attempts, fail
+    # (diverge, or exceed max_steps) beside healthy ones, or sit near 1e-306,
+    # which sends every column of the batch down _split's ldexp branch
+    if method == "rk4":
+        max_steps = 40  # 10 steps of 0.05; fewer is refused up front
+    _batch_run(method, n, channels, scales, tiny, identity, max_steps, seed)
+
+
+def test_batch_cases_are_reached():
+    # the explicit examples above exercise what they claim to
+    _, out = _batch_run(**_DIFFERENT_ATTEMPTS)
+    attempts = [r.solver_meta["accepted"] + r.solver_meta["rejected"] for r in out]
+    assert len(set(attempts)) == 3, attempts
+    _, out = _batch_run(**_DIVERGES)
+    assert [type(r) for r in out] == [dyn.TrajectoryRecord, DivergenceError,
+                                      dyn.TrajectoryRecord]
+    _, out = _batch_run(**_EXCEEDS_MAX_STEPS)
+    assert isinstance(out[0], dyn.TrajectoryRecord)
+    assert all(isinstance(r, NonConvergenceError) for r in out[1:])
+    systems, out = _batch_run(**_TINY)
+    assert np.abs(systems[0][0]).max() < 2.0 ** (kernels.slice_bits(9) - 1024)
+    assert all(isinstance(r, dyn.TrajectoryRecord) for r in out)
 
 
 def test_error_norm_exact_and_saturating():
