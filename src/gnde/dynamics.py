@@ -413,7 +413,10 @@ def _lockstep(op, solvers, banks, act):
 
     def resume(b, velocity):
         try:
-            asks[b] = solvers[b].send(velocity)
+            # A diverging state overflows in the stage sums; _check_finite
+            # and the error norm refuse it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                asks[b] = solvers[b].send(velocity)
         except StopIteration as done:
             results[b] = done.value
         except (DivergenceError, NonConvergenceError) as exc:

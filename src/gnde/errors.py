@@ -70,8 +70,8 @@ class LogDomainError(GndeError, ValueError):
 
 
 class EdgeListParseError(GndeError, ValueError):
-    """An edge-list or feature CSV failed to parse at 1-based ``line``; given
-    the file's ``path``, the message reads ``<path>:<line>: <message>``."""
+    """An edge list failed to parse at 1-based ``line``; given the file's
+    ``path``, the message reads ``<path>:<line>: <message>``."""
 
     def __init__(self, message, line=None, path=None):
         super().__init__(message if path is None else f"{path}:{line}: {message}")

@@ -15,11 +15,16 @@ non-finite entry come out NaN.
 
 S is fixed for a whole trajectory, so it is split once: a ``ShiftOperator``
 keeps the slices of S with its row exponents and non-finite-row mask, and
-every product at that size splits only X.  For n >= 9, beta <= 24, and
-every slice entry, an integer of magnitude at most 2**24, is exact in
-float32; the operator stores its slices as float32 then (1.5 times the
-bytes of S instead of 3 times) and casts each row block back to float64
-before the GEMM, so the GEMM sees the same numbers as a fresh split.
+every product at that size splits only X.  It keeps the slices only up to
+S's last nonzero one (its depth): one at power-of-two n for the tent and
+the binary kernels, whose entries of S = A/n carry at most log2 n bits.
+A skipped slice pair would add an exact +-0 to an accumulator that starts
+at +0.0, so it is never -0.0, and x + (+-0) = x for every other x: the
+depth changes no output bit.  For n >= 9, beta <= 24, and every slice
+entry, an integer of magnitude at most 2**24, is exact in float32; the
+operator stores its slices as float32 then (half the bytes of S per
+slice) and casts each row block back to float64 before the GEMM, so the
+GEMM sees the same numbers as a fresh split.
 
 Systems that share S are pushed through one product: B systems of F
 channels each form one (n, B*F) X.  That changes no output bit.  Each
@@ -107,9 +112,12 @@ def _split(a, beta: int, axis: int, out):
 class ShiftOperator:
     """An (m, n) shift matrix S split once for every product ``S @ X``.
 
-    ``slices[p]`` holds slice p of every row of S (float32 when
-    ``slice_bits(n) <= FLOAT32_BITS``, else float64), ``exps`` each row's
-    exponent and ``bad`` the rows holding a non-finite entry.  ``op @ X``
+    ``slices[p]`` holds slice p of every row of S for p below the depth,
+    the count up to S's last nonzero slice (float32 when
+    ``slice_bits(n) <= FLOAT32_BITS``, else float64).  The store starts
+    with one slice and grows when a row block first needs more, copying
+    only the rows already written.  ``exps`` holds each row's exponent
+    and ``bad`` the rows holding a non-finite entry.  ``op @ X``
     is ``shift_matvec(S, X)`` bit for bit.  ``symmetric`` (S == S.T) is
     decided on its first read; the operator holds the dense S until then.
     """
@@ -122,7 +130,7 @@ class ShiftOperator:
         self.beta = slice_bits(n)
         self.rows = max(1, min(m, BLOCK_ENTRIES // max(n, 1)))
         store = np.float32 if self.beta <= FLOAT32_BITS else np.float64
-        self.slices = np.empty((SLICES, m, n), dtype=store)
+        self.slices = np.empty((1, m, n), dtype=store)
         self.exps = np.zeros((m, 1), dtype=np.int32)
         self.bad = np.zeros((m, 1), dtype=bool)
         if n:
@@ -132,7 +140,13 @@ class ShiftOperator:
                 hi = lo + blk.shape[0]
                 ss = buf[: SLICES * blk.size].reshape((SLICES,) + blk.shape)
                 self.exps[lo:hi], self.bad[lo:hi] = _split(blk, self.beta, 1, ss)
-                self.slices[:, lo:hi] = ss
+                depth = len(self.slices)
+                need = max((p + 1 for p in range(depth, SLICES) if ss[p].any()), default=depth)
+                if need > depth:  # the rows written so far get zero slices
+                    grown = np.zeros((need, m, n), dtype=store)
+                    grown[:depth, :lo] = self.slices[:, :lo]
+                    self.slices = grown
+                self.slices[:, lo:hi] = ss[: len(self.slices)]
         self._dense = S
 
     @cached_property
@@ -154,22 +168,23 @@ def _shift_product(op, X):
     F = X.shape[1]
     if n == 0:
         return np.zeros((m, F))
-    beta = op.beta
+    beta, depth = op.beta, len(op.slices)
     xs = np.empty((SLICES, n, F))
     ex, xbad = _split(X, beta, 0, xs)
     rhs = xs.transpose(1, 0, 2).reshape(n, SLICES * F)
     # prods[p, i, q] = (slice p of row i of S) . (slice q of X), exact
-    prods = np.empty((SLICES, m, SLICES, F))
-    buf = np.empty(SLICES * op.rows * n)
+    prods = np.empty((depth, m, SLICES, F))
+    buf = np.empty(depth * op.rows * n)
     for lo in range(0, m, op.rows):
         blk = op.slices[:, lo : lo + op.rows]
         ss = buf[: blk.size].reshape(blk.shape)
         ss[...] = blk  # exact: every entry is an integer of at most 2**beta
         prods[:, lo : lo + blk.shape[1]] = (
-            ss.reshape(-1, n) @ rhs).reshape(SLICES, -1, SLICES, F)
-    acc = np.zeros((m, F))
+            ss.reshape(-1, n) @ rhs).reshape(depth, -1, SLICES, F)
+    acc = np.zeros((m, F))  # +0.0, so adding a skipped pair's +-0 changes no bit
     for p, q in _PAIRS:
-        acc += prods[p, :, q] * 2.0 ** (-(p + q) * beta)
+        if p < depth:
+            acc += prods[p, :, q] * 2.0 ** (-(p + q) * beta)
     out = np.ldexp(acc, op.exps + ex - 2 * beta)
     out[op.bad[:, 0]] = np.nan
     out[:, xbad[0]] = np.nan

@@ -11,7 +11,6 @@ merged partition.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -475,20 +474,3 @@ def write_feature_matrix(features: FeatureMatrix, path):
         writer.writerow([f"f{c}" for c in range(features.F)])
         for row in features.values:
             writer.writerow([repr(float(x)) for x in row])
-
-
-def read_feature_matrix(path) -> FeatureMatrix:
-    """Parse the CSV of :func:`write_feature_matrix`: a header, then one row per node."""
-    reader = csv.reader(io.StringIO(_read_utf8(path), newline=""))
-    next(reader, None)  # the header
-    rows = []
-    for row in reader:
-        try:
-            rows.append([float(x) for x in row])
-        except ValueError as exc:
-            raise EdgeListParseError("non-numeric feature entry", reader.line_num, path) from exc
-        if len(row) != len(rows[0]):
-            raise EdgeListParseError("ragged feature row", reader.line_num, path)
-    if not rows:
-        raise EdgeListParseError("feature CSV needs a header and at least one row", 1, path)
-    return FeatureMatrix(np.asarray(rows, dtype=np.float64))

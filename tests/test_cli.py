@@ -55,8 +55,8 @@ def test_sample_outputs_and_determinism(tmp_path):
     assert (tmp_path / "a.features.csv").read_bytes() == (tmp_path / "b.features.csv").read_bytes()
     graph = smp.read_edge_list(out1)
     assert graph.n == 12 and graph.value_class == "unweighted"
-    feats = smp.read_feature_matrix(str(tmp_path / "a.features.csv"))
-    assert feats.n == 12
+    feats = np.loadtxt(tmp_path / "a.features.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert feats.shape[0] == 12
 
 
 def test_sample_weighted_defaults(tmp_path):
@@ -531,6 +531,33 @@ def test_dp5_underflowing_tolerances_exit_3_without_warning(tmp_path):
     assert done.returncode == 3, done.stderr
     assert done.stderr == "gnde: numerical failure: dp5 step size underflow\n"
 
+
+@pytest.mark.parametrize("solver, failure", [
+    ("rk4", "DivergenceError: non-finite state at t=1.0"),
+    ("dp5", "NonConvergenceError: dp5 step size underflow"),
+], ids=["rk4", "dp5"])
+def test_diverging_converge_prints_no_warning(tmp_path, solver, failure):
+    # every reference overflows in the solver's stage sums: the report lists
+    # the failures, nothing reaches stderr, and turning warnings into errors
+    # changes no byte of the report
+    cfg = _cfg(tmp_path, graphon="tent", layers="1", taps="1", activation="identity",
+               filter_coeffs="900", trials="2", n_list="8,12,16", n_ref="24",
+               eval_grid="10", solver=solver)
+    reports = []
+    for warnings in ("default", "error"):
+        out = f"{warnings}.csv"
+        done = _run_module(tmp_path, "converge", "--config", cfg, "--out", out,
+                           PYTHONWARNINGS=warnings)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        reports.append(((tmp_path / out).read_bytes(),
+                        (tmp_path / f"{out}.summary.json").read_bytes()))
+    assert reports[0] == reports[1]
+    rows = _read_csv(tmp_path / "default.csv")
+    assert len(rows) == 7 and all(row[6:] == [""] * 5 for row in rows[1:])
+    summary = json.loads(reports[0][1])
+    assert summary["row_errors"] == [
+        {"error": failure, "n": None, "stage": "reference", "trial": t} for t in (0, 1)]
 
 def test_converge_bytes_do_not_depend_on_blas_threads(tmp_path):
     # a batched solve widens each product to 3 * trials * F columns, where

@@ -386,6 +386,98 @@ def test_operator_reuse_matches_fresh_split(n_min, n_max, data):
             _assert_product_bound(got, s, x)
 
 
+def _check_depth_product(s, xs, block_rows):
+    """An operator built ``block_rows`` rows at a time keeps the slices up to
+    S's last nonzero one, and every product equals the 3-slice product bit
+    for bit (the sign of a zero and the NaN pattern included)."""
+    m, n = s.shape
+    full = np.empty((kernels.SLICES, m, n))
+    kernels._split(s, kernels.slice_bits(n), 1, full)
+    depth = max([p + 1 for p in range(kernels.SLICES) if full[p].any()], default=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "BLOCK_ENTRIES", block_rows * n)
+        op = kernels.ShiftOperator(s)
+    assert op.rows == min(m, block_rows)
+    assert op.slices.shape == (depth, m, n)
+    assert op.slices.dtype == (np.float32 if n >= 9 else np.float64)
+    for x in xs:
+        assert np.array_equal((op @ x).view(np.int64),
+                              _fresh_split_product(s, x).view(np.int64))
+    return depth
+
+
+@st.composite
+def _dyadic_operands(draw):
+    """A dyadic (m, n) S, each row k * 2**-j with |k| < 2**bits, at most
+    ``top`` slices' worth of bits, rows optionally in ascending bit count so
+    that a later row block needs more slices than the first; some rows wide
+    range or poisoned; zeros and -0.0 in S and X."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 40))
+    F = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.integers(1, kernels.SLICES)) * kernels.slice_bits(n)
+    bits = rng.integers(1, top + 1, size=(m, 1))
+    if draw(st.booleans()):
+        bits.sort(axis=0)
+    s = np.rint(rng.uniform(-1.0, 1.0, size=(m, n)) * np.exp2(bits))
+    s *= np.exp2(-rng.integers(0, 80, size=(m, 1)))
+    s[rng.random((m, n)) < 0.3] = 0.0
+    s[rng.random((m, n)) < 0.1] = -0.0
+    wide = rng.random(m) < draw(st.sampled_from([0.0, 0.2]))
+    s[wide] = rng.normal(size=(wide.sum(), n)) * np.exp2(rng.integers(-40, 41, (wide.sum(), n)))
+    xs = [rng.normal(size=(n, F)) * np.exp2(rng.integers(-40, 41, size=(n, F)))
+          for _ in range(2)]
+    for x in xs:
+        x[rng.random((n, F)) < 0.2] = -0.0
+    for which, value in draw(st.lists(
+            st.tuples(st.integers(0, 2), st.sampled_from([np.inf, -np.inf, np.nan])),
+            max_size=2)):
+        if which == 2:
+            s[rng.integers(m), rng.integers(n)] = value
+        else:
+            xs[which][rng.integers(n), rng.integers(F)] = value
+    return s, xs
+
+
+@settings(max_examples=60, deadline=None)
+@given(operands=_dyadic_operands(), block_rows=st.integers(1, 3))
+def test_operator_depth_matches_three_slice_product(operands, block_rows):
+    s, xs = operands
+    _check_depth_product(s, xs, block_rows)
+
+
+def test_operator_depth_grows_in_later_blocks():
+    # one row per block: rows needing 1, 2 and 3 slices grow the store twice
+    n = 16
+    beta = kernels.slice_bits(n)
+    s = np.zeros((4, n))
+    s[:, 0] = [1.0, 1.0, 1.0, 0.5]
+    s[1, 1] = 2.0 ** -beta
+    s[2, 2] = 2.0 ** (-2 * beta)
+    s[3, 3] = -0.0
+    x = np.arange(n * 2, dtype=np.float64).reshape(n, 2) - 7.0
+    x[3, 1] = -0.0
+    assert _check_depth_product(s[:1], [x], 1) == 1
+    assert _check_depth_product(s[:2], [x], 1) == 2
+    assert _check_depth_product(s, [x], 1) == 3
+
+
+_ONE_SLICE_AT_DYADIC_N = ("tent", "checkerboard", "hsbm", "hexaflake", "sierpinski")
+
+
+@pytest.mark.parametrize("name, n, depth", [
+    *((name, n, 1) for name in _ONE_SLICE_AT_DYADIC_N for n in (64, 512)),
+    *((name, n, 3) for name in _ONE_SLICE_AT_DYADIC_N for n in (48, 192)),
+    *(("oscillatory", n, 3) for n in (48, 64, 192, 512)),
+])
+def test_catalog_shift_depth(name, n, depth):
+    # S = A/n: one slice whenever n is a power of two and A is binary or a
+    # tent, whose entries (1 - |i - j|/n) carry at most log2 n bits
+    graph, _ = smp.sample_system(cat.from_name(name), n, [])
+    assert kernels.ShiftOperator(smp.graph_shift(graph)).slices.shape == (depth, n, n)
+
+
 def test_operator_symmetry_read_once_and_dense_dropped():
     s = np.array([[0.0, 0.5], [0.5, 1.0]])
     op = kernels.ShiftOperator(s)
