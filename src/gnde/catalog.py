@@ -634,7 +634,9 @@ def overlay_partition(bp_a, bp_b):
     """Merged partition of two breakpoint arrays on [0,1]: (ia, ib, widths).
 
     Cell c of the merged partition has width widths[c] and lies inside
-    cell ia[c] of ``bp_a`` and cell ib[c] of ``bp_b``.
+    cell ia[c] of ``bp_a`` and cell ib[c] of ``bp_b``.  The merged cells
+    run left to right, so ``ia`` and ``ib`` are non-decreasing: each is its
+    cell indices repeated by their ``np.bincount`` run lengths.
     """
     merged = np.union1d(bp_a, bp_b)
     mids = 0.5 * (merged[:-1] + merged[1:])
@@ -643,9 +645,23 @@ def overlay_partition(bp_a, bp_b):
     return ia, ib, np.diff(merged)
 
 
+_DIFF_ROWS = 256  # rows of the overlay difference filled per step
+
+
 def _overlay_kernel_diff(ka, kb):
+    """``ka.values[np.ix_(ia, ia)] - kb.values[np.ix_(ib, ib)]`` and the
+    widths, with one (N, N) array live: ``ia`` and ``ib`` are non-decreasing
+    (:func:`overlay_partition`), so each column gather is a run-length
+    repeat, filled ``_DIFF_ROWS`` rows at a time."""
     ia, ib, widths = overlay_partition(ka.breakpoints, kb.breakpoints)
-    diff = ka.values[np.ix_(ia, ia)] - kb.values[np.ix_(ib, ib)]
+    a, b = ka.values, kb.values
+    runs_a = np.bincount(ia, minlength=a.shape[0])
+    runs_b = np.bincount(ib, minlength=b.shape[0])
+    diff = np.empty((ia.size, ia.size))
+    for lo in range(0, ia.size, _DIFF_ROWS):
+        rows = slice(lo, lo + _DIFF_ROWS)
+        np.subtract(np.repeat(a[ia[rows]], runs_a, axis=1),
+                    np.repeat(b[ib[rows]], runs_b, axis=1), out=diff[rows])
     return diff, widths
 
 
@@ -663,8 +679,8 @@ def kernel_distance(kernel_a, kernel_b, norm: str = "L2", grid: int = 256) -> fl
     if a_pwc and b_pwc:
         diff, w = _overlay_kernel_diff(kernel_a, kernel_b)
         if norm == "L1":
-            return float(w @ np.abs(diff) @ w)
-        return float(math.sqrt(w @ (diff * diff) @ w))
+            return float(w @ np.abs(diff, out=diff) @ w)
+        return float(math.sqrt(w @ np.multiply(diff, diff, out=diff) @ w))
     m = int(grid)
     if m < 1:
         raise InvalidParameterError("grid must be a positive integer")

@@ -11,7 +11,10 @@ merged partition.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -408,25 +411,28 @@ def pwc_l2_norm(f: PiecewiseConstantFunction) -> float:
 # Edge-list and feature CSV formats
 
 
+_WRITE_ROWS = 16384  # rows per write: larger chunks only raise the peak memory
+
+
 def write_edge_list(graph: SampledGraph, path):
     """CSV edge list: header `n=<n>,class=<class>`, then sorted nonzero
     upper-triangle entries (diagonal included) as `i,j,weight` rows."""
     n = graph.n
+    iu, ju = np.triu_indices(n)
+    w = graph.adjacency[iu, ju]
+    keep = w != 0.0
+    iu, ju, w = iu[keep], ju[keep], w[keep]
     with open(path, "w", newline="") as fh:
         fh.write(f"n={n},class={graph.value_class}\n")
         fh.write("i,j,weight\n")
-        iu, ju = np.triu_indices(n)
-        w = graph.adjacency[iu, ju]
-        keep = w != 0.0
-        for i, j, wij in zip(iu[keep], ju[keep], w[keep]):
-            fh.write(f"{i},{j},{float(wij)!r}\n")
+        for lo in range(0, w.size, _WRITE_ROWS):
+            rows = zip(*(col[lo:lo + _WRITE_ROWS].tolist() for col in (iu, ju, w)))
+            fh.write("".join([f"{i},{j},{wij!r}\n" for i, j, wij in rows]))
 
 
-def _read_utf8(path) -> str:
-    """The whole file decoded as UTF-8; an undecodable byte raises
+def _decode_utf8(data: bytes, path) -> str:
+    """``data`` decoded as UTF-8; an undecodable byte raises
     :class:`EdgeListParseError` with its line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -436,9 +442,51 @@ def _read_utf8(path) -> str:
         raise EdgeListParseError("not UTF-8 text", line=line, path=path) from exc
 
 
+_PLAIN_HEADER = re.compile(rb"n=([1-9][0-9]{0,17}),class=(weighted|unweighted)\ni,j,weight\n")
+# Printable ASCII and "\n": other line breaks and control characters split
+# or strip differently in str.splitlines, int, float and np.loadtxt.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\n"
+
+
+def _parse_plain(raw: bytes):
+    """The graph of an edge list in the writer's layout (the two header
+    lines, then printable-ASCII rows ending in "\\n") by one ``np.loadtxt``
+    call, or None whenever the line loop must decide.  What it accepts, the
+    loop accepts with the same adjacency."""
+    head = _PLAIN_HEADER.match(raw)
+    if head is None or raw.translate(None, _PLAIN_BYTES):
+        return None
+    n = _node_count(int(head[1]))
+    # a warning means doubt: no rows, or (older NumPy) "1.0" read as an int
+    with io.BytesIO(raw) as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fh.seek(head.end())
+        try:
+            i, j, w = np.loadtxt(fh, dtype=[("i", "i8"), ("j", "i8"), ("w", "f8")],
+                                 delimiter=",", comments=None, ndmin=1, unpack=True)
+        except (ValueError, Warning):
+            return None
+    # in range, finite, and no pair repeated (the loop keeps a repeat's last)
+    if not ((i >= 0).all() and (i <= j).all() and (j < n).all() and np.isfinite(w).all()
+            and (np.diff(np.sort(i * n + j)) > 0).all()):
+        return None
+    adj = np.zeros((n, n), dtype=np.float64)
+    adj[i, j] = w
+    adj[j, i] = w
+    return SampledGraph(adj, head[2].decode())
+
+
 def read_edge_list(path) -> SampledGraph:
-    """Parse the edge-list format of :func:`write_edge_list`."""
-    lines = _read_utf8(path).splitlines()
+    """Parse the edge-list format of :func:`write_edge_list`: by
+    ``np.loadtxt`` and array checks when the file is in the writer's layout
+    (:func:`_parse_plain`), else, or on any doubt, by the line loop, the one
+    place that names a bad line.  Both give the same adjacency."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    graph = _parse_plain(raw)
+    if graph is not None:
+        return graph
+    lines = _decode_utf8(raw, path).splitlines()
     if not lines:
         raise EdgeListParseError("empty edge-list file", line=1, path=path)
     head = lines[0].strip()

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnde import catalog as cat
 from gnde.errors import (
@@ -15,7 +18,13 @@ from gnde.errors import (
     InvalidParameterError,
     UnsupportedOperationError,
 )
-from gnde.sampling import sample_unweighted, induce_kernel
+from gnde.sampling import (
+    PiecewiseConstantFunction,
+    SampledGraph,
+    induce_kernel,
+    sample_unweighted,
+    sample_weighted,
+)
 
 
 def test_catalog_names_build():
@@ -380,3 +389,70 @@ def test_kernel_distance_l1_le_l2():
         assert l1 <= l2 + 1e-12
     with pytest.raises(InvalidParameterError):
         cat.kernel_distance(cat.tent(), cat.tent(), norm="cut")
+
+
+def _ix_kernel_distance(ka, kb, norm):
+    """The overlay distance through two ``np.ix_`` gathers."""
+    ia, ib, w = cat.overlay_partition(ka.breakpoints, kb.breakpoints)
+    diff = ka.values[np.ix_(ia, ia)] - kb.values[np.ix_(ib, ib)]
+    if norm == "L1":
+        return float(w @ np.abs(diff) @ w)
+    return float(math.sqrt(w @ (diff * diff) @ w))
+
+
+def _step_kernel(rng, inner):
+    """Step kernel with breakpoints 0, ``inner`` (sorted, in (0, 1)), 1 and
+    values spread over six decades."""
+    bp = np.concatenate([[0.0], inner[inner > 0.0], [1.0]])
+    m = bp.size - 1
+    vals = rng.normal(size=(m, m)) * 10.0 ** rng.integers(-3, 4, size=(m, m))
+    return PiecewiseConstantFunction(bp, vals, kernel=True)
+
+
+@st.composite
+def _step_kernel_pairs(draw):
+    """Two step kernels on non-uniform breakpoint sets of unequal sizes,
+    which may share some breakpoints."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ma, mb = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    inner_a = np.unique(rng.random(ma - 1))
+    shared = inner_a[rng.random(inner_a.size) < draw(st.floats(0.0, 1.0))]
+    inner_b = np.unique(np.concatenate([shared, rng.random(max(mb - 1 - shared.size, 0))]))
+    return _step_kernel(rng, inner_a), _step_kernel(rng, inner_b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=_step_kernel_pairs(), block_rows=st.sampled_from([1, 3, 256]))
+def test_kernel_distance_bits_match_ix_gather(pair, block_rows):
+    ka, kb = pair
+    with mock.patch.object(cat, "_DIFF_ROWS", block_rows):
+        for norm in ("L1", "L2"):
+            for a, b in ((ka, kb), (kb, ka)):
+                got = cat.kernel_distance(a, b, norm=norm)
+                assert got.hex() == _ix_kernel_distance(a, b, norm).hex(), norm
+
+
+def test_kernel_distance_bits_on_audit_subgraphs():
+    # the audit's case: a uniform k-subgraph kernel against the full n one
+    g = sample_weighted(cat.tent(), 96)
+    full = induce_kernel(g)
+    rng = np.random.default_rng(5)
+    for k in (1, 17, 48, 95, 96):
+        nodes = np.sort(rng.choice(96, size=k, replace=False))
+        sub = induce_kernel(SampledGraph(g.adjacency[np.ix_(nodes, nodes)], g.value_class))
+        for norm in ("L1", "L2"):
+            assert (cat.kernel_distance(sub, full, norm=norm)
+                    == _ix_kernel_distance(sub, full, norm))
+
+
+def test_kernel_distance_identical_partitions_exactly_zero():
+    # criterion 10 needs an exact 0.0 at proportion 1.0
+    full = induce_kernel(sample_weighted(cat.tent(), 300))
+    rng = np.random.default_rng(11)
+    k = _step_kernel(rng, np.sort(rng.random(299)))
+    copy = PiecewiseConstantFunction(k.breakpoints.copy(), k.values.copy(), kernel=True)
+    for norm in ("L1", "L2"):
+        assert cat.kernel_distance(full, induce_kernel(sample_weighted(cat.tent(), 300)),
+                                   norm=norm) == 0.0
+        assert cat.kernel_distance(k, copy, norm=norm) == 0.0
+        assert cat.kernel_distance(k, k, norm=norm) == 0.0

@@ -583,6 +583,28 @@ def test_converge_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert outputs[0] == outputs[1], name
 
 
+def test_transfer_audit_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the audit's kernel distances and full-graph norm reduce through BLAS
+    # matrix-vector products of up to (n + k)^2 entries, well past the size
+    # OpenBLAS splits over threads.  At most 2 BLAS threads are started.
+    graph_cfg = _cfg(tmp_path, "g.cfg", graphon="tent", n="384")
+    audit_cfg = _cfg(tmp_path, "a.cfg", edge_list="g.csv",
+                     proportions="0.3,0.7,0.9,1.0", audit_trials="2")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        done = _run_module(tmp_path, "sample", "--config", graph_cfg, "--out", "g.csv",
+                           "--seed", "7", **env)
+        assert done.returncode == 0, done.stderr
+        out = f"audit-{threads}.csv"
+        done = _run_module(tmp_path, "transfer-audit", "--config", audit_cfg,
+                           "--out", out, "--seed", "7", timeout=120, **env)
+        assert done.returncode == 0, done.stderr
+        outputs.append(((tmp_path / "g.csv").read_bytes(), (tmp_path / out).read_bytes(),
+                        (tmp_path / f"{out}.summary.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         entry(["warp"])

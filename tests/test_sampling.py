@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gnde import catalog as cat
 from gnde import sampling as smp
@@ -13,6 +19,7 @@ from gnde.errors import (
     ComplexityGuardError,
     DimensionMismatchError,
     EdgeListParseError,
+    GndeError,
     InvalidParameterError,
     WrongRegimeError,
 )
@@ -272,14 +279,223 @@ def test_edge_list_parse_error_carries_line(tmp_path):
     with pytest.raises(EdgeListParseError) as err:  # not UTF-8
         smp.read_edge_list(path)
     assert err.value.line == 4
+    # rows that np.loadtxt reads but a check refuses: the line loop names it
+    path.write_bytes(b"n=4,class=weighted\ni,j,weight\n0,1,0.5\n\n2,3,nan\n")
+    with pytest.raises(EdgeListParseError) as err:
+        smp.read_edge_list(path)
+    assert str(err.value) == f"{path}:5: edge row out of range '2,3,nan'"
+
+
+def _read_outcome(path, loop_only=False):
+    """What read_edge_list makes of ``path``: the graph's class and
+    adjacency bytes, or the error's type, message and line.  ``loop_only``
+    turns the fast parse off, leaving the line loop."""
+    off = mock.patch.object(smp, "_parse_plain", lambda raw: None)
+    with off if loop_only else contextlib.nullcontext():
+        try:
+            g = smp.read_edge_list(path)
+        except GndeError as exc:
+            return type(exc).__name__, str(exc), getattr(exc, "line", None)
+    return g.value_class, g.adjacency.tobytes()
+
+
+def _assert_parsers_agree(raw: bytes, fast: bool | None = None):
+    """Fast parse and line loop agree on ``raw``; ``fast`` says whether the
+    fast path must (True) or must not (False) be the one that decided."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.csv"
+        path.write_bytes(raw)
+        got = _read_outcome(path)
+        assert got == _read_outcome(path, loop_only=True)
+    if fast is not None:
+        try:
+            decided = smp._parse_plain(raw) is not None
+        except GndeError:  # an error the line loop raises too
+            decided = True
+        assert decided == fast
+    return got
+
+
+_HEAD = b"n=4,class=weighted\ni,j,weight\n"
+
+# (bytes, the fast path decides, outcome kind: the class or the error type)
+_EDGE_CASES = {
+    "plain": (_HEAD + b"0,1,0.5\n2,3,1.0\n3,3,0.25\n", True, "weighted"),
+    "unweighted": (b"n=3,class=unweighted\ni,j,weight\n0,2,1.0\n1,1,1.0\n", True,
+                   "unweighted"),
+    "unsorted rows": (_HEAD + b"2,3,1.0\n0,1,0.5\n", True, "weighted"),
+    "no trailing newline": (_HEAD + b"0,1,0.5\n2,3,1.0", True, "weighted"),
+    "blank lines": (_HEAD + b"\n0,1,0.5\n\n\n2,3,1.0\n\n", True, "weighted"),
+    "whitespace-only line": (_HEAD + b"0,1,0.5\n   \n2,3,1.0\n", False, "weighted"),
+    "spaced fields": (_HEAD + b" 0 , 1 , 0.5 \n", True, "weighted"),
+    "id 1.0": (_HEAD + b"1.0,2,0.5\n", False, "EdgeListParseError"),
+    "id 1e0": (_HEAD + b"1e0,2,0.5\n", False, "EdgeListParseError"),
+    "id +1": (_HEAD + b"+1,2,0.5\n", True, "weighted"),
+    "id 1_0": (b"n=12,class=weighted\ni,j,weight\n1_0,11,0.5\n", False, "weighted"),
+    "weight 1_0.5": (_HEAD + b"0,1,0_0.5\n", False, "weighted"),
+    "fourth column": (_HEAD + b"0,1,0.5,extra\n", False, "weighted"),
+    "trailing comma": (_HEAD + b"0,1,0.5,\n", False, "weighted"),
+    "repeated pair": (_HEAD + b"0,1,0.5\n2,3,1.0\n0,1,0.25\n", False, "weighted"),
+    "CRLF": (b"n=4,class=weighted\r\ni,j,weight\r\n0,1,0.5\r\n", False, "weighted"),
+    "CRLF body": (_HEAD + b"0,1,0.5\r\n2,3,1.0\r\n", False, "weighted"),
+    "form feed": (_HEAD + b"0,1,0.5\x0c2,3,1.0\n", False, "weighted"),
+    "unit separator": (_HEAD + b"0,1,0.5\x1f\n", False, "EdgeListParseError"),
+    "tab": (_HEAD + b"0,\t1,0.5\n", False, "weighted"),
+    "space separator": (_HEAD + b"0 1 0.5\n", False, "EdgeListParseError"),
+    "header only": (_HEAD, False, "weighted"),
+    "header and blank lines": (_HEAD + b"\n\n", False, "weighted"),
+    "no column line": (b"n=4,class=weighted\n0,1,0.5\n", False, "weighted"),
+    "first line only": (b"n=4,class=weighted", False, "weighted"),
+    "nan weight": (_HEAD + b"0,1,nan\n", False, "EdgeListParseError"),
+    "inf weight": (_HEAD + b"0,1,0.5\n1,2,-inf\n", False, "EdgeListParseError"),
+    "weight beyond 1": (_HEAD + b"0,1,1.5\n", True, "InvalidParameterError"),
+    "negative weight": (_HEAD + b"0,1,-0.25\n", True, "InvalidParameterError"),
+    "negative zero": (_HEAD + b"0,1,-0.0\n", True, "weighted"),
+    "subnormal": (_HEAD + b"0,1,5e-324\n1,1,2.5e-310\n", True, "weighted"),
+    "overflowing id": (_HEAD + b"0,99999999999999999999,0.5\n", False,
+                       "EdgeListParseError"),
+    "overflowing product": (_HEAD + b"4611686018427387904,3,0.5\n", False,
+                            "EdgeListParseError"),
+    "negative id": (_HEAD + b"-1,2,0.5\n", False, "EdgeListParseError"),
+    "lower triangle": (_HEAD + b"3,1,0.5\n", False, "EdgeListParseError"),
+    "id n": (_HEAD + b"0,4,0.5\n", False, "EdgeListParseError"),
+    "non-ASCII UTF-8": (_HEAD + "0,1,0.5\n1,2,é\n".encode(), False,
+                        "EdgeListParseError"),
+    "non-ASCII digit": (_HEAD + "0,١,0.5\n".encode(), False, "weighted"),
+    "not UTF-8": (_HEAD + b"0,1,0.5\n0,\xff,1.0\n", False, "EdgeListParseError"),
+    "comment": (_HEAD + b"0,1,0.5 # note\n", False, "EdgeListParseError"),
+    "quoted": (_HEAD + b'0,1,"0.5"\n', False, "EdgeListParseError"),
+    "n=0": (b"n=0,class=weighted\ni,j,weight\n", False, "EdgeListParseError"),
+    "n with leading zeros": (b"n=0000000000000000004,class=weighted\ni,j,weight\n0,1,0.5\n",
+                        False, "weighted"),
+    "n beyond the limit": (b"n=1000000000,class=weighted\ni,j,weight\n0,1,0.5\n", True,
+                           "ComplexityGuardError"),
+    "empty": (b"", False, "EdgeListParseError"),
+}
+
+
+@pytest.mark.parametrize("name", list(_EDGE_CASES))
+def test_edge_list_fast_parse_agrees_with_line_loop(name):
+    raw, fast, kind = _EDGE_CASES[name]
+    assert _assert_parsers_agree(raw, fast)[0] == kind
+
+
+_ODD_IDS = ["1.0", "1e0", "+1", " 1 ", "1_0", "-0", "007", "-1", "",
+            "99999999999999999999", "x", "١"]
+_ODD_WEIGHTS = ["nan", "inf", "-inf", "1_0.5", "5e-324", "-0.0", "-0.25", "1.5", ".5",
+                "5.", " 0.5 ", "0x1p-1", "1e400", "", "é", "1,0"]
+_LINE_ENDS = ["\n"] * 4 + ["\r\n", "\r", "\x0c", "\x0b", "\x1c", "\x1f\n", " \n",
+                            "\t\n", "\n\n", "\n  \n"]
+
+
+@st.composite
+def _edge_list_bytes(draw):
+    """Edge lists near the writer's layout: mostly well-formed rows, with a
+    few odd tokens, line ends, repeats and header variants mixed in."""
+    n = draw(st.integers(1, 6))
+    cls = draw(st.sampled_from(["weighted", "unweighted"]))
+    head = draw(st.sampled_from(
+        [f"n={n},class={cls}\ni,j,weight\n"] * 10
+        + [f"n={n},class={cls}\n", f"n={n},class={cls}\r\ni,j,weight\r\n",
+           f"n=0{n},class={cls}\ni,j,weight\n", f"n={n},class={cls}\ni,j,weight,\n",
+           f"n={n + 1},class={cls}\ni,j,weight\n"]))
+    node = st.integers(0, n - 1)
+    weight = (st.floats(0.0, 1.0).map(repr) if cls == "weighted"
+              else st.sampled_from(["1.0", "1", "0.0"]))
+    pairs = draw(st.lists(st.tuples(node, node).map(lambda p: tuple(sorted(p))),
+                          max_size=8, unique=True))
+    rows = [[str(i), str(j), draw(weight)] for i, j in pairs]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        spot = draw(st.integers(0, 4))
+        if spot < 2:
+            row[spot] = draw(st.sampled_from(_ODD_IDS) | st.integers(-2, n + 1).map(str))
+        elif spot == 2:
+            row[2] = draw(st.sampled_from(_ODD_WEIGHTS) | st.floats().map(repr))
+        elif spot == 3:
+            row.append(draw(st.sampled_from(["", "0.5", "x"])))
+        else:  # the same pair again, maybe with another weight
+            rows.append(row[:2] + [draw(weight)])
+    ends = st.sampled_from(_LINE_ENDS) if draw(st.booleans()) else st.just("\n")
+    body = "".join(",".join(row) + draw(ends) for row in rows)
+    if draw(st.booleans()):
+        body = body.rstrip("\n")
+    return (head + body).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_edge_list_bytes())
+@example(raw=b"n=2,class=weighted\ni,j,weight\n0,1,0.5\n0,1,0.25\n")
+@example(raw=b"n=2,class=unweighted\ni,j,weight\n0,0,1.0\n0,1,1\n1,1,1.0")
+def test_edge_list_fast_parse_differential(raw):
+    _assert_parsers_agree(raw)
+
+
+def _reference_edge_list(g) -> bytes:
+    """The edge list one row at a time, as the format defines it."""
+    out = [f"n={g.n},class={g.value_class}\n", "i,j,weight\n"]
+    for i, j in zip(*np.triu_indices(g.n)):
+        if g.adjacency[i, j] != 0.0:
+            out.append(f"{i},{j},{float(g.adjacency[i, j])!r}\n")
+    return "".join(out).encode()
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(1, 12))
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    if draw(st.booleans()):
+        entries = st.sampled_from([0.0, 1.0])
+        cls = "unweighted"
+    else:
+        entries = st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0]) \
+            | st.floats(0.0, 1.0)
+        cls = "weighted"
+    values = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+    adj = np.where(upper, values.reshape(n, n), 0.0)
+    return smp.SampledGraph(adj + np.triu(adj, 1).T, cls)
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=_graphs(), chunk_rows=st.sampled_from([1, 2, 3, smp._WRITE_ROWS]))
+@example(g=smp.SampledGraph(np.zeros((1, 1)), "weighted"), chunk_rows=1)
+@example(g=smp.SampledGraph(np.ones((1, 1)), "unweighted"), chunk_rows=1)
+@example(g=smp.SampledGraph(np.zeros((5, 5)), "unweighted"), chunk_rows=2)
+@example(g=smp.SampledGraph(np.full((3, 3), 5e-324), "weighted"), chunk_rows=2)
+def test_edge_list_round_trip_bits(g, chunk_rows):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(smp, "_WRITE_ROWS", chunk_rows):
+        path = Path(tmp) / "edges.csv"
+        smp.write_edge_list(g, path)
+        raw = path.read_bytes()
+        back = smp.read_edge_list(path)
+    assert raw == _reference_edge_list(g)
+    assert back.value_class == g.value_class
+    assert back.adjacency.tobytes() == g.adjacency.tobytes()
+    # the writer's own output takes the fast path unless it has no rows
+    assert (smp._parse_plain(raw) is not None) == bool(np.any(g.adjacency))
+
+
+def test_edge_list_drops_negative_zero(tmp_path):
+    # -0.0 == 0.0, so it is no edge: written as absent, read back as +0.0.
+    # SampledGraph holds no other negative weight.
+    g = smp.SampledGraph(np.array([[-0.0, 0.5], [0.5, 0.0]]), "weighted")
+    path = tmp_path / "edges.csv"
+    smp.write_edge_list(g, path)
+    assert path.read_bytes() == b"n=2,class=weighted\ni,j,weight\n0,1,0.5\n"
+    assert smp.read_edge_list(path).adjacency.tobytes() == np.array(
+        [[0.0, 0.5], [0.5, 0.0]]).tobytes()
 
 
 def test_dense_size_guard_fires_before_allocating(tmp_path):
     over = smp.MAX_DENSE_NODES + 1
     path = tmp_path / "big.csv"
-    path.write_text(f"n={over},class=unweighted\ni,j,weight\n0,1,1.0\n")
-    with pytest.raises(ComplexityGuardError):
-        smp.read_edge_list(path)
+    for end in (b"\n", b"\r\n"):  # the np.loadtxt layout, and the line loop's
+        path.write_bytes(b"n=%d,class=unweighted%si,j,weight%s0,1,1.0%s" % (over, end, end, end))
+        with mock.patch.object(np, "zeros", side_effect=AssertionError("allocated")), \
+                mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")):
+            with pytest.raises(ComplexityGuardError, match=f"n={over} exceeds"):
+                smp.read_edge_list(path)
     with pytest.raises(ComplexityGuardError):
         smp.sample_weighted(cat.tent(1.0), over)
     with pytest.raises(ComplexityGuardError):
