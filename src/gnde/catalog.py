@@ -249,7 +249,11 @@ def evaluate(spec: GraphonSpec, u, v):
     vv = _as_domain_array(v, "v")
     scalar = np.isscalar(u) and np.isscalar(v)
     if spec.kind == KIND_TENT:
-        out = 1.0 - np.abs(uu - vv) ** spec.alpha
+        out = uu - vv  # a new array, worked on in place, or a numpy scalar
+        into = out if np.ndim(out) else None
+        out = np.abs(out, out=into)
+        out **= spec.alpha  # not np.power: keeps the sqrt fast path, scalar power
+        out = np.subtract(1.0, out, out=into)
     elif spec.kind == KIND_OSCILLATORY:
         w = spec.frequency * math.pi
         out = 0.5 * (1.0 + np.sin(w * uu) * np.sin(w * vv))

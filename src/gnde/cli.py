@@ -246,8 +246,8 @@ def _rate_form(spec, eps):
 def cmd_converge(args, cfg) -> int:
     spec = _graphon_from_config(cfg)
     n_list = sorted(_get_int_list(cfg, "n_list"))
-    if not n_list or min(n_list) < 1:
-        raise ConfigError("n_list must hold positive integers")
+    if not n_list or min(n_list) < 1 or len(set(n_list)) < len(n_list):
+        raise ConfigError("n_list must hold distinct positive integers")
     n_ref = _get_int(cfg, "n_ref", minimum=2)
     if n_ref <= max(n_list):
         raise ConfigError(f"n_ref={n_ref} must exceed max(n_list)={max(n_list)}")
@@ -275,15 +275,12 @@ def cmd_converge(args, cfg) -> int:
         (measure(trial, traj) or None, failure message or None, wall ms)},
         the wall time being an even share of the batch's solve plus the
         trial's own measure."""
-        # Sampling is deterministic, so each graph is sampled once, together
-        # with every trial's features.  Only the split shift operator is
-        # kept, and only for this size: a graph or dense shift left alive
-        # raises peak memory.
+        # Sampling is deterministic, so each graph is sampled once, with every
+        # trial's features.  Its adjacency is split straight into the operator
+        # (S = A / n is never formed) and dropped before the solve.
         graph, feats = sampling.sample_system(spec, n, features, quad)
-        S = sampling.graph_shift(graph)
+        op = kernels.ShiftOperator(graph.adjacency, graph.n)
         del graph
-        op = kernels.ShiftOperator(S)
-        del S  # the operator drops its own reference once symmetry is checked
         start = time.perf_counter()
         solved = dynamics.integrate_batch(
             op, [(feats[trial], draws[trial][1]) for trial in trial_ids], act, T, solver)
@@ -514,10 +511,8 @@ def cmd_integrate(args, cfg) -> int:
     solver = _solver_from_config(cfg)
     graph, (feats,) = sampling.sample_system(
         spec, n, [feature], _get_int(cfg, "quad_points", minimum=1))
-    S = sampling.graph_shift(graph)
-    del graph  # the adjacency is not needed past the shift
-    op = kernels.ShiftOperator(S)
-    del S
+    op = kernels.ShiftOperator(graph.adjacency, graph.n)
+    del graph  # the adjacency is not needed past the split
     traj = dynamics.integrate(op, feats, bank, act, T, solver)
     out = args.out or "trajectory.csv"
     dynamics.write_trajectory(traj, out)

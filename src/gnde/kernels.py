@@ -13,18 +13,21 @@ returns the same bits whatever order it sums in.  The slice products are
 then added in a fixed order, scaled back, and rows or columns holding a
 non-finite entry come out NaN.
 
-S is fixed for a whole trajectory, so it is split once: a ``ShiftOperator``
-keeps the slices of S with its row exponents and non-finite-row mask, and
-every product at that size splits only X.  It keeps the slices only up to
-S's last nonzero one (its depth): one at power-of-two n for the tent and
-the binary kernels, whose entries of S = A/n carry at most log2 n bits.
-A skipped slice pair would add an exact +-0 to an accumulator that starts
-at +0.0, so it is never -0.0, and x + (+-0) = x for every other x: the
-depth changes no output bit.  For n >= 9, beta <= 24, and every slice
-entry, an integer of magnitude at most 2**24, is exact in float32; the
-operator stores its slices as float32 then (half the bytes of S per
-slice) and casts each row block back to float64 before the GEMM, so the
-GEMM sees the same numbers as a fresh split.
+S is fixed for a whole trajectory, so it is split once: a
+``ShiftOperator`` keeps the slices of S with its row exponents and
+non-finite-row mask, and every product at that size splits only X.  Given
+S as A / divisor (a graph's adjacency and n), it divides each row block as
+it splits it, so S is never formed; division is elementwise, so the bits
+are the same.  It keeps the slices only up to S's last nonzero one (its
+depth): one at power-of-two n for the tent and the binary kernels, whose
+entries of S = A/n carry at most log2 n bits.  A skipped slice pair would
+add an exact +-0 to an accumulator that starts at +0.0, so it is never
+-0.0, and x + (+-0) = x for every other x: the depth changes no output
+bit.  For n >= 9, beta <= 24, and every slice entry, an integer of
+magnitude at most 2**24, is exact in float32; the operator stores its
+slices as float32 then (half the bytes of S per slice) and casts each row
+block back to float64 before the GEMM, so the GEMM sees the same numbers
+as a fresh split.
 
 Systems that share S are pushed through one product: B systems of F
 channels each form one (n, B*F) X.  That changes no output bit.  Each
@@ -44,8 +47,6 @@ reproducibility contract.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -110,23 +111,27 @@ def _split(a, beta: int, axis: int, out):
 
 
 class ShiftOperator:
-    """An (m, n) shift matrix S split once for every product ``S @ X``.
+    """An (m, n) shift matrix S = A / divisor split once for every product
+    ``S @ X``.  Each row block of A is divided as it is split, so the
+    slices are those of the array A / divisor bit for bit (x / 1 == x).
 
     ``slices[p]`` holds slice p of every row of S for p below the depth,
     the count up to S's last nonzero slice (float32 when
     ``slice_bits(n) <= FLOAT32_BITS``, else float64).  The store starts
     with one slice and grows when a row block first needs more, copying
     only the rows already written.  ``exps`` holds each row's exponent
-    and ``bad`` the rows holding a non-finite entry.  ``op @ X``
-    is ``shift_matvec(S, X)`` bit for bit.  ``symmetric`` (S == S.T) is
-    decided on its first read; the operator holds the dense S until then.
+    and ``bad`` the rows holding a non-finite entry.  ``op @ X`` is
+    ``shift_matvec(S, X)`` bit for bit.  ``symmetric`` is A == A.T, set
+    at construction: entries equal in A stay equal divided by one divisor.
+    The operator keeps no reference to A.
     """
 
-    def __init__(self, S):
-        S = np.ascontiguousarray(S, dtype=np.float64)
-        if S.ndim != 2:
+    def __init__(self, A, divisor=1.0):
+        A = np.ascontiguousarray(A, dtype=np.float64)
+        if A.ndim != 2:
             raise ValueError("a shift operator needs a 2-D array")
-        m, n = self.shape = S.shape
+        m, n = self.shape = A.shape
+        self.symmetric = m == n and bool(np.array_equal(A, A.T))
         self.beta = slice_bits(n)
         self.rows = max(1, min(m, BLOCK_ENTRIES // max(n, 1)))
         store = np.float32 if self.beta <= FLOAT32_BITS else np.float64
@@ -136,7 +141,7 @@ class ShiftOperator:
         if n:
             buf = np.empty(SLICES * self.rows * n)
             for lo in range(0, m, self.rows):
-                blk = S[lo : lo + self.rows]
+                blk = A[lo : lo + self.rows] / divisor
                 hi = lo + blk.shape[0]
                 ss = buf[: SLICES * blk.size].reshape((SLICES,) + blk.shape)
                 self.exps[lo:hi], self.bad[lo:hi] = _split(blk, self.beta, 1, ss)
@@ -147,12 +152,6 @@ class ShiftOperator:
                     grown[:depth, :lo] = self.slices[:, :lo]
                     self.slices = grown
                 self.slices[:, lo:hi] = ss[: len(self.slices)]
-        self._dense = S
-
-    @cached_property
-    def symmetric(self) -> bool:
-        S, self._dense = self._dense, None
-        return S.shape[0] == S.shape[1] and bool(np.array_equal(S, S.T))
 
     def __matmul__(self, X) -> np.ndarray:
         return _shift_product(self, np.ascontiguousarray(X, dtype=np.float64))

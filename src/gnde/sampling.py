@@ -353,7 +353,8 @@ def sample_system(spec: catalog.GraphonSpec, n: int, features, quad_points: int 
 
 
 def graph_shift(graph: SampledGraph) -> np.ndarray:
-    """Shift operator S = adjacency / n (induced operator norm <= 1)."""
+    """Shift operator S = adjacency / n (induced operator norm <= 1): the
+    dense reference of ``kernels.ShiftOperator(graph.adjacency, graph.n)``."""
     return graph.adjacency / graph.n
 
 

@@ -44,6 +44,34 @@ def test_tent_point_values():
     assert half.holder_meta == (1.0, 0.5)
 
 
+def _tent_reference(alpha, u, v):
+    """The tent as evaluate formed it out of place: 1 - |u - v|**alpha."""
+    out = 1.0 - np.abs(np.asarray(u, dtype=np.float64) - np.asarray(v, dtype=np.float64)) ** alpha
+    return float(out) if np.isscalar(u) and np.isscalar(v) else out
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 0.3])
+def test_tent_in_place_matches_reference_bits(alpha):
+    # evaluate builds the tent in one array in place; the bits are those of
+    # the out-of-place closed form, and a scalar pair still gives a float
+    spec = cat.tent(alpha)
+    rng = np.random.default_rng(13)
+    u, v = rng.random(500), rng.random(500)
+    pairs = [(u, v), (u[:, None], v[None, :]), (np.asarray(0.25), np.asarray(0.7))]
+    for n in (7, 48, 192, 768, 2048):
+        grid = np.arange(n, dtype=np.float64) / n
+        pairs.append((grid[:, None], grid[None, :]))
+    for a, b in pairs:
+        got, want = cat.evaluate(spec, a, b), _tent_reference(alpha, a, b)
+        assert type(got) is type(want)
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+    for a, b in [(0.0, 0.0), (0.0, 1.0), (0.3, 0.7), *zip(u[:100].tolist(), v[:100].tolist())]:
+        got = cat.evaluate(spec, a, b)
+        assert type(got) is float
+        assert np.float64(got).view(np.int64) == np.float64(
+            _tent_reference(alpha, a, b)).view(np.int64)
+
+
 def test_oscillatory_point_values():
     spec = cat.oscillatory(frequency=2)
     # sin(pi/2)^2 = 1 and sin(pi/2)*sin(3pi/2) = -1

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 import os
@@ -244,17 +243,18 @@ def test_converge_failure_rows(tmp_path, monkeypatch):
 
 def test_converge_computes_each_quantity_once(tmp_path, monkeypatch):
     # one overlay partition per (trial, n), one norm pass per reference, one
-    # shift operator per size with one symmetry check, one batched solve per
-    # size, at most that operator and no dense shift alive during a solve,
-    # and every solve on the main thread whatever --threads says
+    # shift operator per size split straight from the adjacency (no dense
+    # shift), one batched solve per size, exactly that operator and no
+    # sampled adjacency alive during a solve, and every solve on the main
+    # thread whatever --threads says
     import gc
     import threading
     import weakref
 
     from gnde import analysis, catalog, dynamics, kernels
 
-    calls = {"partition": 0, "norms": 0}
-    shifts, operators, checks, threads = [], [], [], set()
+    calls = {"partition": 0, "norms": 0, "graph_shift": 0}
+    adjacencies, operators, built, threads = [], [], [], set()
     alive = {"batch": [], "solve": []}
 
     def counted(key, fn):
@@ -263,28 +263,22 @@ def test_converge_computes_each_quantity_once(tmp_path, monkeypatch):
             return fn(*args)
         return wrapper
 
-    def tracked_shift(graph, make=smp.graph_shift):
-        S = make(graph)
-        shifts.append(weakref.ref(S))
-        return S
+    def tracked_sample(*args, sample=smp.sample_system):
+        graph, feats = sample(*args)
+        adjacencies.append(weakref.ref(graph.adjacency))
+        return graph, feats
 
-    base = kernels.ShiftOperator
-
-    class TrackedOperator(base):
-        def __init__(self, S):
-            super().__init__(S)
+    class TrackedOperator(kernels.ShiftOperator):
+        def __init__(self, A, divisor=1.0):
+            super().__init__(A, divisor)
+            built.append((A is adjacencies[-1](), divisor, A.shape[0], self.symmetric))
             operators.append(weakref.ref(self))
-
-        @functools.cached_property
-        def symmetric(self):
-            checks.append(self.shape)
-            return base.symmetric.func(self)
 
     def watched(key, fn):
         def wrapper(*args):
             gc.collect()
             alive[key].append((sum(ref() is not None for ref in operators),
-                               sum(ref() is not None for ref in shifts)))
+                               sum(ref() is not None for ref in adjacencies)))
             threads.add(threading.current_thread())
             return fn(*args)
         return wrapper
@@ -293,7 +287,8 @@ def test_converge_computes_each_quantity_once(tmp_path, monkeypatch):
                         counted("partition", catalog.overlay_partition))
     monkeypatch.setattr(analysis, "trajectory_norms",
                         counted("norms", analysis.trajectory_norms))
-    monkeypatch.setattr(smp, "graph_shift", tracked_shift)
+    monkeypatch.setattr(smp, "graph_shift", counted("graph_shift", smp.graph_shift))
+    monkeypatch.setattr(smp, "sample_system", tracked_sample)
     monkeypatch.setattr(kernels, "ShiftOperator", TrackedOperator)
     monkeypatch.setattr(dynamics, "integrate_batch",
                         watched("batch", dynamics.integrate_batch))
@@ -304,12 +299,12 @@ def test_converge_computes_each_quantity_once(tmp_path, monkeypatch):
     )
     assert entry(["converge", "--config", cfg, "--out", str(tmp_path / "c.csv"),
                   "--threads", "2"]) == 0
-    assert calls == {"partition": 2 * 3, "norms": 2}
-    assert len(shifts) == 4 and len(operators) == 4
-    assert checks == [(32, 32), (8, 8), (12, 12), (16, 16)]
+    assert calls == {"partition": 2 * 3, "norms": 2, "graph_shift": 0}
+    # one operator per size, in size order, from the adjacency with divisor n
+    assert built == [(True, n, n, True) for n in (32, 8, 12, 16)]
+    assert len(adjacencies) == 4 and len(operators) == 4
     assert len(alive["batch"]) == 4 and len(alive["solve"]) == 2 * 4
     assert max(ops for ops, _ in alive["batch"]) == 1
-    # the operator holds the dense shift only until its symmetry check
     assert alive["solve"] == [(1, 0)] * (2 * 4)
     assert threads == {threading.main_thread()}
 
@@ -443,7 +438,7 @@ def test_module_entry_points_run_clean(tmp_path):
         assert "hexaflake" in done.stdout
 
 
-def test_config_errors_exit_2(tmp_path, monkeypatch):
+def test_config_errors_exit_2(tmp_path, monkeypatch, capsys):
     from gnde import dynamics
 
     unknown_key = tmp_path / "u.cfg"
@@ -474,6 +469,14 @@ def test_config_errors_exit_2(tmp_path, monkeypatch):
         patch.setattr(dynamics, "integrate_batch", lambda *args: solves.append(args))
         assert entry(["converge", "--config", bad_eps, "--out", str(tmp_path / "e.csv")]) == 2
     assert solves == [] and not (tmp_path / "e.csv").exists()
+    for repeated in ("8,8,8", "8,8,12,16"):  # a repeated size, caught before any solve
+        cfg = _cfg(tmp_path, "r.cfg", graphon="tent", n_list=repeated, n_ref="32",
+                   trials="2", T="0.25", solver="rk4", eval_grid="10")
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "integrate_batch", lambda *args: solves.append(args))
+            assert entry(["converge", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+        assert "n_list must hold distinct positive integers" in capsys.readouterr().err
+        assert solves == [] and not (tmp_path / "r.csv").exists()
     pool_size = _cfg(tmp_path, "p.cfg", threads="2")  # no longer a config key
     assert entry(["catalog", "--config", pool_size]) == 2
     no_quad = _cfg(tmp_path, "q.cfg", graphon="tent", n="4", quad_points="0")

@@ -479,9 +479,20 @@ def test_catalog_shift_depth(name, n, depth):
 
 
 def test_operator_symmetry_read_once_and_dense_dropped():
+    # symmetry is decided at construction, and the operator keeps no
+    # reference to the array it split
+    import gc
+    import weakref
+
     s = np.array([[0.0, 0.5], [0.5, 1.0]])
     op = kernels.ShiftOperator(s)
-    assert op.symmetric and op._dense is None and op.symmetric
+    assert vars(op)["symmetric"] is True
+    gone = np.array([[0.0, 0.5], [0.5, 1.0]]) * 3.0
+    ref = weakref.ref(gone)
+    divided = kernels.ShiftOperator(gone, 3.0)
+    del gone
+    gc.collect()
+    assert ref() is None and vars(divided)["symmetric"] is True
     assert not kernels.ShiftOperator(np.array([[0.0, 0.5], [0.25, 1.0]])).symmetric
     assert not kernels.ShiftOperator(np.full((2, 2), np.nan)).symmetric
     assert not kernels.ShiftOperator(np.ones((2, 3))).symmetric
@@ -491,6 +502,84 @@ def test_operator_symmetry_read_once_and_dense_dropped():
     coeffs = np.array([0.5, 1.5, -0.25]).reshape(1, 1, 1, 3)
     assert np.array_equal(kernels.layer_stack_forward(op, x, coeffs, kernels.ACT_TANH),
                           kernels.layer_stack_forward(s, x, coeffs, kernels.ACT_TANH))
+    assert np.array_equal(kernels.layer_stack_forward(divided, x, coeffs, kernels.ACT_TANH),
+                          kernels.layer_stack_forward(s, x, coeffs, kernels.ACT_TANH))
+
+
+def _assert_same_operator(got, want, xs):
+    """Two operators agree bit for bit: slices (dtype and depth included),
+    exponents, bad rows, symmetry, and every product."""
+    assert got.slices.dtype == want.slices.dtype
+    assert got.slices.shape == want.slices.shape
+    assert np.array_equal(got.slices, want.slices)
+    assert np.array_equal(got.exps, want.exps) and np.array_equal(got.bad, want.bad)
+    assert got.symmetric is want.symmetric
+    for x in xs:
+        assert np.array_equal((got @ x).view(np.int64), (want @ x).view(np.int64))
+
+
+@pytest.mark.parametrize("name", cat.CATALOG_NAMES)
+@pytest.mark.parametrize("n", [7, 48, 64, 192, 512, 768])
+def test_operator_from_adjacency_matches_dense_shift(name, n):
+    # dividing each row block by n as it is split gives the slices of
+    # graph_shift(graph) = A / n, without forming it
+    graph, _ = smp.sample_system(cat.from_name(name), n, [])
+    rng = np.random.default_rng(n)
+    xs = [rng.normal(size=(n, 3)), rng.normal(size=(n, 1)) * 1e-300]
+    _assert_same_operator(kernels.ShiftOperator(graph.adjacency, graph.n),
+                          kernels.ShiftOperator(smp.graph_shift(graph)), xs)
+
+
+@pytest.mark.parametrize("name", ["tent", "holder-tent", "checkerboard", "hexaflake"])
+def test_sample_and_split_hold_one_dense_array(name):
+    # sampling a graph and splitting its adjacency keep no second dense
+    # float64 n x n array beside the adjacency and the slice store: the
+    # traced peak stays under 8 n^2 bytes for A, 4 n^2 per float32 slice
+    # and 0.75 * 8 n^2 for the transients (numpy reports its allocations
+    # to tracemalloc, so this does not depend on the allocator or host)
+    import tracemalloc
+
+    n = 1024
+    spec = cat.from_name(name)
+    if spec.value_class == cat.BINARY:
+        cat.support_pattern(spec)  # a cached pattern, not part of the split
+    tracemalloc.start()
+    try:
+        graph, _ = smp.sample_system(spec, n, [])
+        op = kernels.ShiftOperator(graph.adjacency, graph.n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    depth = len(op.slices)
+    assert peak <= (1.75 + depth / 2) * 8 * n * n, (depth, peak / (8 * n * n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 30),
+       divisor=st.sampled_from([1.0, 2.0, 3.0, 7.0, 48.0, 1000.0, 0.1, 1e-300, 1e300]),
+       block_rows=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       poison=st.lists(st.sampled_from([np.inf, -np.inf, np.nan]), max_size=2))
+def test_operator_divisor_matches_divided_array(n, divisor, block_rows, seed, poison):
+    # a symmetric A split with a divisor, a few rows per block so that the
+    # division and the store's growth span several blocks, against the
+    # operator on the array A / divisor
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 1.0, size=(n, n))
+    short = rng.integers(0, n + 1)  # leading rows of 3 bits: later blocks need more
+    a[:short] = np.rint(a[:short] * 8.0) / 8.0
+    a = np.triu(a) + np.triu(a, 1).T
+    scale = np.exp2(rng.integers(-30, 1, size=n))
+    a *= scale[:, None] * scale[None, :]
+    for value in poison:  # an inf or NaN entry, mirrored as in a symmetric A
+        i, j = rng.integers(n, size=2)
+        a[i, j] = a[j, i] = value
+    xs = [rng.normal(size=(n, 2))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "BLOCK_ENTRIES", block_rows * n)
+        got = kernels.ShiftOperator(a, divisor)
+        want = kernels.ShiftOperator(a / divisor)
+    assert got.rows == min(n, block_rows)
+    _assert_same_operator(got, want, xs)
 
 
 def test_operator_empty_shapes():
