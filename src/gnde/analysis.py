@@ -24,6 +24,10 @@ from .errors import (
     LogDomainError,
 )
 
+#: Entries (eval times x cells x F) of one block of the per-time L2 sums;
+#: bounds the transient arrays below the allocator's mmap threshold.
+L2_BLOCK_ENTRIES = 1 << 12
+
 REPORT_COLUMNS = (
     "graphon",
     "alpha_or_dim",
@@ -151,29 +155,53 @@ def _check_compatible(traj_a, traj_b):
         raise InvalidParameterError("feature values must be finite")
 
 
+def _l2_per_time(block, count, F, widths):
+    """sqrt(sum_c widths[c] * sum_f D[j, c, f]**2) for each eval time j < count.
+
+    ``block(lo, hi)`` returns D[lo:hi] as a new (hi - lo, widths.size, F)
+    array, which is squared in place; a block holds about
+    ``L2_BLOCK_ENTRIES`` entries.  The channel sums are made C-contiguous
+    before the cell sums, so each time's cell sum runs over contiguous
+    memory, as a 1-D sum does.
+    """
+    step = max(1, L2_BLOCK_ENTRIES // max(1, widths.size * F))
+    for lo in range(0, count, step):
+        sq = block(lo, min(count, lo + step))
+        sq *= sq
+        inner = np.ascontiguousarray(np.sum(sq, axis=2))
+        inner *= widths
+        yield from map(math.sqrt, np.sum(inner, axis=1).tolist())
+
+
 def _overlay_distances(traj_n, traj_ref):
     """The overlay L2 distance between the induced states at each eval time.
 
-    The merged partition of the two uniform partitions is built once; each
-    eval time then reduces its own cells with its own 1-D sums, exactly as
-    ``sampling.overlay_l2_distance`` does, so every distance equals the
-    per-state computation bit for bit (one sum over a 2-D array of all eval
-    times would change the summation order).
+    The merged partition of the two uniform partitions is built once, and
+    each block of eval times gathers its cell differences at once.  Every
+    distance equals the per-state ``sampling.overlay_l2_distance`` bit for
+    bit.  The hazard is memory layout, not batching: a numpy sum's bits
+    depend on the layout of the array it reduces, not on how many times
+    share the call.  The gather ``states[lo:hi, ia]`` is not C-ordered
+    (numpy lays it out cell by cell, each cell's times together), nor is
+    its channel sum, and cell sums over that layout miss the per-state ones
+    in the last bit.
     """
     _check_compatible(traj_n, traj_ref)
     ia, ib, widths = catalog.overlay_partition(
         sampling.uniform_breakpoints(traj_n.n), sampling.uniform_breakpoints(traj_ref.n)
     )
-    for x_n, x_ref in zip(traj_n.states, traj_ref.states):
-        d = x_n[ia] - x_ref[ib]
-        yield math.sqrt(np.sum(widths * np.sum(d * d, axis=1)))
+    states_n, states_ref = traj_n.states, traj_ref.states
+    return _l2_per_time(lambda lo, hi: states_n[lo:hi, ia] - states_ref[lo:hi, ib],
+                        len(states_n), traj_n.F, widths)
 
 
 def trajectory_norms(traj) -> list[float]:
     """L2 norm of the induced state at each eval time, summed as
     ``sampling.pwc_l2_norm`` sums it."""
     widths = np.diff(sampling.uniform_breakpoints(traj.n))
-    return [math.sqrt(np.sum(widths * np.sum(x * x, axis=1))) for x in traj.states]
+    states = traj.states
+    return list(_l2_per_time(lambda lo, hi: states[lo:hi].copy(),
+                             len(states), traj.F, widths))
 
 
 def trajectory_sup_absolute_error(traj_n, traj_ref) -> float:

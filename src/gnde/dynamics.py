@@ -23,6 +23,7 @@ reads only its own arrays.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -47,6 +48,10 @@ PICARD_CONTRACTION = 0.4
 PICARD_GRID_PER_UNIT = 2048
 PICARD_MAX_ITER = 80
 PICARD_TOL = 1e-11
+
+#: Entries (eval times x n x F) of one dp5 dense-output chunk; bounds its
+#: transient arrays below the allocator's mmap threshold.
+DENSE_BLOCK_ENTRIES = 1 << 12
 
 # Dormand-Prince 5(4) tableau; B is the 5th-order weight row, E the
 # embedded error weights, P the dense-output polynomial coefficients
@@ -259,9 +264,30 @@ def _error_norm(err, y0, y1, atol, rtol):
         return math.inf
 
 
+def _dense_output(out, times, t, y, h, K):
+    """The dp5 quartic interpolant of the step (t, t + h) from state y with
+    stages K, at each of ``times``, written to ``out`` (Dormand & Prince
+    1980; Hairer, Norsett & Wanner, Solving ODEs I, II.6).
+
+    One einsum covers a chunk of times (about ``DENSE_BLOCK_ENTRIES``
+    entries).  Each entry sums the same products in the same order as an
+    einsum per time, so the chunking changes no bit.  The powers of theta
+    must be scalar powers, here of Python floats, as ``theta**k`` of a
+    per-time form is: numpy's array power rounds some of them differently
+    (its vector loop is not the scalar pow), which would change the states.
+    """
+    n, F = y.shape
+    thetas = ((times - t) / h).tolist()
+    chunk = max(1, DENSE_BLOCK_ENTRIES // (n * F))
+    for lo in range(0, len(thetas), chunk):
+        powers = [[th, th**2, th**3, th**4] for th in thetas[lo : lo + chunk]]
+        out[lo : lo + len(powers)] = y + h * np.einsum("s...,sm,tm->t...", K, _DP_P, powers)
+
+
 def _dp5(Z, T, cfg):
     """Dormand-Prince 5(4) for one system, a generator like ``_rk4``."""
     times = _eval_times(T, cfg.eval_grid)
+    grid = times.tolist()
     n, F = Z.shape
     states = np.empty((times.size, n, F))
     states[0] = Z
@@ -300,17 +326,16 @@ def _dp5(Z, T, cfg):
 
         if norm <= 1.0:
             _check_finite(y_new, t_new)
-            # Dense output over (t, t_new]: quartic interpolant in theta.
-            while next_out < times.size and times[next_out] <= t_new + 1e-14 * T:
-                theta = (times[next_out] - t) / h
-                if times[next_out] >= t_new:
-                    states[next_out] = y_new
-                else:
-                    powers = np.array([theta, theta**2, theta**3, theta**4])
-                    states[next_out] = y + h * np.einsum(
-                        "s...,sm,m->...", K, _DP_P, powers
-                    )
-                next_out += 1
+            # Dense output over (t, t_new]: the quartic interpolant for the
+            # eval times below t_new, chunked and with scalar powers of
+            # theta (see _dense_output), and y_new for those at or past it
+            # (within 1e-14 T).
+            stop = bisect.bisect_right(grid, t_new + 1e-14 * T, next_out)
+            mid = bisect.bisect_left(grid, t_new, next_out, stop)
+            if mid > next_out:
+                _dense_output(states[next_out:mid], times[next_out:mid], t, y, h, K)
+            states[mid:stop] = y_new
+            next_out = stop
             t = t_new
             y = y_new
             f_cur = K[6]

@@ -148,8 +148,11 @@ class ShiftOperator:
                 depth = len(self.slices)
                 need = max((p + 1 for p in range(depth, SLICES) if ss[p].any()), default=depth)
                 if need > depth:  # the rows written so far get zero slices
+                    if lo == 0:  # none yet: free the old store before growing
+                        self.slices = None
                     grown = np.zeros((need, m, n), dtype=store)
-                    grown[:depth, :lo] = self.slices[:, :lo]
+                    if lo:
+                        grown[:depth, :lo] = self.slices[:, :lo]
                     self.slices = grown
                 self.slices[:, lo:hi] = ss[: len(self.slices)]
 

@@ -203,6 +203,25 @@ def test_sup_errors_equal_per_state_overlay(pair):
     assert rel_err.hex() == max(ratios).hex()
 
 
+@settings(max_examples=100, deadline=None)
+@given(_trajectory_pairs(), st.sampled_from(["time", "all"]))
+def test_blocked_distances_equal_per_state_overlay(pair, block):
+    # the blocked overlay distances and norms, one eval time per block or
+    # all times in one, equal the per-state sums bit for bit
+    traj_n, traj_ref = pair
+    dists, norms = [], []
+    for x_n, x_ref in zip(traj_n.states, traj_ref.states):
+        ref = smp.induce_features(smp.FeatureMatrix(x_ref))
+        dists.append(smp.overlay_l2_distance(smp.induce_features(smp.FeatureMatrix(x_n)), ref))
+        norms.append(smp.pwc_l2_norm(ref))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(an, "L2_BLOCK_ENTRIES", 1 if block == "time" else 1 << 40)
+        got_dists = list(an._overlay_distances(traj_n, traj_ref))
+        got_norms = an.trajectory_norms(traj_ref)
+    assert [d.hex() for d in got_dists] == [d.hex() for d in dists]
+    assert [v.hex() for v in got_norms] == [v.hex() for v in norms]
+
+
 def test_trajectory_compat_guards():
     a = _record(np.zeros((2, 2, 1)))
     b = _record(np.zeros((2, 2, 2)))

@@ -347,6 +347,56 @@ def test_batch_cases_are_reached():
     assert all(isinstance(r, dyn.TrajectoryRecord) for r in out)
 
 
+def _power_split_thetas():
+    """Thetas in (0, 1) whose array power (numpy's vector loop) rounds
+    differently from the scalar power at exponent 2, 3 or 4 on this build."""
+    x = np.random.default_rng(0).uniform(size=1 << 14)
+    differ = np.zeros(x.size, dtype=bool)
+    for k in (2, 3, 4):
+        differ |= x**k != np.array([v**k for v in x.tolist()])
+    return x[differ][:64].tolist() or [0.5]
+
+
+_POWER_SPLIT_THETAS = _power_split_thetas()
+
+
+def _dense_output_per_time(times, t, y, h, K):
+    # the per-time form: one einsum per eval time, with the scalar powers
+    # of a float64 theta
+    out = []
+    for tj in times:
+        theta = (tj - t) / h
+        powers = np.array([theta, theta**2, theta**3, theta**4])
+        out.append(y + h * np.einsum("s...,sm,m->...", K, dyn._DP_P, powers))
+    return np.array(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(16, 2048), F=st.integers(1, 3), scale=st.sampled_from([1e-6, 1.0, 1e6]),
+       count=st.sampled_from([1, 1, 2, 9, 40]), split=st.booleans(),
+       chunk=st.sampled_from([1, dyn.DENSE_BLOCK_ENTRIES, 1 << 40]),
+       seed=st.integers(0, 2**32 - 1))
+def test_dense_output_matches_per_time_form(n, F, scale, count, split, chunk, seed):
+    # the chunked dense output equals one einsum per eval time bit for bit,
+    # one time per step or many, whatever the chunk size; with t = 0 and
+    # h = 1 the thetas are ones whose array and scalar powers differ
+    rng = np.random.default_rng(seed)
+    K = scale * rng.standard_normal((7, n, F))
+    y = scale * rng.standard_normal((n, F))
+    if split:
+        t, h = 0.0, 1.0
+        times = np.sort(rng.choice(_POWER_SPLIT_THETAS, count))
+    else:
+        t, h = rng.uniform(0.0, 1.0), rng.uniform(1e-4, 0.5)
+        times = t + h * np.sort(rng.uniform(0.0, 1.0, count))
+    want = _dense_output_per_time(times, t, y, h, K)
+    got = np.empty((count, n, F))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dyn, "DENSE_BLOCK_ENTRIES", chunk)
+        dyn._dense_output(got, times, t, y, h, K)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_error_norm_exact_and_saturating():
     rng = np.random.default_rng(8)
     err, y = rng.normal(size=(40, 3)), rng.normal(size=(40, 3))

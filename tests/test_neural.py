@@ -554,6 +554,26 @@ def test_sample_and_split_hold_one_dense_array(name):
     assert peak <= (1.75 + depth / 2) * 8 * n * n, (depth, peak / (8 * n * n))
 
 
+@pytest.mark.parametrize("name, n", [("holder-tent", 1024), ("oscillatory", 1024),
+                                     ("holder-tent", 768), ("tent", 768)])
+def test_split_grown_at_first_block_drops_empty_store(name, n):
+    # the first row block already needs three slices: the empty one-slice
+    # store is freed before the three-slice store (1.5 * 8 n^2 bytes in
+    # float32) is allocated, so the two never coexist (A is allocated
+    # before tracing starts)
+    import tracemalloc
+
+    graph, _ = smp.sample_system(cat.from_name(name), n, [])
+    tracemalloc.start()
+    try:
+        op = kernels.ShiftOperator(graph.adjacency, graph.n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(op.slices) == kernels.SLICES
+    assert peak <= 1.7 * 8 * n * n, peak / (8 * n * n)
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 30),
        divisor=st.sampled_from([1.0, 2.0, 3.0, 7.0, 48.0, 1000.0, 0.1, 1e-300, 1e300]),
