@@ -649,31 +649,43 @@ def overlay_partition(bp_a, bp_b):
     return ia, ib, np.diff(merged)
 
 
-_DIFF_ROWS = 256  # rows of the overlay difference filled per step
+_DIST_ROWS = 32  # overlay rows per block of the streamed kernel distance
 
 
-def _overlay_kernel_diff(ka, kb):
-    """``ka.values[np.ix_(ia, ia)] - kb.values[np.ix_(ib, ib)]`` and the
-    widths, with one (N, N) array live: ``ia`` and ``ib`` are non-decreasing
-    (:func:`overlay_partition`), so each column gather is a run-length
-    repeat, filled ``_DIFF_ROWS`` rows at a time."""
-    ia, ib, widths = overlay_partition(ka.breakpoints, kb.breakpoints)
+def _overlay_sum(ka, kb, norm):
+    """Sum over overlay cells (r, c) of w_r w_c |ka - kb|^p, p = 1 (L1) or
+    2 (L2), in a fixed order with no (N, N) array.
+
+    Each block of ``_DIST_ROWS`` overlay rows is gathered from both kernels,
+    differenced, raised to the power in place and weighted by the column
+    widths; numpy's pairwise sum along each row gives that row's total, and
+    ``math.fsum`` adds the width-weighted row totals exactly rounded.  No BLAS
+    call is made, so the bits depend neither on the BLAS thread count nor on
+    the block size; equal kernels on one partition give exactly 0.0.
+    """
+    ia, ib, w = overlay_partition(ka.breakpoints, kb.breakpoints)
     a, b = ka.values, kb.values
-    runs_a = np.bincount(ia, minlength=a.shape[0])
-    runs_b = np.bincount(ib, minlength=b.shape[0])
-    diff = np.empty((ia.size, ia.size))
-    for lo in range(0, ia.size, _DIFF_ROWS):
-        rows = slice(lo, lo + _DIFF_ROWS)
-        np.subtract(np.repeat(a[ia[rows]], runs_a, axis=1),
-                    np.repeat(b[ib[rows]], runs_b, axis=1), out=diff[rows])
-    return diff, widths
+    rows = np.empty(ia.size)
+    for lo in range(0, ia.size, _DIST_ROWS):
+        r = slice(lo, lo + _DIST_ROWS)
+        d = a[ia[r]].take(ia, axis=1)
+        d -= b[ib[r]].take(ib, axis=1)
+        if norm == "L1":
+            np.abs(d, out=d)
+        else:
+            d *= d
+        d *= w
+        rows[r] = d.sum(axis=1)
+    return math.fsum((rows * w).tolist())
 
 
 def kernel_distance(kernel_a, kernel_b, norm: str = "L2", grid: int = 256) -> float:
     """L1 or L2 distance between two kernels on [0,1]^2.
 
-    Exact (overlay partition) when both arguments are piecewise constant;
-    midpoint quadrature on a ``grid`` x ``grid`` mesh otherwise.  Both norms
+    Exact (overlay partition) when both arguments are piecewise constant,
+    summed in a fixed order row block by row block (:func:`_overlay_sum`),
+    so the result does not depend on the BLAS thread count; midpoint
+    quadrature on a ``grid`` x ``grid`` mesh otherwise.  Both norms
     upper-bound the cut norm: ||.||_cut <= ||.||_L1 <= ||.||_L2.
     """
     if norm not in ("L1", "L2"):
@@ -681,10 +693,8 @@ def kernel_distance(kernel_a, kernel_b, norm: str = "L2", grid: int = 256) -> fl
     a_pwc = getattr(kernel_a, "kernel", False)
     b_pwc = getattr(kernel_b, "kernel", False)
     if a_pwc and b_pwc:
-        diff, w = _overlay_kernel_diff(kernel_a, kernel_b)
-        if norm == "L1":
-            return float(w @ np.abs(diff, out=diff) @ w)
-        return float(math.sqrt(w @ np.multiply(diff, diff, out=diff) @ w))
+        total = _overlay_sum(kernel_a, kernel_b, norm)
+        return total if norm == "L1" else math.sqrt(total)
     m = int(grid)
     if m < 1:
         raise InvalidParameterError("grid must be a positive integer")

@@ -443,12 +443,12 @@ def cmd_transfer_audit(args, cfg) -> int:
             # Ascending ids so the full-proportion subgraph is the graph itself.
             nodes = np.sort(rng.choice(n, size=k, replace=False))
             sub = sampling.SampledGraph(
-                graph.adjacency[np.ix_(nodes, nodes)], graph.value_class)
+                graph.adjacency.take(nodes, 0).take(nodes, 1), graph.value_class)
             err = catalog.kernel_distance(
                 sampling.induce_kernel(sub), full_kernel) / full_norm
             errors.append(err)
             rows.append((proportion, trial, seed, k, err,
-                         ";".join(str(i) for i in nodes), ""))
+                         ";".join(map(str, nodes.tolist())), ""))
         stats[p_index] = (
             float(np.mean(errors)) if errors else None,
             float(np.std(errors)) if errors else None,

@@ -401,10 +401,14 @@ def overlay_l2_distance(
 
 
 def pwc_l2_norm(f: PiecewiseConstantFunction) -> float:
-    """L2 norm of a step function (or step kernel, over the square)."""
-    w = np.diff(f.breakpoints)
+    """L2 norm of a step function (or step kernel, over the square).
+
+    A kernel's norm is its :func:`catalog.kernel_distance` to the zero
+    kernel: the same fixed-order sum, so no BLAS call decides its bits."""
     if f.kernel:
-        return float(math.sqrt(w @ (f.values * f.values) @ w))
+        zero = PiecewiseConstantFunction(np.array([0.0, 1.0]), np.zeros((1, 1)), kernel=True)
+        return catalog.kernel_distance(f, zero)
+    w = np.diff(f.breakpoints)
     return float(math.sqrt(np.sum(w * np.sum(f.values * f.values, axis=1))))
 
 
@@ -417,18 +421,32 @@ _WRITE_ROWS = 16384  # rows per write: larger chunks only raise the peak memory
 
 def write_edge_list(graph: SampledGraph, path):
     """CSV edge list: header `n=<n>,class=<class>`, then sorted nonzero
-    upper-triangle entries (diagonal included) as `i,j,weight` rows."""
+    upper-triangle entries (diagonal included) as `i,j,weight` rows, the
+    weight as its Python float ``repr``.
+
+    Each ``_WRITE_ROWS``-row chunk takes ``repr`` once per distinct weight
+    (``np.unique``) and each node id's ``str`` once per call, then joins the
+    rows from those tables.  The bytes are those of one ``repr`` per row:
+    ``repr`` is a function of the float's bits, and the only distinct bits
+    that ``np.unique`` merges, +0.0 with -0.0 and NaN with NaN, are never
+    written (zeros are dropped, and a ``SampledGraph`` holds no NaN).
+    """
     n = graph.n
     iu, ju = np.triu_indices(n)
     w = graph.adjacency[iu, ju]
     keep = w != 0.0
     iu, ju, w = iu[keep], ju[keep], w[keep]
+    ids = [str(i) for i in range(n)]
     with open(path, "w", newline="") as fh:
         fh.write(f"n={n},class={graph.value_class}\n")
         fh.write("i,j,weight\n")
         for lo in range(0, w.size, _WRITE_ROWS):
-            rows = zip(*(col[lo:lo + _WRITE_ROWS].tolist() for col in (iu, ju, w)))
-            fh.write("".join([f"{i},{j},{wij!r}\n" for i, j, wij in rows]))
+            rows = slice(lo, lo + _WRITE_ROWS)
+            # per chunk: one np.unique over all rows raises the peak memory
+            values, which = np.unique(w[rows], return_inverse=True)
+            texts = [repr(x) for x in values.tolist()]
+            fh.write("".join([f"{ids[i]},{ids[j]},{texts[k]}\n" for i, j, k in zip(
+                iu[rows].tolist(), ju[rows].tolist(), which.tolist())]))
 
 
 def _decode_utf8(data: bytes, path) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -420,12 +421,14 @@ def test_kernel_distance_l1_le_l2():
 
 
 def _ix_kernel_distance(ka, kb, norm):
-    """The overlay distance through two ``np.ix_`` gathers."""
+    """The overlay distance through two ``np.ix_`` gathers of the whole
+    (N, N) difference, summed in the fixed order: each row's width-weighted
+    terms by numpy's row sum, then the weighted row totals by ``math.fsum``."""
     ia, ib, w = cat.overlay_partition(ka.breakpoints, kb.breakpoints)
-    diff = ka.values[np.ix_(ia, ia)] - kb.values[np.ix_(ib, ib)]
-    if norm == "L1":
-        return float(w @ np.abs(diff) @ w)
-    return float(math.sqrt(w @ (diff * diff) @ w))
+    diff = np.ascontiguousarray(ka.values[np.ix_(ia, ia)] - kb.values[np.ix_(ib, ib)])
+    terms = np.abs(diff) if norm == "L1" else diff * diff
+    total = math.fsum(((terms * w).sum(axis=1) * w).tolist())
+    return total if norm == "L1" else math.sqrt(total)
 
 
 def _step_kernel(rng, inner):
@@ -450,10 +453,11 @@ def _step_kernel_pairs(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(pair=_step_kernel_pairs(), block_rows=st.sampled_from([1, 3, 256]))
+@given(pair=_step_kernel_pairs(), block_rows=st.sampled_from([1, 3, cat._DIST_ROWS, 1024]))
 def test_kernel_distance_bits_match_ix_gather(pair, block_rows):
+    # 1024 rows exceed every overlay here (at most 599 cells): one block
     ka, kb = pair
-    with mock.patch.object(cat, "_DIFF_ROWS", block_rows):
+    with mock.patch.object(cat, "_DIST_ROWS", block_rows):
         for norm in ("L1", "L2"):
             for a, b in ((ka, kb), (kb, ka)):
                 got = cat.kernel_distance(a, b, norm=norm)
@@ -484,3 +488,53 @@ def test_kernel_distance_identical_partitions_exactly_zero():
                                    norm=norm) == 0.0
         assert cat.kernel_distance(k, copy, norm=norm) == 0.0
         assert cat.kernel_distance(k, k, norm=norm) == 0.0
+
+
+def _exact_square_sum(ka, kb):
+    """sum of w_r w_c (ka - kb)^2 over the overlay cells, as a Fraction."""
+    ia, ib, w = cat.overlay_partition(ka.breakpoints, kb.breakpoints)
+    wf = [Fraction(x) for x in w.tolist()]
+    a = [[Fraction(x) for x in row] for row in ka.values.tolist()]
+    b = [[Fraction(x) for x in row] for row in kb.values.tolist()]
+    ia, ib = ia.tolist(), ib.tolist()
+    total = Fraction(0)
+    for r in range(len(wf)):
+        ar, br = a[ia[r]], b[ib[r]]
+        total += wf[r] * sum(wc * (ar[ic] - br[jc]) ** 2 for wc, ic, jc in zip(wf, ia, ib))
+    return total
+
+
+def test_kernel_distance_square_sum_within_one_ulp_of_exact():
+    rng = np.random.default_rng(17)
+    g = sample_weighted(cat.tent(), 90)
+    full = induce_kernel(g)
+    cases = []
+    for k in (7, 31, 45, 60):  # audit subgraphs: overlays of 90 to 120 cells
+        nodes = np.sort(rng.choice(90, size=k, replace=False))
+        cases.append((induce_kernel(SampledGraph(g.adjacency[np.ix_(nodes, nodes)],
+                                                 g.value_class)), full))
+    for ma, mb in ((40, 70), (75, 75), (1, 120), (100, 50)):
+        cases.append((_step_kernel(rng, np.sort(rng.random(ma - 1))),
+                      _step_kernel(rng, np.sort(rng.random(mb - 1)))))
+    for ka, kb in cases:
+        assert cat.overlay_partition(ka.breakpoints, kb.breakpoints)[2].size <= 150
+        exact = _exact_square_sum(ka, kb)
+        got = cat._overlay_sum(ka, kb, "L2")
+        assert abs(Fraction(got) - exact) <= Fraction(math.ulp(float(exact)))
+
+
+def test_kernel_distance_holds_no_overlay_square():
+    # uniform 1000- and 1024-partitions overlay in N = 2016 cells; an
+    # (N, N) float64 array would take 8 N^2 = 32.5 MB
+    ka = induce_kernel(sample_weighted(cat.tent(), 1000))
+    kb = induce_kernel(sample_weighted(cat.tent(), 1024))
+    n_cells = cat.overlay_partition(ka.breakpoints, kb.breakpoints)[2].size
+    assert n_cells == 2016
+    tracemalloc.start()
+    try:
+        for norm in ("L1", "L2"):
+            cat.kernel_distance(ka, kb, norm=norm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20 + 4 * cat._DIST_ROWS * n_cells * 8

@@ -476,6 +476,39 @@ def test_edge_list_round_trip_bits(g, chunk_rows):
     assert (smp._parse_plain(raw) is not None) == bool(np.any(g.adjacency))
 
 
+@st.composite
+def _pooled_graphs(draw):
+    """Weighted graphs whose weights come from a few floats and their
+    one-ulp neighbours, so chunks repeat weights and hold adjacent ones;
+    or unweighted graphs."""
+    n = draw(st.integers(1, 24))
+    if draw(st.booleans()):
+        pool, cls = [0.0, 1.0], "unweighted"
+    else:
+        base = draw(st.lists(st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308, 1.0])
+                             | st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=4))
+        pool = [0.0] + [float(v) for b in base
+                        for v in (np.nextafter(b, 0.0), b, np.nextafter(b, 2.0)) if 0.0 < v <= 1.0]
+        cls = "weighted"
+    values = np.array(draw(st.lists(st.sampled_from(pool), min_size=n * n, max_size=n * n)))
+    adj = np.triu(values.reshape(n, n))
+    return smp.SampledGraph(adj + np.triu(adj, 1).T, cls)
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=_pooled_graphs(), chunk_rows=st.sampled_from([1, 3, smp._WRITE_ROWS]))
+@example(g=smp.SampledGraph(np.array([[1.0, np.nextafter(1.0, 0.0)],
+                                      [np.nextafter(1.0, 0.0), 1.0]]), "weighted"),
+         chunk_rows=3)
+def test_edge_list_write_matches_per_row_repr(g, chunk_rows):
+    # the writer's per-chunk repr table against one repr per row
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(smp, "_WRITE_ROWS", chunk_rows):
+        path = Path(tmp) / "edges.csv"
+        smp.write_edge_list(g, path)
+        assert path.read_bytes() == _reference_edge_list(g)
+
+
 def test_edge_list_drops_negative_zero(tmp_path):
     # -0.0 == 0.0, so it is no edge: written as absent, read back as +0.0.
     # SampledGraph holds no other negative weight.
