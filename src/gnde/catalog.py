@@ -52,6 +52,7 @@ HEXAFLAKE_DEFAULT_DEPTH = 7
 
 _MAX_MESH = 4096  # finest 1/m mesh accepted by the box counters
 _MAX_CARPET_DEPTH = 9  # 3^9 leaves per side: a 387 MB boolean support pattern
+_MAX_PATTERN_SIDE = 3**_MAX_CARPET_DEPTH  # widest hsbm or checkerboard pattern
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,6 +136,14 @@ def oscillatory(frequency: int = 20) -> GraphonSpec:
     )
 
 
+def _refuse_wide_pattern(name: str, side: str):
+    """A generated block pattern wider than the deepest carpet's support pattern."""
+    raise ComplexityGuardError(
+        f"{name} pattern side {side} exceeds the support-pattern limit of "
+        f"{_MAX_PATTERN_SIDE} (3^{_MAX_CARPET_DEPTH}) cells per side"
+    )
+
+
 def block_pattern(pattern) -> GraphonSpec:
     """Binary kernel constant on a k x k grid: W(u,v) = pattern[floor(ku), floor(kv)]."""
     return GraphonSpec(
@@ -147,11 +156,14 @@ def block_pattern(pattern) -> GraphonSpec:
 
 def hsbm(levels: int = 3) -> GraphonSpec:
     """Hierarchical block pattern: ``levels`` Kronecker refinements of the 2x2 identity."""
-    if int(levels) < 1:
+    levels = int(levels)
+    if levels < 1:
         raise InvalidParameterError("levels must be >= 1")
+    if levels > math.log2(_MAX_PATTERN_SIDE):
+        _refuse_wide_pattern("hsbm", f"2^{levels}")
     base = np.eye(2, dtype=np.int8)
     pat = base
-    for _ in range(int(levels) - 1):
+    for _ in range(levels - 1):
         pat = np.kron(pat, base)
     return block_pattern(pat)
 
@@ -161,8 +173,11 @@ def checkerboard(cells: int = 10) -> GraphonSpec:
     k = int(cells)
     if k < 1:
         raise InvalidParameterError("cells must be >= 1")
-    idx = np.arange(k)
-    pat = ((idx[:, None] + idx[None, :]) % 2 == 0).astype(np.int8)
+    if k > _MAX_PATTERN_SIDE:
+        _refuse_wide_pattern("checkerboard", str(k))
+    parity = (np.arange(k) % 2).astype(np.int8)
+    pat = parity[:, None] ^ parity[None, :]  # one k x k int8 array, no int64 sum
+    pat ^= 1
     return block_pattern(pat)
 
 

@@ -441,11 +441,12 @@ def cmd_transfer_audit(args, cfg) -> int:
                 rows.append((proportion, trial, seed, 0, None, "", "empty subgraph"))
                 continue
             # Ascending ids so the full-proportion subgraph is the graph itself.
+            # A principal submatrix of the validated graph needs no checks.
             nodes = np.sort(rng.choice(n, size=k, replace=False))
-            sub = sampling.SampledGraph(
-                graph.adjacency.take(nodes, 0).take(nodes, 1), graph.value_class)
-            err = catalog.kernel_distance(
-                sampling.induce_kernel(sub), full_kernel) / full_norm
+            sub = sampling.PiecewiseConstantFunction(
+                sampling.uniform_breakpoints(k),
+                graph.adjacency.take(nodes, 0).take(nodes, 1), kernel=True)
+            err = catalog.kernel_distance(sub, full_kernel) / full_norm
             errors.append(err)
             rows.append((proportion, trial, seed, k, err,
                          ";".join(map(str, nodes.tolist())), ""))

@@ -10,15 +10,16 @@ All trajectories are reported on a shared uniform eval grid so that
 different solvers and different node counts compare directly.
 
 Systems that share one shift are integrated together (``integrate_batch``;
-``integrate`` is its batch of one).  RK4 and DP5 are each written once, as
-a generator that yields every state whose velocity it needs; a lockstep
-driver stacks the states of all live systems into one (n, B*F) forward
-pass per solver stage.  Each system keeps its own t, h, stages,
-accept/reject decisions, dense output, counters and failure, and leaves
-the batch when it reaches T or fails.  Its trajectory is bit-identical to
-a solo run: every column of the batched forward pass equals the solo pass
-of its own system (see ``kernels``), and everything else a system computes
-reads only its own arrays.
+``integrate`` is its batch of one).  Each solver is written once, as a
+generator that yields the (state, time) points whose velocities it needs
+(one per RK4 or DP5 stage, a whole window for Picard) and is sent their
+velocities in order; a lockstep driver puts every point of every live
+system side by side into one (n, P*F) forward pass per round.  Each
+system keeps its own t, h, stages, windows, dense output, counters and
+failure, and leaves the batch when it reaches T or fails.  Its trajectory
+is bit-identical to a solo run: every column of the batched forward pass
+equals the solo ``rhs`` of its own point (see ``kernels``), and
+everything else a system computes reads only its own arrays.
 """
 
 from __future__ import annotations
@@ -119,14 +120,14 @@ class SolverConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if self.method not in ("rk4", "dp5", "picard"):
+        if self.method not in _SOLVERS:
             raise InvalidParameterError(f"unknown solver method {self.method!r}")
         if self.eval_grid < 1:
             raise InvalidParameterError("eval_grid must be >= 1")
         if self.rk4_step is not None and not self.rk4_step > 0.0:
             raise InvalidParameterError("rk4_step must be positive")
-        if not (self.atol > 0.0 and self.rtol > 0.0):
-            raise InvalidParameterError("tolerances must be positive")
+        if not (0.0 < self.atol < math.inf and 0.0 < self.rtol < math.inf):
+            raise InvalidParameterError("tolerances must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,10 +206,10 @@ def _check_finite(y, t):
         raise DivergenceError(f"non-finite state at t={float(t)!r}")
 
 
-def _rk4(Z, T, cfg):
-    """Fixed-step RK4 for one system.  A generator: it yields each
-    (state, time) whose velocity it needs, is sent that velocity, and
-    returns the TrajectoryRecord."""
+def _rk4(Z, bank, T, cfg):
+    """Fixed-step RK4 for one system.  A generator: it yields the list of
+    (state, time) points whose velocities it needs, is sent those
+    velocities in the same order, and returns the TrajectoryRecord."""
     times = _eval_times(T, cfg.eval_grid)
     h_target = cfg.rk4_step if cfg.rk4_step is not None else T / 200.0
     spans = np.diff(times)
@@ -230,10 +231,10 @@ def _rk4(Z, T, cfg):
             t = min(t0 + s * h, T)
             th = min(t0 + (s + 1) * h, T)
             tm = min(t + 0.5 * h, T)
-            k1 = yield y, t
-            k2 = yield y + (0.5 * h) * k1, tm
-            k3 = yield y + (0.5 * h) * k2, tm
-            k4 = yield y + h * k3, th
+            (k1,) = yield [(y, t)]
+            (k2,) = yield [(y + (0.5 * h) * k1, tm)]
+            (k3,) = yield [(y + (0.5 * h) * k2, tm)]
+            (k4,) = yield [(y + h * k3, th)]
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             steps += 1
         _check_finite(y, t1)
@@ -284,7 +285,7 @@ def _dense_output(out, times, t, y, h, K):
         out[lo : lo + len(powers)] = y + h * np.einsum("s...,sm,tm->t...", K, _DP_P, powers)
 
 
-def _dp5(Z, T, cfg):
+def _dp5(Z, bank, T, cfg):
     """Dormand-Prince 5(4) for one system, a generator like ``_rk4``."""
     times = _eval_times(T, cfg.eval_grid)
     grid = times.tolist()
@@ -295,7 +296,7 @@ def _dp5(Z, T, cfg):
 
     t = 0.0
     y = Z.copy()
-    f_cur = yield y, 0.0
+    (f_cur,) = yield [(y, 0.0)]
     h = T / 100.0
     accepted = 0
     rejected = 0
@@ -313,10 +314,10 @@ def _dp5(Z, T, cfg):
         K[0] = f_cur
         for s in range(1, 6):
             ts = min(t + _DP_C[s] * h, T)
-            K[s] = yield y + h * _combine(_DP_A[s], K), ts
+            (K[s],) = yield [(y + h * _combine(_DP_A[s], K), ts)]
         t_new = min(t + h, T)
         y_new = y + h * _combine(_DP_B, K)
-        K[6] = yield y_new, t_new
+        (K[6],) = yield [(y_new, t_new)]
 
         err = h * _combine(_DP_E, K)
         if np.isfinite(err).all() and np.isfinite(y_new).all():
@@ -360,7 +361,9 @@ def _dp5(Z, T, cfg):
     return TrajectoryRecord(times, states, meta)
 
 
-def _integrate_picard(S, Z, bank, act, T, cfg):
+def _picard(Z, bank, T, cfg):
+    """Picard iteration for one system on windows short enough to contract, a
+    generator like ``_rk4`` that asks for every point of its window at once."""
     n = Z.shape[0]
     if n > PICARD_MAX_N or T > PICARD_MAX_T:
         raise InvalidParameterError(
@@ -393,10 +396,8 @@ def _integrate_picard(S, Z, bank, act, T, cfg):
         idx = np.arange(start, stop + 1)
         X[idx[1:]] = X[start]  # constant initial iterate on the window
         prev_change = None
-        for it in range(PICARD_MAX_ITER):
-            vel = np.stack(
-                [rhs(S, X[i], bank, act, min(fine[i], T)) for i in idx]
-            )
+        for _ in range(PICARD_MAX_ITER):
+            vel = np.stack((yield [(X[i], min(fine[i], T)) for i in idx]))
             dts = np.diff(fine[idx])
             increments = 0.5 * dts[:, None, None] * (vel[:-1] + vel[1:])
             new = np.cumsum(increments, axis=0) + X[start]
@@ -429,19 +430,23 @@ def _integrate_picard(S, Z, bank, act, T, cfg):
     return TrajectoryRecord(times, states.copy(), meta)
 
 
+_SOLVERS = {"rk4": _rk4, "dp5": _dp5, "picard": _picard}
+
+
 def _lockstep(op, solvers, banks, act):
-    """Run one solver generator per system together.  Each round stacks the
-    state every live system asks about into one (n, B*F) forward pass; a
-    system leaves when it returns its record or fails."""
+    """Run one solver generator per system together.  Each round puts every
+    point that every live system asks about side by side into one (n, P*F)
+    forward pass, and sends each system the list of its points' (n, F)
+    velocities; a system leaves when it returns its record or fails."""
     results = [None] * len(solvers)
     asks = {}
 
-    def resume(b, velocity):
+    def resume(b, velocities):
         try:
             # A diverging state overflows in the stage sums; _check_finite
             # and the error norm refuse it.
             with np.errstate(over="ignore", invalid="ignore"):
-                asks[b] = solvers[b].send(velocity)
+                asks[b] = solvers[b].send(velocities)
         except StopIteration as done:
             results[b] = done.value
         except (DivergenceError, NonConvergenceError) as exc:
@@ -450,14 +455,16 @@ def _lockstep(op, solvers, banks, act):
     for b in range(len(solvers)):
         resume(b, None)
     while asks:
-        live = list(asks)
-        X = np.concatenate([asks[b][0] for b in live], axis=1)
-        coeffs = np.stack([filters_at(banks[b], asks[b][1]) for b in live])
+        live = list(asks.items())
         asks.clear()
+        X = np.concatenate([x for _, asked in live for x, _ in asked], axis=1)
+        coeffs = np.stack([filters_at(banks[b], t) for b, asked in live for _, t in asked])
         V = kernels.layer_stack_forward_batch(op, X, coeffs, act.act_id, act.slope)
-        F = V.shape[1] // len(live)
-        for i, b in enumerate(live):
-            resume(b, V[:, i * F : (i + 1) * F])
+        F = V.shape[1] // len(coeffs)
+        velocities = [V[:, j : j + F] for j in range(0, V.shape[1], F)]
+        for b, asked in live:
+            resume(b, velocities[: len(asked)])
+            del velocities[: len(asked)]
     return results
 
 
@@ -468,10 +475,10 @@ def integrate_batch(S, systems, act: Activation, T: float, cfg: SolverConfig) ->
     (L, F, K) shape; ``S`` is a ``kernels.ShiftOperator`` or an array (an
     array is split once for the batch).  Returns one entry per system, in
     order: its TrajectoryRecord, or the DivergenceError or
-    NonConvergenceError it failed with.  rk4 and dp5 advance every system
-    in lockstep, one shift product per tap and solver stage for all of
-    them, while each keeps its own steps, error control and failure; the
-    picard oracle runs one system after another.
+    NonConvergenceError it failed with.  Every solver advances all systems
+    in lockstep, one forward pass per round for every point they ask about
+    (a stage of rk4 or dp5, a window of picard), while each keeps its own
+    steps, error control, iterations and failure.
     """
     op = _prepare_shift(S, T)
     if not isinstance(act, Activation):
@@ -483,16 +490,8 @@ def integrate_batch(S, systems, act: Activation, T: float, cfg: SolverConfig) ->
     if Zs:
         n, F = Zs[0].shape
         check_entries(("n", n), ("channels", F), ("eval_grid", cfg.eval_grid + 1))
-    if cfg.method == "picard":
-        results = []
-        for Z, bank in zip(Zs, banks):
-            try:
-                results.append(_integrate_picard(op, Z, bank, act, T, cfg))
-            except (DivergenceError, NonConvergenceError) as exc:
-                results.append(exc)
-        return results
-    solver = _rk4 if cfg.method == "rk4" else _dp5
-    return _lockstep(op, [solver(Z, T, cfg) for Z in Zs], banks, act)
+    solver = _SOLVERS[cfg.method]
+    return _lockstep(op, [solver(Z, bank, T, cfg) for Z, bank in zip(Zs, banks)], banks, act)
 
 
 def integrate(S, Z, bank: FilterBank, act: Activation, T: float, cfg: SolverConfig):

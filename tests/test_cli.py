@@ -11,11 +11,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gnde
 from gnde import sampling as smp
 from gnde.analysis import REPORT_COLUMNS
-from gnde.cli import DEFAULTS, build_parser, entry
+from gnde.cli import DEFAULTS, build_parser, entry, load_config
+from gnde.errors import ConfigError
 
 
 def _cfg(tmp_path, name="run.cfg", **kv):
@@ -292,7 +295,7 @@ def test_converge_computes_each_quantity_once(tmp_path, monkeypatch):
     monkeypatch.setattr(kernels, "ShiftOperator", TrackedOperator)
     monkeypatch.setattr(dynamics, "integrate_batch",
                         watched("batch", dynamics.integrate_batch))
-    monkeypatch.setattr(dynamics, "_rk4", watched("solve", dynamics._rk4))
+    monkeypatch.setitem(dynamics._SOLVERS, "rk4", watched("solve", dynamics._rk4))
     cfg = _cfg(
         tmp_path, graphon="tent", n_list="8,12,16", n_ref="32", trials="2",
         T="0.25", solver="rk4", eval_grid="10",
@@ -424,6 +427,17 @@ def test_oversized_graphs_exit_2(tmp_path, capsys):
         assert entry([command, "--config", deep_cfg, "--out", str(out)]) == 2
         assert "carpet depth 10 exceeds the support-pattern limit" in capsys.readouterr().err
         assert not out.exists()
+    # Generated block patterns wider than that are refused before they are
+    # built: np.kron would ask for 16 GiB, the parity sum for 74.5 GiB.
+    for name, graphon, side in (("h.cfg", dict(graphon="hsbm", levels="40"), "2^40"),
+                                ("k.cfg", dict(graphon="checkerboard", cells="100000"),
+                                 "100000")):
+        out = tmp_path / f"{name}.csv"
+        assert entry(["integrate", "--config", _cfg(tmp_path, name, n="8", **graphon),
+                      "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{graphon['graphon']} pattern side {side} exceeds the support-pattern limit" in err
+        assert not out.exists()
 
 
 def test_module_entry_points_run_clean(tmp_path):
@@ -461,6 +475,12 @@ def test_config_errors_exit_2(tmp_path, monkeypatch, capsys):
     for command in ("integrate", "converge"):
         assert entry([command, "--config", infinite_T,
                       "--out", str(tmp_path / "t.csv")]) == 2
+    for tol in ("atol", "rtol"):  # an infinite tolerance turns error control off
+        infinite_tol = _cfg(tmp_path, "tol.cfg", n="8", **{tol: "inf"})
+        assert entry(["integrate", "--config", infinite_tol,
+                      "--out", str(tmp_path / "tol.csv")]) == 2
+        assert "tolerances must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "tol.csv").exists()
     bad_eps = _cfg(tmp_path, "e.cfg", graphon="checkerboard", cells="2", feature="linear",
                    n_list="4,5,6", n_ref="8", trials="2", T="0.25", solver="rk4",
                    eval_grid="10", eps="1.5")  # eps must lie in (0, 2 - 1)
@@ -619,3 +639,49 @@ def test_comments_and_blanks_in_config(tmp_path):
     out = str(tmp_path / "s.csv")
     assert entry(["sample", "--config", str(path), "--out", out]) == 0
     assert smp.read_edge_list(out).n == 5
+
+
+@pytest.fixture(scope="module")
+def cfg_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("load_config") / "run.cfg"
+
+
+def _load_bytes(path, data: bytes):
+    path.write_bytes(data)
+    return load_config(str(path))
+
+
+# Lines built from real keys, '=', comment marks and line breaks, so that
+# near-valid files are drawn as well as noise.
+_CONFIG_PIECES = st.one_of(st.sampled_from(sorted(DEFAULTS)), st.text(max_size=8),
+                           st.sampled_from(["=", "#", " ", "\n", "\r", "\r\n", "\ufeff"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.one_of(
+    st.binary(max_size=120),
+    st.lists(_CONFIG_PIECES, max_size=12).map(
+        lambda pieces: "".join(pieces).encode("utf-8", "surrogatepass"))))
+def test_load_config_any_input_is_an_error_or_full_config(cfg_path, data):
+    # any file content gives a ConfigError or a dict with exactly DEFAULTS'
+    # keys and string values; nothing else escapes
+    try:
+        cfg = _load_bytes(cfg_path, data)
+    except ConfigError:
+        return
+    assert set(cfg) == set(DEFAULTS)
+    assert all(isinstance(value, str) for value in cfg.values())
+
+
+_SAFE_VALUE = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"), max_size=16,
+).map(str.strip)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.dictionaries(st.sampled_from(sorted(DEFAULTS)), _SAFE_VALUE))
+def test_load_config_round_trip(cfg_path, values):
+    # safe values (no line break, no surrounding blanks) written as key=value
+    # lines load back unchanged, over the defaults of every key left out
+    text = "".join(f"{key}={value}\n" for key, value in values.items())
+    assert _load_bytes(cfg_path, text.encode("utf-8")) == {**DEFAULTS, **values}

@@ -15,7 +15,7 @@ from gnde import dynamics as dyn
 from gnde import kernels
 from gnde import sampling as smp
 from gnde.errors import DivergenceError, InvalidParameterError, NonConvergenceError
-from gnde.neural import Activation, FilterBank, random_filter_bank
+from gnde.neural import Activation, FilterBank, h_sup_certified, random_filter_bank
 
 IDENT = Activation("identity")
 TANH = Activation("tanh")
@@ -213,6 +213,11 @@ def test_input_validation():
         dyn.SolverConfig(eval_grid=0)
     with pytest.raises(InvalidParameterError):
         dyn.SolverConfig(atol=0.0)
+    for tol in (math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match="positive and finite"):
+            dyn.SolverConfig(atol=tol)
+        with pytest.raises(InvalidParameterError, match="positive and finite"):
+            dyn.SolverConfig(rtol=tol)
     with pytest.raises(InvalidParameterError):
         dyn.SolverConfig(rk4_step=-0.1)
 
@@ -245,7 +250,7 @@ def test_integrate_reuses_an_operator():
 
 @settings(max_examples=12, deadline=None)
 @given(n=st.integers(2, 14), channels=st.integers(1, 2),
-       method=st.sampled_from(["rk4", "dp5"]), seed=st.integers(0, 2**32 - 1))
+       method=st.sampled_from(["rk4", "dp5", "picard"]), seed=st.integers(0, 2**32 - 1))
 def test_trajectory_equivariance_random_systems(n, channels, method, seed):
     # any symmetric shift, bank and initial state: relabeling the nodes
     # permutes every state bit for bit
@@ -311,7 +316,7 @@ _TINY = dict(method="dp5", n=9, channels=2, scales=[1.0, 1.0],
 
 
 @settings(max_examples=12, deadline=None)
-@given(method=st.sampled_from(["rk4", "dp5"]), n=st.integers(2, 12),
+@given(method=st.sampled_from(["rk4", "dp5", "picard"]), n=st.integers(2, 12),
        channels=st.integers(1, 2),
        scales=st.lists(st.sampled_from([0.0, 0.05, 1.0, 4.0, 1e5]), min_size=1, max_size=4),
        tiny=st.booleans(), identity=st.booleans(), max_steps=st.sampled_from([5, 40]),
@@ -323,12 +328,98 @@ _TINY = dict(method="dp5", n=9, channels=2, scales=[1.0, 1.0],
 def test_batch_is_bitwise_solo(method, n, channels, scales, tiny, identity, max_steps,
                                seed):
     # B systems on one operator, integrated in lockstep, each equal to its
-    # solo run: systems leave after different numbers of dp5 attempts, fail
-    # (diverge, or exceed max_steps) beside healthy ones, or sit near 1e-306,
-    # which sends every column of the batch down _split's ldexp branch
+    # solo run: systems leave after different numbers of dp5 attempts or
+    # picard windows, fail (diverge, exceed max_steps, or miss the picard
+    # fixpoint) beside healthy ones, or sit near 1e-306, which sends every
+    # column of the batch down _split's ldexp branch
     if method == "rk4":
         max_steps = 40  # 10 steps of 0.05; fewer is refused up front
+    if method == "picard":
+        # |h| = 4 cuts T = 0.5 into ~1000 one-interval windows, seconds per
+        # system; 1.0 keeps several windows per system, 1e5 still fails
+        scales = [1.0 if scale == 4.0 else scale for scale in scales]
     _batch_run(method, n, channels, scales, tiny, identity, max_steps, seed)
+
+
+def _picard_per_point(s, z, bank, act, T, eval_grid):
+    """The Picard oracle with one ``dyn.rhs`` call per fine-grid point: the
+    reference that the batched windows must match bit for bit."""
+    times = dyn._eval_times(T, eval_grid)
+    sub = max(1, math.ceil(dyn.PICARD_GRID_PER_UNIT * T / eval_grid))
+    fine = np.empty(eval_grid * sub + 1)
+    for j in range(eval_grid):
+        fine[j * sub : (j + 1) * sub] = times[j] + (times[j + 1] - times[j]) * (
+            np.arange(sub) / sub)
+    fine[-1] = times[-1]
+    lam = (bank.F * bank.K * h_sup_certified(bank)) ** bank.L
+    tau = min(dyn.PICARD_CONTRACTION / lam, T) if lam > 0.0 else T
+    X = np.empty((fine.size, z.shape[0], z.shape[1]))
+    X[0] = z
+    iterations, contraction, start = 0, 0.0, 0
+    while start < fine.size - 1:
+        stop = start + 1
+        while stop < fine.size - 1 and fine[stop + 1] - fine[start] <= tau * (1 + 1e-12):
+            stop += 1
+        idx = np.arange(start, stop + 1)
+        X[idx[1:]] = X[start]
+        prev_change = None
+        for _ in range(dyn.PICARD_MAX_ITER):
+            vel = np.stack([dyn.rhs(s, X[i], bank, act, min(fine[i], T)) for i in idx])
+            increments = 0.5 * np.diff(fine[idx])[:, None, None] * (vel[:-1] + vel[1:])
+            new = np.cumsum(increments, axis=0) + X[start]
+            change = max(dyn.scaled_norm(new[m] - X[idx[m + 1]]) for m in range(len(idx) - 1))
+            X[idx[1:]] = new
+            iterations += 1
+            if prev_change is not None and prev_change > 0.0:
+                contraction = change / prev_change
+            prev_change = change
+            if change < dyn.PICARD_TOL:
+                break
+        else:
+            return NonConvergenceError(
+                "picard iteration failed to reach the fixpoint tolerance",
+                last_time=float(fine[start]), contraction=contraction)
+        start = stop
+    meta = {"method": "picard", "grid_points": fine.size, "window": tau,
+            "iterations": iterations, "eval_grid": eval_grid}
+    return dyn.TrajectoryRecord(times, X[::sub], meta)
+
+
+@pytest.mark.parametrize("graphon, act_name", [("tent", "tanh"), ("checkerboard", "relu")])
+def test_picard_matches_per_point_rhs(graphon, act_name):
+    # each window's velocities come from one batched forward pass; states,
+    # solver_meta and failures equal a per-point rhs loop bit for bit, for
+    # constant and Fourier-law banks (whose taps vary across the window) and
+    # for a system that cannot contract on the fine grid
+    rng = np.random.default_rng(61)
+    n, T, act = 11, 0.08, Activation(act_name)
+    spec = cat.tent() if graphon == "tent" else cat.checkerboard(3)
+    sample = smp.sample_weighted if graphon == "tent" else smp.sample_unweighted
+    s = smp.graph_shift(sample(spec, n))
+    systems = [
+        (rng.normal(size=(n, 2)), random_filter_bank(2, 2, 2, rng)),
+        (rng.normal(size=(n, 2)), random_filter_bank(
+            2, 2, 2, rng, time_law="fourier", modes=2, horizon=T)),
+        (rng.normal(size=(n, 2)), FilterBank(0.05 * rng.uniform(-1.0, 1.0, (2, 2, 2, 2)))),
+        (rng.normal(size=(n, 2)), FilterBank(1e4 * rng.uniform(-1.0, 1.0, (2, 2, 2, 2)))),
+    ]
+    cfg = dyn.SolverConfig(method="picard", eval_grid=3)
+    got = dyn.integrate_batch(s, systems, act, T, cfg)
+    for (z, bank), result in zip(systems, got):
+        with np.errstate(over="ignore", invalid="ignore"):  # as integrate_batch does
+            want = _picard_per_point(s, z, bank, act, T, cfg.eval_grid)
+        assert type(result) is type(want)
+        if isinstance(want, Exception):
+            # repr, so that a NaN contraction estimate compares equal to itself
+            assert repr((str(result), result.last_time, result.contraction)) == repr(
+                (str(want), want.last_time, want.contraction))
+        else:
+            assert result.states.tobytes() == want.states.tobytes()
+            assert result.eval_times.tobytes() == want.eval_times.tobytes()
+            assert result.solver_meta == want.solver_meta
+    windows = [r.solver_meta["window"] for r in got if isinstance(r, dyn.TrajectoryRecord)]
+    assert min(windows) < T == max(windows)  # several windows, and one window
+    assert isinstance(got[-1], NonConvergenceError)
 
 
 def test_batch_cases_are_reached():

@@ -186,6 +186,58 @@ def test_overlay_distance_known_values():
     assert smp.overlay_l2_distance(step, step) == 0.0
 
 
+_INTERIOR = st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=6)
+
+
+def _step(points, rng, channels=None):
+    """A random step function (``channels`` columns) or step kernel (None)
+    on the partition of [0,1] cut at ``points``."""
+    bp = np.concatenate(([0.0], np.unique(points), [1.0]))
+    m = bp.size - 1
+    kernel = channels is None
+    vals = rng.uniform(-1.0, 1.0, (m, m) if kernel else (m, channels))
+    return smp.PiecewiseConstantFunction(bp, vals, kernel=kernel)
+
+
+def _refine(f, points):
+    """The same step function (or kernel) on a finer partition."""
+    bp = np.union1d(f.breakpoints, points)
+    cell = np.searchsorted(f.breakpoints, bp[:-1], side="right") - 1
+    vals = f.values[np.ix_(cell, cell)] if f.kernel else f.values[cell]
+    return smp.PiecewiseConstantFunction(bp, vals, kernel=f.kernel)
+
+
+@settings(max_examples=100, deadline=None)
+@given(parts=st.lists(_INTERIOR, min_size=3, max_size=3), extra=_INTERIOR,
+       kernel=st.booleans(), norm=st.sampled_from(["L1", "L2"]),
+       n=st.integers(1, 12), r=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_overlay_distances_are_metrics(parts, extra, kernel, norm, n, r, seed):
+    # overlay_l2_distance and kernel_distance: bit-exact symmetry, the
+    # triangle inequality up to rounding, and exactly 0 between a function and
+    # its refinement: cut at extra points, or induced from a graph (features)
+    # whose every node is blown up into r copies
+    rng = np.random.default_rng(seed)
+    if kernel:
+        def dist(a, b):
+            return cat.kernel_distance(a, b, norm=norm)
+        a, b, c = (_step(points, rng) for points in parts)
+        adj = rng.uniform(0.0, 1.0, (n, n))
+        coarse = smp.PiecewiseConstantFunction(smp.uniform_breakpoints(n), adj, kernel=True)
+        blown = smp.PiecewiseConstantFunction(
+            smp.uniform_breakpoints(n * r), adj.repeat(r, 0).repeat(r, 1), kernel=True)
+    else:
+        dist = smp.overlay_l2_distance
+        a, b, c = (_step(points, rng, channels=2) for points in parts)
+        x = rng.normal(size=(n, 2))
+        coarse = smp.induce_features(smp.FeatureMatrix(x))
+        blown = smp.induce_features(smp.FeatureMatrix(x.repeat(r, 0)))
+    d_ab = dist(a, b)
+    assert d_ab.hex() == dist(b, a).hex()
+    assert d_ab <= (dist(a, c) + dist(c, b)) * (1.0 + 1e-12)
+    assert dist(a, _refine(a, extra)) == 0.0
+    assert dist(coarse, blown) == 0.0 == dist(blown, coarse)
+
+
 def test_overlay_distance_guards():
     one = smp.PiecewiseConstantFunction(np.array([0.0, 1.0]), np.array([[1.0]]))
     two = smp.PiecewiseConstantFunction(np.array([0.0, 1.0]), np.array([[1.0, 2.0]]))
