@@ -656,11 +656,17 @@ def overlay_partition(bp_a, bp_b):
     cell ia[c] of ``bp_a`` and cell ib[c] of ``bp_b``.  The merged cells
     run left to right, so ``ia`` and ``ib`` are non-decreasing: each is its
     cell indices repeated by their ``np.bincount`` run lengths.
+
+    A merged cell is looked up by its left end, an exact breakpoint, not by
+    its midpoint, which rounds onto the right end when the cell is one ulp
+    wide.  The merge is a sort and a neighbour mask (``np.union1d`` would
+    import ``numpy.ma`` through ``np.unique``).
     """
-    merged = np.union1d(bp_a, bp_b)
-    mids = 0.5 * (merged[:-1] + merged[1:])
-    ia = np.clip(np.searchsorted(bp_a, mids, side="right") - 1, 0, bp_a.size - 2)
-    ib = np.clip(np.searchsorted(bp_b, mids, side="right") - 1, 0, bp_b.size - 2)
+    merged = np.sort(np.concatenate((bp_a, bp_b), axis=None))
+    merged = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
+    left = merged[:-1]
+    ia = np.clip(np.searchsorted(bp_a, left, side="right") - 1, 0, bp_a.size - 2)
+    ib = np.clip(np.searchsorted(bp_b, left, side="right") - 1, 0, bp_b.size - 2)
     return ia, ib, np.diff(merged)
 
 

@@ -2,9 +2,10 @@
 
 Three integrators: fixed-step RK4 (each eval-grid interval subdivided an
 integer number of times), Dormand-Prince 5(4) with adaptive step control
-and quartic dense output, and a Picard fixed-point iterator that mirrors
-the contraction-mapping well-posedness argument and serves as a slow,
-solver-free oracle at small scale.
+and quartic dense output (the step's own fixed-order stage sum, with
+weights that are polynomials in the step fraction), and a Picard
+fixed-point iterator that mirrors the contraction-mapping well-posedness
+argument and serves as a slow, solver-free oracle at small scale.
 
 All trajectories are reported on a shared uniform eval grid so that
 different solvers and different node counts compare directly.
@@ -12,14 +13,15 @@ different solvers and different node counts compare directly.
 Systems that share one shift are integrated together (``integrate_batch``;
 ``integrate`` is its batch of one).  Each solver is written once, as a
 generator that yields the (state, time) points whose velocities it needs
-(one per RK4 or DP5 stage, a whole window for Picard) and is sent their
-velocities in order; a lockstep driver puts every point of every live
-system side by side into one (n, P*F) forward pass per round.  Each
-system keeps its own t, h, stages, windows, dense output, counters and
-failure, and leaves the batch when it reaches T or fails.  Its trajectory
-is bit-identical to a solo run: every column of the batched forward pass
-equals the solo ``rhs`` of its own point (see ``kernels``), and
-everything else a system computes reads only its own arrays.
+(one per RK4 or DP5 stage, a window for Picard, whose fixed start point
+is asked for once per window) and is sent their velocities in order; a
+lockstep driver puts every point of every live system side by side into
+one (n, P*F) forward pass per round.  Each system keeps its own t, h,
+stages, windows, dense output, counters and failure, and leaves the batch
+when it reaches T or fails.  Its trajectory is bit-identical to a solo
+run: every column of the batched forward pass equals the solo ``rhs`` of
+its own point (see ``kernels``), and everything else a system computes
+reads only its own arrays.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ DENSE_BLOCK_ENTRIES = 1 << 12
 
 # Dormand-Prince 5(4) tableau; B is the 5th-order weight row, E the
 # embedded error weights, P the dense-output polynomial coefficients
-# (quartic interpolant of the 5th-order pair).
+# (quartic interpolant of the 5th-order pair): stage s has weight
+# b_s(theta) = sum_m P[s, m] theta^(m + 1) at theta of the step.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
 _DP_A = [
     np.array([], dtype=np.float64),
@@ -106,6 +109,10 @@ _DP_P = np.array(
         [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
     ]
 )
+#: The stages whose dense-output row is not zero (row 1 is), and the columns
+#: of P on them: _DENSE_P[m][i] = P[_DENSE_STAGES[i], m].
+_DENSE_STAGES = (0, 2, 3, 4, 5, 6)
+_DENSE_P = _DP_P[list(_DENSE_STAGES)].T
 
 
 @dataclass(frozen=True)
@@ -245,7 +252,9 @@ def _rk4(Z, bank, T, cfg):
 
 def _combine(w, K):
     """w[0]*K[0] + w[1]*K[1] + ... summed elementwise in stage order, so each
-    entry rounds the same wherever its node sits (BLAS contractions do not)."""
+    entry rounds the same wherever its node sits (BLAS contractions do not).
+    The weights are floats, or arrays that broadcast against the stages
+    (one weight per eval time for the dense output)."""
     acc = w[0] * K[0]
     for i in range(1, len(w)):
         acc += w[i] * K[i]
@@ -265,24 +274,34 @@ def _error_norm(err, y0, y1, atol, rtol):
         return math.inf
 
 
+def _dense_weights(theta):
+    """Stage weights b_s(theta) of the dp5 dense output, one per stage of
+    ``_DENSE_STAGES`` along a new last axis, by Horner's rule with
+    elementwise * and + only, so every theta rounds as a lone float would."""
+    p0, p1, p2, p3 = _DENSE_P
+    theta = np.asarray(theta)[..., None]
+    return (((p3 * theta + p2) * theta + p1) * theta + p0) * theta
+
+
 def _dense_output(out, times, t, y, h, K):
     """The dp5 quartic interpolant of the step (t, t + h) from state y with
     stages K, at each of ``times``, written to ``out`` (Dormand & Prince
     1980; Hairer, Norsett & Wanner, Solving ODEs I, II.6).
 
-    One einsum covers a chunk of times (about ``DENSE_BLOCK_ENTRIES``
-    entries).  Each entry sums the same products in the same order as an
-    einsum per time, so the chunking changes no bit.  The powers of theta
-    must be scalar powers, here of Python floats, as ``theta**k`` of a
-    per-time form is: numpy's array power rounds some of them differently
-    (its vector loop is not the scalar pow), which would change the states.
+    It is the step's own form with weights that depend on theta:
+    y + h * sum_s b_s(theta) K_s, the weights by ``_dense_weights`` and the
+    sum by ``_combine`` over the six stages whose weights are not zero.  A
+    chunk of times (about ``DENSE_BLOCK_ENTRIES`` entries) is one broadcast
+    sum; every operation is elementwise, so each time gets the bits of its
+    own per-time sum whatever the chunk.
     """
     n, F = y.shape
-    thetas = ((times - t) / h).tolist()
+    theta = (times - t) / h
+    stages = [K[s] for s in _DENSE_STAGES]
     chunk = max(1, DENSE_BLOCK_ENTRIES // (n * F))
-    for lo in range(0, len(thetas), chunk):
-        powers = [[th, th**2, th**3, th**4] for th in thetas[lo : lo + chunk]]
-        out[lo : lo + len(powers)] = y + h * np.einsum("s...,sm,tm->t...", K, _DP_P, powers)
+    for lo in range(0, theta.size, chunk):
+        w = _dense_weights(theta[lo : lo + chunk])  # (times, stages)
+        out[lo : lo + len(w)] = y + h * _combine(w.T[:, :, None, None], stages)
 
 
 def _dp5(Z, bank, T, cfg):
@@ -328,9 +347,8 @@ def _dp5(Z, bank, T, cfg):
         if norm <= 1.0:
             _check_finite(y_new, t_new)
             # Dense output over (t, t_new]: the quartic interpolant for the
-            # eval times below t_new, chunked and with scalar powers of
-            # theta (see _dense_output), and y_new for those at or past it
-            # (within 1e-14 T).
+            # eval times below t_new (see _dense_output), and y_new for
+            # those at or past it (within 1e-14 T).
             stop = bisect.bisect_right(grid, t_new + 1e-14 * T, next_out)
             mid = bisect.bisect_left(grid, t_new, next_out, stop)
             if mid > next_out:
@@ -395,9 +413,16 @@ def _picard(Z, bank, T, cfg):
             stop += 1
         idx = np.arange(start, stop + 1)
         X[idx[1:]] = X[start]  # constant initial iterate on the window
+        # X[start] is fixed for the window: its velocity is asked for in the
+        # first round only and kept.
+        v_start = None
         prev_change = None
         for _ in range(PICARD_MAX_ITER):
-            vel = np.stack((yield [(X[i], min(fine[i], T)) for i in idx]))
+            asked = idx if v_start is None else idx[1:]
+            got = yield [(X[i], min(fine[i], T)) for i in asked]
+            if v_start is None:
+                v_start = got.pop(0).copy()
+            vel = np.stack([v_start, *got])
             dts = np.diff(fine[idx])
             increments = 0.5 * dts[:, None, None] * (vel[:-1] + vel[1:])
             new = np.cumsum(increments, axis=0) + X[start]

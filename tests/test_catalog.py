@@ -490,6 +490,19 @@ def test_kernel_distance_identical_partitions_exactly_zero():
         assert cat.kernel_distance(k, k, norm=norm) == 0.0
 
 
+def test_overlay_partition_one_ulp_cell():
+    # the midpoint of a one-ulp cell [x, y) rounds onto y; its left end
+    # places it in the cell of x
+    x = np.nextafter(0.5, 1.0)
+    y = np.nextafter(x, 1.0)
+    at_x, at_y = np.array([0.0, x, 1.0]), np.array([0.0, y, 1.0])
+    ia, ib, w = cat.overlay_partition(at_y, at_x)
+    assert ia.tolist() == [0, 0, 1] and ib.tolist() == [0, 1, 1]
+    assert w.tolist() == [x, y - x, 1.0 - y]
+    ib, ia, _ = cat.overlay_partition(at_x, at_y)
+    assert ia.tolist() == [0, 0, 1] and ib.tolist() == [0, 1, 1]
+
+
 def _exact_square_sum(ka, kb):
     """sum of w_r w_c (ka - kb)^2 over the overlay cells, as a Fraction."""
     ia, ib, w = cat.overlay_partition(ka.breakpoints, kb.breakpoints)

@@ -531,12 +531,29 @@ def test_numerical_failure_exit_3(tmp_path):
     assert entry(["integrate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 3
 
 
-def _run_module(tmp_path, *argv, timeout=60, **env_vars):
+def _run_python(tmp_path, *argv, timeout=60, **env_vars):
     env = dict(os.environ, **env_vars)
     src = os.path.dirname(os.path.dirname(os.path.abspath(gnde.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "gnde", *argv], cwd=tmp_path, env=env,
+    return subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=timeout)
+
+
+def _run_module(tmp_path, *argv, **kwargs):
+    return _run_python(tmp_path, "-m", "gnde", *argv, **kwargs)
+
+
+def test_converge_does_not_import_numpy_ma(tmp_path):
+    # np.unique, and np.union1d through it, import numpy.ma (about 10 ms)
+    # inside the run; nothing converge computes needs it
+    cfg = _cfg(tmp_path, graphon="hexaflake", feature="linear", n_list="8,12",
+               n_ref="32", trials="2", eval_grid="20")
+    code = ("import sys; from gnde.cli import entry; "
+            "assert entry(['converge', '--config', sys.argv[1], '--out', 'c.csv']) == 0; "
+            "print('numpy.ma' in sys.modules)")
+    done = _run_python(tmp_path, "-c", code, cfg)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_rk4_step_beyond_budget_exits_2(tmp_path):

@@ -440,7 +440,8 @@ def test_batch_cases_are_reached():
 
 def _power_split_thetas():
     """Thetas in (0, 1) whose array power (numpy's vector loop) rounds
-    differently from the scalar power at exponent 2, 3 or 4 on this build."""
+    differently from the scalar power at exponent 2, 3 or 4 on this build:
+    a power form of the weights would split them, Horner's rule does not."""
     x = np.random.default_rng(0).uniform(size=1 << 14)
     differ = np.zeros(x.size, dtype=bool)
     for k in (2, 3, 4):
@@ -452,13 +453,20 @@ _POWER_SPLIT_THETAS = _power_split_thetas()
 
 
 def _dense_output_per_time(times, t, y, h, K):
-    # the per-time form: one einsum per eval time, with the scalar powers
-    # of a float64 theta
+    # the per-time stage-weight form: for each eval time, the weights
+    # b_s(theta) by Horner's rule in Python floats, then y + h * sum_s b_s K_s
+    # over the stages with a nonzero row of P, summed in stage order
     out = []
     for tj in times:
-        theta = (tj - t) / h
-        powers = np.array([theta, theta**2, theta**3, theta**4])
-        out.append(y + h * np.einsum("s...,sm,m->...", K, dyn._DP_P, powers))
+        theta = float((tj - t) / h)
+        acc = None
+        for s in range(7):
+            p0, p1, p2, p3 = dyn._DP_P[s].tolist()
+            if p0 == p1 == p2 == p3 == 0.0:
+                continue
+            term = ((((p3 * theta + p2) * theta + p1) * theta + p0) * theta) * K[s]
+            acc = term if acc is None else acc + term
+        out.append(y + h * acc)
     return np.array(out)
 
 
@@ -468,8 +476,8 @@ def _dense_output_per_time(times, t, y, h, K):
        chunk=st.sampled_from([1, dyn.DENSE_BLOCK_ENTRIES, 1 << 40]),
        seed=st.integers(0, 2**32 - 1))
 def test_dense_output_matches_per_time_form(n, F, scale, count, split, chunk, seed):
-    # the chunked dense output equals one einsum per eval time bit for bit,
-    # one time per step or many, whatever the chunk size; with t = 0 and
+    # the chunked dense output equals the per-time stage-weight form bit for
+    # bit, one time per step or many, whatever the chunk size; with t = 0 and
     # h = 1 the thetas are ones whose array and scalar powers differ
     rng = np.random.default_rng(seed)
     K = scale * rng.standard_normal((7, n, F))
@@ -486,6 +494,19 @@ def test_dense_output_matches_per_time_form(n, F, scale, count, split, chunk, se
         mp.setattr(dyn, "DENSE_BLOCK_ENTRIES", chunk)
         dyn._dense_output(got, times, t, y, h, K)
     assert got.tobytes() == want.tobytes()
+
+
+def test_dense_weights_match_the_tableau():
+    # the interpolant starts at y (every weight is exactly 0 at theta = 0) and
+    # ends at the 5th-order step (the weights at theta = 1 are B, and the
+    # FSAL stage 6 has none), to rounding in the rational coefficients of P
+    assert not dyn._DP_P[1].any()
+    at0 = dict(zip(dyn._DENSE_STAGES, dyn._dense_weights(0.0)))
+    at1 = dict(zip(dyn._DENSE_STAGES, dyn._dense_weights(1.0)))
+    assert all(w == 0.0 for w in at0.values())
+    for s in range(6):
+        assert abs(at1.get(s, 0.0) - dyn._DP_B[s]) <= 1e-14, s
+    assert abs(at1[6]) <= 1e-15
 
 
 def test_error_norm_exact_and_saturating():

@@ -186,6 +186,17 @@ def test_overlay_distance_known_values():
     assert smp.overlay_l2_distance(step, step) == 0.0
 
 
+def test_overlay_distance_one_ulp_cell():
+    # f = 0 on [0, y), 1 on [y, 1] against g = 0 cut at x = y - ulp: only
+    # [y, 1] differs, so the squared distance is 1 - y, not 1 - x
+    x = np.nextafter(0.5, 1.0)
+    y = np.nextafter(x, 1.0)
+    f = smp.PiecewiseConstantFunction(np.array([0.0, y, 1.0]), np.array([[0.0], [1.0]]))
+    g = smp.PiecewiseConstantFunction(np.array([0.0, x, 1.0]), np.zeros((2, 1)))
+    assert smp.overlay_l2_distance(f, g) == math.sqrt(1.0 - y)
+    assert smp.overlay_l2_distance(g, f) == math.sqrt(1.0 - y)
+
+
 _INTERIOR = st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=6)
 
 
