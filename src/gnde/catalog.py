@@ -333,7 +333,11 @@ def support_pattern(spec: GraphonSpec) -> np.ndarray:
     """Read-only k x k boolean support indicator of a binary kernel.
 
     Entry [i, j] is W on the grid cell [i/k, (i+1)/k) x [j/k, (j+1)/k): the
-    block pattern itself, or the 3^depth x 3^depth leaves of a carpet.
+    block pattern itself, or the 3^depth x 3^depth leaves of a carpet.  A
+    carpet is built level by level: level d + 1 is a zeroed (3s, 3s) array
+    with a copy of level d (side s) in each block (a, b) that the mask
+    keeps, one slice assignment per block.  That is kron(mask, level d), so
+    level d is the d-fold Kronecker power of the mask.
     """
     if spec.kind == KIND_BLOCK:
         return _locked(spec.pattern, bool)
@@ -347,9 +351,14 @@ def support_pattern(spec: GraphonSpec) -> np.ndarray:
             f"{_MAX_CARPET_DEPTH} (3^{_MAX_CARPET_DEPTH} leaves per side)"
         )
     mask = spec.mask.astype(bool)
+    kept = np.argwhere(mask)
     pattern = mask
     for _ in range(spec.depth - 1):
-        pattern = np.kron(pattern, mask)
+        s = pattern.shape[0]
+        level = np.zeros((3 * s, 3 * s), dtype=bool)
+        for a, b in kept:
+            level[a * s : (a + 1) * s, b * s : (b + 1) * s] = pattern
+        pattern = level
     return _locked(pattern, bool)
 
 

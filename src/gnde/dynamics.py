@@ -56,6 +56,13 @@ PICARD_TOL = 1e-11
 #: transient arrays below the allocator's mmap threshold.
 DENSE_BLOCK_ENTRIES = 1 << 12
 
+#: Entries (n x points x F) of one forward pass of a lockstep round.  A
+#: round asking for more (a Picard window of every trial) is fed in
+#: consecutive groups of points, which bounds the shift product's
+#: transient arrays.  A round of rk4 or dp5 stages fits while n x trials
+#: x F does (the default sweep's n_ref = 2048, 10 trials, F = 1: 20 480).
+ROUND_ENTRIES = 1 << 15
+
 # Dormand-Prince 5(4) tableau; B is the 5th-order weight row, E the
 # embedded error weights, P the dense-output polynomial coefficients
 # (quartic interpolant of the 5th-order pair): stage s has weight
@@ -459,10 +466,13 @@ _SOLVERS = {"rk4": _rk4, "dp5": _dp5, "picard": _picard}
 
 
 def _lockstep(op, solvers, banks, act):
-    """Run one solver generator per system together.  Each round puts every
-    point that every live system asks about side by side into one (n, P*F)
-    forward pass, and sends each system the list of its points' (n, F)
-    velocities; a system leaves when it returns its record or fails."""
+    """Run one solver generator per system together.  Each round puts the
+    points that every live system asks about side by side into (n, P*F)
+    forward passes, consecutive groups of at most ``ROUND_ENTRIES`` entries
+    (and at least one point) each, and sends each system the list of its
+    points' (n, F) velocities; a system leaves when it returns its record
+    or fails.  Every column of a pass is that point's own forward map bit
+    for bit, so the grouping changes no output."""
     results = [None] * len(solvers)
     asks = {}
 
@@ -482,11 +492,16 @@ def _lockstep(op, solvers, banks, act):
     while asks:
         live = list(asks.items())
         asks.clear()
-        X = np.concatenate([x for _, asked in live for x, _ in asked], axis=1)
-        coeffs = np.stack([filters_at(banks[b], t) for b, asked in live for _, t in asked])
-        V = kernels.layer_stack_forward_batch(op, X, coeffs, act.act_id, act.slope)
-        F = V.shape[1] // len(coeffs)
-        velocities = [V[:, j : j + F] for j in range(0, V.shape[1], F)]
+        xs = [x for _, asked in live for x, _ in asked]
+        cs = [filters_at(banks[b], t) for b, asked in live for _, t in asked]
+        n, F = xs[0].shape
+        size = max(1, ROUND_ENTRIES // (n * F))
+        velocities = []
+        for g in range(0, len(xs), size):
+            X = np.concatenate(xs[g : g + size], axis=1)
+            coeffs = np.stack(cs[g : g + size])
+            V = kernels.layer_stack_forward_batch(op, X, coeffs, act.act_id, act.slope)
+            velocities += [V[:, j : j + F] for j in range(0, V.shape[1], F)]
         for b, asked in live:
             resume(b, velocities[: len(asked)])
             del velocities[: len(asked)]

@@ -306,9 +306,14 @@ def sample_unweighted(spec: catalog.GraphonSpec, n: int) -> SampledGraph:
     hi = ((idx + 1) * k - 1) // n
     # reduceat ORs lines lo[i] .. lo[i+1]-1 (the single line lo[i] when lo
     # repeats); hi[i] adds lo[i+1] exactly when I_i straddles a grid line.
-    # The contiguous axis goes first: about twice as fast as rows first.
-    cols = np.logical_or.reduceat(pattern, lo, axis=1) | pattern[:, hi]
-    hit = np.logical_or.reduceat(cols, lo, axis=0) | cols[hi]
+    # Rows go first, on the pattern packed 8 columns to a byte: n segments
+    # over whole ceil(k/8)-byte rows (columns first ran k * n short ones),
+    # unpacked to an (n, k) array (count=k drops the pad bits), then n * n
+    # segments across it.
+    packed = np.packbits(pattern, axis=1)
+    packed = np.bitwise_or.reduceat(packed, lo, axis=0) | packed[hi]
+    rows = np.unpackbits(packed, axis=1, count=k).view(bool)
+    hit = np.logical_or.reduceat(rows, lo, axis=1) | rows[:, hi]
     return SampledGraph(hit.astype(np.float64), UNWEIGHTED)
 
 

@@ -386,11 +386,12 @@ def _picard_per_point(s, z, bank, act, T, eval_grid):
 
 
 @pytest.mark.parametrize("graphon, act_name", [("tent", "tanh"), ("checkerboard", "relu")])
-def test_picard_matches_per_point_rhs(graphon, act_name):
-    # each window's velocities come from one batched forward pass; states,
+def test_picard_matches_per_point_rhs(graphon, act_name, monkeypatch):
+    # each window's velocities come from batched forward passes; states,
     # solver_meta and failures equal a per-point rhs loop bit for bit, for
     # constant and Fourier-law banks (whose taps vary across the window) and
-    # for a system that cannot contract on the fine grid
+    # for a system that cannot contract on the fine grid, whether a round
+    # goes through in one pass or in groups of 7 points that straddle systems
     rng = np.random.default_rng(61)
     n, T, act = 11, 0.08, Activation(act_name)
     spec = cat.tent() if graphon == "tent" else cat.checkerboard(3)
@@ -405,18 +406,21 @@ def test_picard_matches_per_point_rhs(graphon, act_name):
     ]
     cfg = dyn.SolverConfig(method="picard", eval_grid=3)
     got = dyn.integrate_batch(s, systems, act, T, cfg)
-    for (z, bank), result in zip(systems, got):
+    monkeypatch.setattr(dyn, "ROUND_ENTRIES", 7 * n * 2)
+    grouped = dyn.integrate_batch(s, systems, act, T, cfg)
+    for (z, bank), *results in zip(systems, got, grouped):
         with np.errstate(over="ignore", invalid="ignore"):  # as integrate_batch does
             want = _picard_per_point(s, z, bank, act, T, cfg.eval_grid)
-        assert type(result) is type(want)
-        if isinstance(want, Exception):
-            # repr, so that a NaN contraction estimate compares equal to itself
-            assert repr((str(result), result.last_time, result.contraction)) == repr(
-                (str(want), want.last_time, want.contraction))
-        else:
-            assert result.states.tobytes() == want.states.tobytes()
-            assert result.eval_times.tobytes() == want.eval_times.tobytes()
-            assert result.solver_meta == want.solver_meta
+        for result in results:
+            assert type(result) is type(want)
+            if isinstance(want, Exception):
+                # repr, so that a NaN contraction estimate compares equal to itself
+                assert repr((str(result), result.last_time, result.contraction)) == repr(
+                    (str(want), want.last_time, want.contraction))
+            else:
+                assert result.states.tobytes() == want.states.tobytes()
+                assert result.eval_times.tobytes() == want.eval_times.tobytes()
+                assert result.solver_meta == want.solver_meta
     windows = [r.solver_meta["window"] for r in got if isinstance(r, dyn.TrajectoryRecord)]
     assert min(windows) < T == max(windows)  # several windows, and one window
     assert isinstance(got[-1], NonConvergenceError)

@@ -85,6 +85,82 @@ def test_sample_system_matches_regime_samplers():
                 assert np.array_equal(got.values, sample_feature(z, n).values), (spec.kind, n)
 
 
+def _kron_pattern(spec):
+    """The support pattern as the Kronecker powers build it."""
+    if spec.kind == cat.KIND_BLOCK:
+        return spec.pattern.astype(bool)
+    mask = spec.mask.astype(bool)
+    pattern = mask
+    for _ in range(spec.depth - 1):
+        pattern = np.kron(pattern, mask)
+    return pattern
+
+
+def _columns_first_sample(pattern, n):
+    """The cell sample ORed columns first, one reduceat per axis."""
+    k = pattern.shape[0]
+    idx = np.arange(n, dtype=np.int64)
+    lo = (idx * k) // n
+    hi = ((idx + 1) * k - 1) // n
+    cols = np.logical_or.reduceat(pattern, lo, axis=1) | pattern[:, hi]
+    hit = np.logical_or.reduceat(cols, lo, axis=0) | cols[hi]
+    return hit.astype(np.float64)
+
+
+@st.composite
+def _binary_specs(draw):
+    kind = draw(st.sampled_from(["carpet", "hsbm", "checkerboard"]))
+    if kind == "hsbm":
+        return cat.hsbm(draw(st.integers(1, 6)))
+    if kind == "checkerboard":
+        return cat.checkerboard(draw(st.integers(1, 40)))
+    upper = draw(st.lists(st.integers(0, 1), min_size=6, max_size=6))
+    mask = np.zeros((3, 3), dtype=np.int8)
+    mask[np.triu_indices(3)] = upper
+    mask = mask | mask.T
+    return cat.triadic_carpet(mask, draw(st.integers(1, 5)))
+
+
+def _sizes(k):
+    """n from 1 to 3k, with n dividing k, k dividing n and n > k."""
+    divisors = [d for d in range(1, k + 1) if k % d == 0]
+    return st.one_of(
+        st.integers(1, 3 * k),
+        st.sampled_from(divisors),
+        st.sampled_from([k, 2 * k, 3 * k]),
+        st.integers(k + 1, 3 * k),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_binary_specs(), data=st.data())
+def test_sample_unweighted_matches_columns_first_reference(spec, data):
+    pattern = cat.support_pattern(spec)
+    assert pattern.dtype == bool
+    assert np.array_equal(pattern, _kron_pattern(spec))
+    k = pattern.shape[0]
+    for n in (data.draw(_sizes(k)) for _ in range(3)):
+        got = smp.sample_unweighted(spec, n).adjacency
+        want = _columns_first_sample(pattern, n)
+        assert got.dtype == np.float64 and got.shape == (n, n)
+        assert got.tobytes() == want.tobytes(), (k, n)
+
+
+def test_sample_unweighted_row_array_is_n_by_k():
+    # README sizes the sampler's row array at n x k, not n x 8*ceil(k/8)
+    real = np.unpackbits
+    shapes = []
+
+    def unpack(*args, **kwargs):
+        out = real(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    with mock.patch.object(np, "unpackbits", unpack):
+        smp.sample_unweighted(cat.hexaflake(3), 10)  # k = 27
+    assert shapes == [(10, 27)]
+
+
 def test_sample_unweighted_aligned_induces_kernel_exactly():
     # when the block grid divides n the induced kernel IS the kernel
     for spec, n in ((cat.checkerboard(8), 16), (cat.hsbm(3), 24)):
