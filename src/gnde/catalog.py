@@ -61,7 +61,9 @@ class GraphonSpec:
 
     ``kind`` selects the closed form; the remaining fields are kind-specific
     (``alpha`` for tent, ``frequency`` for oscillatory, ``pattern`` for block
-    patterns, ``mask``/``depth`` for triadic carpets).  ``holder_meta`` is an
+    patterns, ``mask``/``depth`` for triadic carpets; a pattern or mask of
+    any dtype is checked to be square, symmetric and exactly 0/1, then kept
+    as a read-only int8 array).  ``holder_meta`` is an
     optional pair (A1, alpha) certifying |W(u2,v2)-W(u1,v1)| <=
     A1*(|du|+|dv|)^alpha; ``nominal_box_dim`` records the box-counting
     dimension of the support boundary for binary kinds.
@@ -89,24 +91,34 @@ class GraphonSpec:
             if self.frequency is None or int(self.frequency) < 1:
                 raise InvalidParameterError("oscillation frequency must be a positive integer")
         elif self.kind == KIND_BLOCK:
-            _check_binary_matrix(self.pattern, "pattern")
+            object.__setattr__(self, "pattern", _binary_locked(self.pattern, "pattern"))
         elif self.kind == KIND_CARPET:
-            _check_binary_matrix(self.mask, "mask")
+            object.__setattr__(self, "mask", _binary_locked(self.mask, "mask"))
             if self.mask.shape != (3, 3):
                 raise InvalidParameterError("carpet mask must be 3x3")
             if self.depth is None or int(self.depth) < 1:
                 raise InvalidParameterError("carpet depth must be >= 1")
 
 
-def _check_binary_matrix(mat, name):
+def _binary_locked(mat, name):
+    """Read-only int8 copy of a square symmetric matrix of exact 0s and 1s.
+
+    The entries are checked in the caller's dtype before the cast, so 1.9,
+    257 or NaN is refused rather than truncated or wrapped to an int8 1.
+    For int8 input the check holds two boolean masks (two bytes per entry).
+    """
     if mat is None:
         raise InvalidParameterError(f"{name} matrix is required")
+    mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise InvalidParameterError(f"{name} must be a square matrix")
-    if not np.isin(mat, (0, 1)).all():
+    binary = mat == 0
+    binary |= mat == 1
+    if not binary.all():
         raise InvalidParameterError(f"{name} entries must be 0 or 1")
     if not np.array_equal(mat, mat.T):
         raise InvalidParameterError(f"{name} must be symmetric")
+    return _locked(mat)
 
 
 def _locked(arr, dtype=np.int8):
@@ -149,7 +161,7 @@ def block_pattern(pattern) -> GraphonSpec:
     return GraphonSpec(
         kind=KIND_BLOCK,
         value_class=BINARY,
-        pattern=_locked(pattern),
+        pattern=pattern,
         nominal_box_dim=1.0,
     )
 
@@ -183,7 +195,7 @@ def checkerboard(cells: int = 10) -> GraphonSpec:
 
 def triadic_carpet(mask, depth: int) -> GraphonSpec:
     """Prefractal carpet: recurse ``depth`` levels on a symmetric 3x3 keep-mask."""
-    mask = _locked(mask)
+    mask = _binary_locked(mask, "mask")
     r = int(mask.sum())
     dim = math.log(r) / math.log(3.0) if r > 0 else None
     if dim is not None and not (1.0 <= dim < 2.0):
@@ -408,52 +420,56 @@ class BlockBoundarySet:
     """Topological support boundary of a block pattern (a union of segments).
 
     A mesh cell counts iff it contains a point where the closed support and
-    the closed complement meet; the segments are enumerated exactly from the
-    pattern, with the outside of the unit square treated as complement.
+    the closed complement meet, the outside of the unit square being
+    complement.  ``horizontal[j, t]`` says that the segment y = t/k,
+    x in [j/k, (j+1)/k] separates support from complement: columns 0 and k
+    are the pattern's first and last columns, the interior columns are where
+    adjacent pattern columns differ.  The vertical segments are
+    ``horizontal.T``, because a block pattern is symmetric
+    (:class:`GraphonSpec` refuses one that is not), so a count marks the
+    mesh cells of the horizontal segments and adds their transpose.  The
+    segments of one grid line are a column of the array, so a count reduces
+    along each row of the pattern in memory order.
     """
 
     def __init__(self, spec: GraphonSpec):
         if spec.kind != KIND_BLOCK:
             raise InvalidParameterError("BlockBoundarySet needs a block_pattern kernel")
-        pat = spec.pattern
-        k = pat.shape[0]
-        if int(pat.sum()) == 0:
+        pat = spec.pattern.view(bool)  # the int8 0/1 pattern, not copied
+        if not pat.any():
             raise InvalidParameterError("pattern has empty support")
+        k = pat.shape[0]
+        horizontal = np.empty((k, k + 1), dtype=bool)
+        horizontal[:, 0] = pat[:, 0]
+        horizontal[:, k] = pat[:, k - 1]
+        np.not_equal(pat[:, 1:], pat[:, :-1], out=horizontal[:, 1:k])
         self.name = "block-boundary"
         self.k = k
-        # Vertical pieces: (t, j) means the segment x = t/k, y in [j/k, (j+1)/k].
-        vert = []
-        horiz = []
-        for t in range(k + 1):
-            for j in range(k):
-                left = pat[t - 1, j] if t > 0 else 0
-                right = pat[t, j] if t < k else 0
-                if left != right:
-                    vert.append((t, j))
-                below = pat[j, t - 1] if t > 0 else 0
-                above = pat[j, t] if t < k else 0
-                if below != above:
-                    horiz.append((j, t))
-        self._vert = vert
-        self._horiz = horiz
+        self.horizontal = horizontal
 
     def count(self, m: int) -> int:
         m = int(m)
         if m > _MAX_MESH:
             raise InvalidParameterError(f"mesh finer than 1/{_MAX_MESH} is not supported")
         k = self.k
-        hit = np.zeros((m, m), dtype=bool)
-        for t, j in self._vert:
-            col = min((t * m) // k, m - 1)
-            r0 = (j * m) // k
-            r1 = min(((j + 1) * m) // k, m - 1)
-            hit[col, r0 : r1 + 1] = True
-        for j, t in self._horiz:
-            row = min((t * m) // k, m - 1)
-            c0 = (j * m) // k
-            c1 = min(((j + 1) * m) // k, m - 1)
-            hit[c0 : c1 + 1, row] = True
-        return int(hit.sum())
+        t = np.arange(k + 1)
+        # Grid line y = t/k lies in mesh row row[t]; segment j spans mesh
+        # columns c0[j]..c1[j].  All three are non-decreasing.
+        row = np.minimum(t * m // k, m - 1)
+        c0 = t[:-1] * m // k
+        c1 = np.minimum(t[1:] * m // k, m - 1)
+        starts = np.flatnonzero(np.diff(row, prepend=-1))
+        in_row = np.logical_or.reduceat(self.horizontal, starts, axis=1)
+        # The segments that reach mesh column c are lo[c] <= j < hi[c]; a mesh
+        # row marks c iff its running segment count grows over that range.
+        cols = np.arange(m)
+        lo = np.searchsorted(c1, cols, side="left")
+        hi = np.searchsorted(c0, cols, side="right")
+        running = np.zeros((k + 1, starts.size), dtype=np.intp)
+        np.cumsum(in_row, axis=0, out=running[1:])
+        hit = np.zeros((m, m), dtype=bool)  # [mesh column, mesh row]
+        hit[:, row[starts]] = running[hi] > running[lo]
+        return int((hit | hit.T).sum())
 
 
 class CarpetSet:
@@ -466,8 +482,7 @@ class CarpetSet:
     """
 
     def __init__(self, mask):
-        mask = _locked(mask)
-        _check_binary_matrix(mask, "mask")
+        mask = _binary_locked(mask, "mask")
         if mask.shape != (3, 3):
             raise InvalidParameterError("mask must be 3x3")
         if int(mask.sum()) == 0:

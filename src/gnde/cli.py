@@ -332,7 +332,9 @@ def cmd_converge(args, cfg) -> int:
             rows.extend({**cells, "n": n} for n in n_list)
             per_trial_slopes.append(None)
             continue
+        # The trial's slope is its last running fit, which saw every fit point.
         fit_points = []
+        slope, log_domain = None, False
         for n, at_n in zip(n_list, by_size):
             errors, failure, runtime_ms = at_n[trial]
             bound = None if exponent is None else ref[2] * float(n) ** -exponent
@@ -343,19 +345,17 @@ def cmd_converge(args, cfg) -> int:
                 fit_points.append((n, rel))
                 if len(fit_points) >= 3:
                     try:
-                        slope_running = analysis.fit_rate(fit_points)[0]
+                        slope, log_domain = analysis.fit_rate(fit_points)[0], False
                     except LogDomainError:
-                        slope_running = None
+                        slope, log_domain = None, True
+                    slope_running = slope
             else:
                 row_errors.append({"trial": trial, "n": n,
                                    "stage": "system", "error": failure})
             rows.append(dict(cells, n=n, sup_rel_err=rel, abs_err=abs_err, bound=bound,
                              slope_running=slope_running, runtime_ms=runtime_ms))
-        try:
-            per_trial_slopes.append(analysis.fit_rate(fit_points)[0]
-                                    if len(fit_points) >= 3 else None)
-        except LogDomainError:
-            per_trial_slopes.append(None)
+        per_trial_slopes.append(slope)
+        if log_domain:
             log_domain_trials.append(trial)
 
     analysis.write_report_csv(rows, out)

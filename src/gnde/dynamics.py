@@ -395,22 +395,21 @@ def _picard(Z, bank, T, cfg):
             f"picard oracle is limited to n <= {PICARD_MAX_N} and T <= {PICARD_MAX_T}"
         )
     times = _eval_times(T, cfg.eval_grid)
-    M = cfg.eval_grid
-    sub = max(1, math.ceil(PICARD_GRID_PER_UNIT * T / M))
-    # Fine quadrature grid aligned with the eval grid: sub points per interval.
-    fine = np.empty(M * sub + 1)
-    for j in range(M):
-        fine[j * sub : (j + 1) * sub] = times[j] + (times[j + 1] - times[j]) * (
-            np.arange(sub) / sub
-        )
-    fine[-1] = times[-1]
+    sub = max(1, math.ceil(PICARD_GRID_PER_UNIT * T / cfg.eval_grid))
+    # Fine quadrature grid aligned with the eval grid: sub points per
+    # interval, so eval time j is fine point j * sub.
+    fine = np.append(
+        (times[:-1, None] + np.diff(times)[:, None] * (np.arange(sub) / sub)).ravel(),
+        times[-1],
+    )
     N = fine.size
 
     lam = (bank.F * bank.K * h_sup_certified(bank)) ** bank.L
     tau = min(PICARD_CONTRACTION / lam, T) if lam > 0.0 else T
 
-    X = np.empty((N, n, Z.shape[1]))
-    X[0] = Z
+    states = np.empty((times.size, n, Z.shape[1]))
+    states[0] = Z
+    x_start = Z
     iterations = 0
     contraction = 0.0
     start = 0
@@ -418,25 +417,24 @@ def _picard(Z, bank, T, cfg):
         stop = start + 1
         while stop < N - 1 and fine[stop + 1] - fine[start] <= tau * (1 + 1e-12):
             stop += 1
-        idx = np.arange(start, stop + 1)
-        X[idx[1:]] = X[start]  # constant initial iterate on the window
-        # X[start] is fixed for the window: its velocity is asked for in the
+        # The iterate on fine points start..stop only, constant at first;
+        # X[0] is fixed for the window, so its velocity is asked for in the
         # first round only and kept.
+        X = np.empty((stop - start + 1, *Z.shape))
+        X[:] = x_start
         v_start = None
         prev_change = None
         for _ in range(PICARD_MAX_ITER):
-            asked = idx if v_start is None else idx[1:]
-            got = yield [(X[i], min(fine[i], T)) for i in asked]
+            first = 0 if v_start is None else 1
+            got = yield [(X[m], min(fine[start + m], T)) for m in range(first, len(X))]
             if v_start is None:
                 v_start = got.pop(0).copy()
             vel = np.stack([v_start, *got])
-            dts = np.diff(fine[idx])
+            dts = np.diff(fine[start : stop + 1])
             increments = 0.5 * dts[:, None, None] * (vel[:-1] + vel[1:])
-            new = np.cumsum(increments, axis=0) + X[start]
-            change = max(
-                scaled_norm(new[m] - X[idx[m + 1]]) for m in range(len(idx) - 1)
-            )
-            X[idx[1:]] = new
+            new = np.cumsum(increments, axis=0) + X[0]
+            change = max(scaled_norm(new[m] - X[m + 1]) for m in range(len(X) - 1))
+            X[1:] = new
             iterations += 1
             if prev_change is not None and prev_change > 0.0:
                 contraction = change / prev_change
@@ -449,9 +447,12 @@ def _picard(Z, bank, T, cfg):
                 last_time=float(fine[start]),
                 contraction=contraction,
             )
+        # Eval times j with start < j * sub <= stop close with this window.
+        j = start // sub + 1
+        states[j : stop // sub + 1] = X[j * sub - start :: sub]
+        x_start = X[-1].copy()
         start = stop
 
-    states = X[::sub]
     meta = {
         "method": "picard",
         "grid_points": N,
@@ -459,7 +460,7 @@ def _picard(Z, bank, T, cfg):
         "iterations": iterations,
         "eval_grid": cfg.eval_grid,
     }
-    return TrajectoryRecord(times, states.copy(), meta)
+    return TrajectoryRecord(times, states, meta)
 
 
 _SOLVERS = {"rk4": _rk4, "dp5": _dp5, "picard": _picard}

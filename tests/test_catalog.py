@@ -150,6 +150,48 @@ def test_spec_validation():
         cat.triadic_carpet(np.ones((2, 2), dtype=np.int8), depth=2)
 
 
+@pytest.mark.parametrize("pattern", [
+    [[1.9]],                       # truncated to 1 by an int8 cast
+    np.array([[257]]),             # wrapped to 1 by an int8 cast
+    [[0, 1.5], [1.5, 0]],
+    [[0, -1], [-1, 0]],
+    [[np.nan]],
+    [[1, 2], [2, 1]],
+])
+def test_pattern_entries_checked_before_the_cast(pattern):
+    with pytest.raises(InvalidParameterError, match="entries must be 0 or 1"):
+        cat.block_pattern(pattern)
+    with pytest.raises(InvalidParameterError, match="entries must be 0 or 1"):
+        cat.GraphonSpec(kind=cat.KIND_BLOCK, value_class=cat.BINARY,
+                        pattern=np.asarray(pattern))
+
+
+def test_pattern_entries_of_any_dtype_accepted_when_binary():
+    for dtype in (bool, np.int8, np.uint8, np.int64, np.float64):
+        spec = cat.block_pattern(np.array([[1, 0], [0, 1]], dtype=dtype))
+        assert spec.pattern.dtype == np.int8 and not spec.pattern.flags.writeable
+        assert spec.pattern.tolist() == [[1, 0], [0, 1]]
+    with pytest.raises(InvalidParameterError, match="entries must be 0 or 1"):
+        cat.triadic_carpet(np.full((3, 3), 1.5), depth=1)
+    with pytest.raises(InvalidParameterError, match="entries must be 0 or 1"):
+        cat.CarpetSet(np.full((3, 3), 257))
+
+
+def test_pattern_check_holds_two_bytes_per_entry():
+    # np.isin on an int8 pattern took 12 bytes per entry
+    k = 4000
+    parity = (np.arange(k) % 2).astype(np.int8)
+    pattern = parity[:, None] ^ parity[None, :]
+    tracemalloc.start()
+    try:
+        spec = cat.block_pattern(pattern)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.pattern is pattern  # an int8 pattern is locked, not copied
+    assert peak <= 2 * k * k + 2**20
+
+
 def test_cell_intersects_support_exact():
     sp1 = cat.sierpinski(depth=1)
     # the open middle ninth is exactly the dropped cell
@@ -298,6 +340,84 @@ def test_block_boundary_counts_hsbm():
     assert [bset.count(2**j) for j in range(4, 10)] == [53, 117, 245, 501, 1013, 2037]
     dim, _ = cat.box_counting_dimension(bset, cat.default_delta_schedule(bset))
     assert dim == pytest.approx(1.0, abs=0.05)
+
+
+def _segment_loop_count(pattern, m: int) -> int:
+    """Box count of a block pattern's boundary, one segment at a time.
+
+    Every boundary segment of the k x k pattern (the outside of the square
+    counting as complement) goes into a list and marks its mesh cells; the
+    vertical and horizontal segments are found separately, so no symmetry
+    is assumed.  The independent reference for :class:`cat.BlockBoundarySet`.
+    """
+    k = pattern.shape[0]
+    vert = []
+    horiz = []
+    for t in range(k + 1):
+        for j in range(k):
+            left = pattern[t - 1, j] if t > 0 else 0
+            right = pattern[t, j] if t < k else 0
+            if left != right:
+                vert.append((t, j))
+            below = pattern[j, t - 1] if t > 0 else 0
+            above = pattern[j, t] if t < k else 0
+            if below != above:
+                horiz.append((j, t))
+    hit = np.zeros((m, m), dtype=bool)
+    for t, j in vert:
+        col = min((t * m) // k, m - 1)
+        r0 = (j * m) // k
+        r1 = min(((j + 1) * m) // k, m - 1)
+        hit[col, r0 : r1 + 1] = True
+    for j, t in horiz:
+        row = min((t * m) // k, m - 1)
+        c0 = (j * m) // k
+        c1 = min(((j + 1) * m) // k, m - 1)
+        hit[c0 : c1 + 1, row] = True
+    return int(hit.sum())
+
+
+@st.composite
+def _symmetric_patterns(draw):
+    k = draw(st.integers(1, 60))
+    density = draw(st.sampled_from([0.02, 0.2, 0.5, 0.8, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.random((k, k)) < density)
+    pattern = (upper | upper.T).astype(np.int8)
+    i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+    pattern[i, j] = pattern[j, i] = 1  # a nonempty support
+    return pattern
+
+
+@settings(max_examples=60, deadline=None)
+@given(pattern=_symmetric_patterns(),
+       meshes=st.lists(st.integers(1, 4096), min_size=1, max_size=4))
+def test_block_boundary_counts_match_segment_loop(pattern, meshes):
+    k = pattern.shape[0]
+    bset = cat.BlockBoundarySet(cat.block_pattern(pattern))
+    # meshes coarser than, equal to, a multiple of and finer than the pattern
+    for m in [*meshes, k, 2 * k, max(1, k // 3), k + 1]:
+        assert bset.count(m) == _segment_loop_count(pattern, m), (k, m)
+
+
+def test_block_boundary_counts_hold_no_segment_lists():
+    # checkerboard(1000) has 2 002 000 boundary segments, which the segment
+    # lists held at 153 MB; the array counter holds the (k, k+1) boolean
+    # boundary and, per count, a running-sum table of (k+1) x (mesh rows)
+    # integers and its gathers (bounded here by three such tables)
+    spec = cat.checkerboard(1000)
+    deltas = [2.0**-j for j in range(4, 10)]
+    tracemalloc.start()
+    try:
+        bset = cat.support_boundary(spec)
+        counts = [bset.count(round(1 / d)) for d in deltas]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cat.default_delta_schedule(bset) == deltas
+    assert counts == [256, 1024, 4096, 16384, 65536, 262144]
+    k = 1000
+    assert peak < 2**20 + k * (k + 1) + 3 * 8 * (k + 1) * 512
 
 
 def test_box_dimension_schedule_validation():

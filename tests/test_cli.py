@@ -244,6 +244,40 @@ def test_converge_failure_rows(tmp_path, monkeypatch):
     assert batches == [(32, [0, 1, 2]), (8, [0]), (12, [0]), (16, [0]), (20, [0])]
 
 
+def test_converge_fits_each_trial_once_per_row(tmp_path, monkeypatch):
+    # A trial's slope is its last running fit: one fit per row with at least
+    # three points, none after the row loop.  Zero filters give every trial
+    # zero errors, so every running fit hits the log domain.
+    from gnde import analysis
+
+    fits = []
+    fit_rate = analysis.fit_rate
+
+    def counted_fit(rows):
+        fits.append(len(rows))
+        return fit_rate(rows)
+
+    monkeypatch.setattr(analysis, "fit_rate", counted_fit)
+    common = dict(graphon="tent", n_list="8,12,16,20", n_ref="32", trials="2",
+                  T="0.25", solver="rk4", eval_grid="10")
+    for name, extra in (("fit", {}),
+                        ("zero", dict(feature="constant", filter_coeffs="0,0,0,0"))):
+        fits.clear()
+        cfg = _cfg(tmp_path, f"{name}.cfg", **common, **extra)
+        out = str(tmp_path / f"{name}.csv")
+        assert entry(["converge", "--config", cfg, "--out", out]) == 0
+        assert fits == [3, 4] * 2
+        rows = [dict(zip(REPORT_COLUMNS, row)) for row in _read_csv(out)[1:]]
+        summary = json.loads((tmp_path / f"{name}.csv.summary.json").read_text())
+        last = [rows[4 * trial + 3]["slope_running"] for trial in range(2)]
+        if name == "fit":
+            assert [repr(s) for s in summary["per_trial_slopes"]] == last
+            assert summary["log_domain_trials"] == []
+        else:
+            assert last == ["", ""] and summary["per_trial_slopes"] == [None, None]
+            assert summary["log_domain_trials"] == [0, 1]
+
+
 def test_converge_computes_each_quantity_once(tmp_path, monkeypatch):
     # one overlay partition per (trial, n), one norm pass per reference, one
     # shift operator per size split straight from the adjacency (no dense
@@ -342,6 +376,16 @@ def test_boxdim_sierpinski(tmp_path):
 def test_boxdim_rejects_weighted(tmp_path):
     cfg = _cfg(tmp_path, graphon="tent")
     assert entry(["boxdim", "--config", cfg, "--out", str(tmp_path / "d.csv")]) == 2
+
+
+def test_boxdim_on_a_wide_block_pattern_exits_0(tmp_path):
+    # hsbm levels=12 is a 4096 x 4096 pattern with about 2^25 grid segments; the
+    # counter marks them with array operations, not one at a time
+    cfg = _cfg(tmp_path, graphon="hsbm", levels="12")
+    done = _run_module(tmp_path, "boxdim", "--config", cfg, "--out", "d.csv")
+    assert done.returncode == 0, done.stderr
+    counts = [int(r[1]) for r in _read_csv(tmp_path / "d.csv")[1:]]
+    assert counts == [3 * m - 2 for m in (16, 32, 64, 128, 256, 512)]
 
 
 def test_transfer_audit_end_to_end(tmp_path):
