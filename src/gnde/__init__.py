@@ -28,6 +28,7 @@ from .catalog import (
     hom_density_graph,
     hom_density_graphon,
     kernel_distance,
+    subgraph_distances,
     support_boundary,
 )
 from .dynamics import SolverConfig, TrajectoryRecord, integrate

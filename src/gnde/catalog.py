@@ -100,24 +100,36 @@ class GraphonSpec:
                 raise InvalidParameterError("carpet depth must be >= 1")
 
 
+_CHECK_TILE = 128  # rows per block, and tile side, of the pattern checks
+
+
 def _binary_locked(mat, name):
     """Read-only int8 copy of a square symmetric matrix of exact 0s and 1s.
 
     The entries are checked in the caller's dtype before the cast, so 1.9,
     257 or NaN is refused rather than truncated or wrapped to an int8 1.
-    For int8 input the check holds two boolean masks (two bytes per entry).
+    One pass over blocks of ``_CHECK_TILE`` rows checks each block's
+    entries, then compares each of its tiles left of and on the diagonal
+    with the transpose of its mirror tile, whose entries are already
+    checked.  Only a tile at a time is read across the rows, so a
+    power-of-two row stride does not thrash the cache, and the check holds
+    two boolean masks of one row block, not of the whole matrix.
     """
     if mat is None:
         raise InvalidParameterError(f"{name} matrix is required")
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise InvalidParameterError(f"{name} must be a square matrix")
-    binary = mat == 0
-    binary |= mat == 1
-    if not binary.all():
-        raise InvalidParameterError(f"{name} entries must be 0 or 1")
-    if not np.array_equal(mat, mat.T):
-        raise InvalidParameterError(f"{name} must be symmetric")
+    t = _CHECK_TILE
+    for i in range(0, mat.shape[0], t):
+        rows = mat[i : i + t]
+        binary = rows == 0
+        binary |= rows == 1
+        if not binary.all():
+            raise InvalidParameterError(f"{name} entries must be 0 or 1")
+        for j in range(0, i + 1, t):
+            if not np.array_equal(rows[:, j : j + t], mat[j : j + t, i : i + t].T):
+                raise InvalidParameterError(f"{name} must be symmetric")
     return _locked(mat)
 
 
@@ -398,13 +410,23 @@ def cell_intersects_support(spec: GraphonSpec, cell) -> bool:
 # Box-counting dimension
 
 
+def _mesh(m, finest=_MAX_MESH) -> int:
+    """The mesh count m of a 1/m box count, refused below 1 or above ``finest``."""
+    m = int(m)
+    if m < 1:
+        raise InvalidParameterError(f"mesh count must be >= 1, got {m}")
+    if finest is not None and m > finest:
+        raise InvalidParameterError(f"mesh finer than 1/{finest} is not supported")
+    return m
+
+
 class SegmentSet:
     """The horizontal unit segment [0,1] x {0}; box dimension exactly 1."""
 
     name = "segment"
 
     def count(self, m: int) -> int:
-        return int(m)
+        return _mesh(m, finest=None)
 
 
 class FullSquareSet:
@@ -413,7 +435,8 @@ class FullSquareSet:
     name = "square"
 
     def count(self, m: int) -> int:
-        return int(m) * int(m)
+        m = _mesh(m, finest=None)
+        return m * m
 
 
 class BlockBoundarySet:
@@ -448,9 +471,7 @@ class BlockBoundarySet:
         self.horizontal = horizontal
 
     def count(self, m: int) -> int:
-        m = int(m)
-        if m > _MAX_MESH:
-            raise InvalidParameterError(f"mesh finer than 1/{_MAX_MESH} is not supported")
+        m = _mesh(m)
         k = self.k
         t = np.arange(k + 1)
         # Grid line y = t/k lies in mesh row row[t]; segment j spans mesh
@@ -491,9 +512,7 @@ class CarpetSet:
         self.mask = mask
 
     def count(self, m: int) -> int:
-        m = int(m)
-        if m > _MAX_MESH:
-            raise InvalidParameterError(f"mesh finer than 1/{_MAX_MESH} is not supported")
+        m = _mesh(m)
         j = round(math.log(m) / math.log(3.0))
         if 3**j == m:
             return int(self.mask.sum()) ** j
@@ -694,44 +713,62 @@ def overlay_partition(bp_a, bp_b):
     return ia, ib, np.diff(merged)
 
 
+def uniform_breakpoints(n: int) -> np.ndarray:
+    """Breakpoints i/n, i = 0..n, of the uniform n-partition I_0..I_{n-1}."""
+    return np.arange(n + 1, dtype=np.float64) / n
+
+
 _DIST_ROWS = 32  # overlay rows per block of the streamed kernel distance
 
 
-def _overlay_sum(ka, kb, norm):
-    """Sum over overlay cells (r, c) of w_r w_c |ka - kb|^p, p = 1 (L1) or
-    2 (L2), in a fixed order with no (N, N) array.
+def _overlay_sums(a, gas, b, gb, w, norm):
+    """For each index vector ``ga`` in ``gas``: the sum over overlay cells
+    (r, c) of w_r w_c |a[ga_r, ga_c] - b[gb_r, gb_c]|^p, p = 1 (L1) or 2
+    (L2), in a fixed order with no (N, N) array.
 
-    Each block of ``_DIST_ROWS`` overlay rows is gathered from both kernels,
-    differenced, raised to the power in place and weighted by the column
-    widths; numpy's pairwise sum along each row gives that row's total, and
-    ``math.fsum`` adds the width-weighted row totals exactly rounded.  No BLAS
-    call is made, so the bits depend neither on the BLAS thread count nor on
-    the block size; equal kernels on one partition give exactly 0.0.
+    The overlay rows are taken ``_DIST_ROWS`` at a time.  Each block of
+    ``b`` is gathered once and shared by every ``ga``; for each ``ga`` the
+    block of ``a`` is gathered, differenced, raised to the power in place
+    and weighted by the column widths, and numpy's pairwise sum along each
+    row gives that row's total.  ``math.fsum`` adds each ``ga``'s
+    width-weighted row totals exactly rounded.  No BLAS call is made, so
+    the bits depend neither on the BLAS thread count, nor on the block
+    size, nor on which other index vectors share the call; equal terms
+    give exactly 0.0.
     """
-    ia, ib, w = overlay_partition(ka.breakpoints, kb.breakpoints)
-    a, b = ka.values, kb.values
-    rows = np.empty(ia.size)
-    for lo in range(0, ia.size, _DIST_ROWS):
+    rows = [np.empty(gb.size) for _ in gas]
+    for lo in range(0, gb.size, _DIST_ROWS):
         r = slice(lo, lo + _DIST_ROWS)
-        d = a[ia[r]].take(ia, axis=1)
-        d -= b[ib[r]].take(ib, axis=1)
-        if norm == "L1":
-            np.abs(d, out=d)
-        else:
-            d *= d
-        d *= w
-        rows[r] = d.sum(axis=1)
-    return math.fsum((rows * w).tolist())
+        bb = b[gb[r]].take(gb, axis=1)
+        for ga, out in zip(gas, rows):
+            d = a[ga[r]].take(ga, axis=1)
+            d -= bb
+            if norm == "L1":
+                np.abs(d, out=d)
+            else:
+                d *= d
+            d *= w
+            out[r] = d.sum(axis=1)
+    return [math.fsum((out * w).tolist()) for out in rows]
+
+
+def _overlay_sum(ka, kb, norm):
+    """:func:`_overlay_sums` of two step kernels on the overlay of their
+    partitions."""
+    ia, ib, w = overlay_partition(ka.breakpoints, kb.breakpoints)
+    return _overlay_sums(ka.values, [ia], kb.values, ib, w, norm)[0]
 
 
 def kernel_distance(kernel_a, kernel_b, norm: str = "L2", grid: int = 256) -> float:
     """L1 or L2 distance between two kernels on [0,1]^2.
 
     Exact (overlay partition) when both arguments are piecewise constant,
-    summed in a fixed order row block by row block (:func:`_overlay_sum`),
+    summed in a fixed order row block by row block (:func:`_overlay_sums`),
     so the result does not depend on the BLAS thread count; midpoint
     quadrature on a ``grid`` x ``grid`` mesh otherwise.  Both norms
-    upper-bound the cut norm: ||.||_cut <= ||.||_L1 <= ||.||_L2.
+    upper-bound the cut norm: ||.||_cut <= ||.||_L1 <= ||.||_L2.  For
+    induced subgraphs of one graph, :func:`subgraph_distances` gives the
+    same L2 bits without cutting the subgraphs out.
     """
     if norm not in ("L1", "L2"):
         raise InvalidParameterError("norm must be 'L1' or 'L2'")
@@ -747,3 +784,35 @@ def kernel_distance(kernel_a, kernel_b, norm: str = "L2", grid: int = 256) -> fl
     if norm == "L1":
         return float(np.mean(np.abs(diff)))
     return float(math.sqrt(np.mean(diff * diff)))
+
+
+def subgraph_distances(adjacency, node_sets) -> list[float]:
+    """L2 distance from each induced k-node subgraph's step kernel to the
+    whole graph's, one float per node set.
+
+    ``adjacency`` is the n x n adjacency and ``node_sets`` holds index
+    vectors of one length k >= 1.  Entry t is bit for bit
+    ``kernel_distance(K_t, K)``, where K_t is the step kernel of
+    ``adjacency[np.ix_(nodes_t, nodes_t)]`` on the uniform k-partition and
+    K that of ``adjacency`` on the uniform n-partition: the overlay of the
+    two partitions depends only on k, so each term reads the subgraph's
+    entry straight from ``adjacency`` through ``nodes_t``, and the rows of
+    K are gathered once per block for all node sets.  No k x k or k x n
+    array is formed.
+    """
+    adjacency = np.asarray(adjacency)
+    if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1] or adjacency.shape[0] < 1:
+        raise InvalidParameterError("adjacency must be a square matrix")
+    n = adjacency.shape[0]
+    sets = [np.asarray(nodes) for nodes in node_sets]
+    if not sets:
+        return []
+    k = sets[0].size
+    for nodes in sets:
+        if nodes.ndim != 1 or nodes.size != k or k < 1:
+            raise InvalidParameterError("node sets must be non-empty 1-D index vectors of one length")
+        if nodes.dtype.kind not in "iu" or nodes.min() < 0 or nodes.max() >= n:
+            raise InvalidParameterError(f"node indices must be integers in [0, {n})")
+    ia, ib, w = overlay_partition(uniform_breakpoints(k), uniform_breakpoints(n))
+    totals = _overlay_sums(adjacency, [nodes[ia] for nodes in sets], adjacency, ib, w, "L2")
+    return [math.sqrt(total) for total in totals]

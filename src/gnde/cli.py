@@ -422,8 +422,7 @@ def cmd_transfer_audit(args, cfg) -> int:
     master = _master_seed(args, cfg)
     out = args.out or "audit.csv"
 
-    full_kernel = sampling.induce_kernel(graph)
-    full_norm = sampling.pwc_l2_norm(full_kernel)
+    full_norm = sampling.pwc_l2_norm(sampling.induce_kernel(graph))
     if full_norm < 1e-12:
         raise DegenerateReferenceError(
             "graph kernel norm below 1e-12; relative graphon error undefined")
@@ -432,24 +431,22 @@ def cmd_transfer_audit(args, cfg) -> int:
     rows = []
     stats = {}
     for p_index, proportion in enumerate(proportions):
-        errors = []
-        for trial in range(trials):
-            seed = _trial_seed(master, p_index, trial)
-            rng = np.random.default_rng(seed)
-            k = int(np.floor(proportion * n + 0.5))
-            if k == 0:
-                rows.append((proportion, trial, seed, 0, None, "", "empty subgraph"))
-                continue
-            # Ascending ids so the full-proportion subgraph is the graph itself.
-            # A principal submatrix of the validated graph needs no checks.
-            nodes = np.sort(rng.choice(n, size=k, replace=False))
-            sub = sampling.PiecewiseConstantFunction(
-                sampling.uniform_breakpoints(k),
-                graph.adjacency.take(nodes, 0).take(nodes, 1), kernel=True)
-            err = catalog.kernel_distance(sub, full_kernel) / full_norm
-            errors.append(err)
-            rows.append((proportion, trial, seed, k, err,
-                         ";".join(map(str, nodes.tolist())), ""))
+        k = int(np.floor(proportion * n + 0.5))
+        seeds = [_trial_seed(master, p_index, trial) for trial in range(trials)]
+        if k == 0:
+            errors = []
+            rows.extend((proportion, trial, seed, 0, None, "", "empty subgraph")
+                        for trial, seed in enumerate(seeds))
+        else:
+            # Ascending ids so the full-proportion subgraph is the graph
+            # itself.  Every trial of the proportion shares one overlay pass
+            # over the full adjacency; no subgraph is cut out.
+            node_sets = [np.sort(np.random.default_rng(seed).choice(n, size=k, replace=False))
+                         for seed in seeds]
+            errors = [d / full_norm
+                      for d in catalog.subgraph_distances(graph.adjacency, node_sets)]
+            rows.extend((proportion, trial, seed, k, err, ";".join(map(str, nodes.tolist())), "")
+                        for trial, (seed, nodes, err) in enumerate(zip(seeds, node_sets, errors)))
         stats[p_index] = (
             float(np.mean(errors)) if errors else None,
             float(np.std(errors)) if errors else None,

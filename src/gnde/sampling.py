@@ -367,9 +367,7 @@ def graph_shift(graph: SampledGraph) -> np.ndarray:
 # Induced step-function representations and overlay distances
 
 
-def uniform_breakpoints(n: int) -> np.ndarray:
-    """Breakpoints i/n, i = 0..n, of the uniform n-partition I_0..I_{n-1}."""
-    return np.arange(n + 1, dtype=np.float64) / n
+uniform_breakpoints = catalog.uniform_breakpoints
 
 
 def induce_kernel(graph: SampledGraph) -> PiecewiseConstantFunction:

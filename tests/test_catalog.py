@@ -192,6 +192,67 @@ def test_pattern_check_holds_two_bytes_per_entry():
     assert peak <= 2 * k * k + 2**20
 
 
+def test_pattern_check_holds_one_row_block():
+    # the whole-matrix check held two k x k boolean masks (32 MB here); the
+    # tiled pass holds two masks of one row block and one tile's comparison
+    k = 4000
+    parity = (np.arange(k) % 2).astype(np.int8)
+    pattern = parity[:, None] ^ parity[None, :]
+    tracemalloc.start()
+    try:
+        cat.block_pattern(pattern)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * cat._CHECK_TILE * k + 2**16
+
+
+def test_pattern_check_reaches_the_last_partial_tile():
+    k = 2 * cat._CHECK_TILE + 5  # last row block and tile hold 5 rows
+    pattern = np.eye(k, dtype=np.int8)
+    for i, j in ((k - 1, k - 2), (k - 1, 0), (1, k - 1)):
+        bad = pattern.copy()
+        bad[i, j] = 1
+        with pytest.raises(InvalidParameterError, match="must be symmetric"):
+            cat.block_pattern(bad)
+    for i, j, value in ((k - 1, k - 1, 2), (k - 3, 7, -1)):
+        bad = pattern.astype(np.float64)
+        bad[i, j] = bad[j, i] = value
+        with pytest.raises(InvalidParameterError, match="entries must be 0 or 1"):
+            cat.block_pattern(bad)
+    assert cat.block_pattern(pattern).pattern is pattern
+
+
+@st.composite
+def _near_binary_patterns(draw):
+    """Square patterns that are symmetric 0/1 but for a few entries, which
+    may break symmetry or take a value other than 0 and 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 40))
+    upper = np.triu(rng.integers(0, 2, size=(k, k)))
+    pat = (upper + np.triu(upper, 1).T).astype(np.float64)
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = rng.integers(0, k, size=2)
+        pat[i, j] = draw(st.sampled_from([0.0, 1.0, 0.5, 2.0, np.nan]))
+    return pat
+
+
+@settings(max_examples=60, deadline=None)
+@given(pattern=_near_binary_patterns(), tile=st.sampled_from([1, 2, 3, 7, 128]))
+def test_pattern_check_verdict_matches_whole_matrix_check(pattern, tile):
+    binary = bool(np.isin(pattern, (0.0, 1.0)).all())
+    symmetric = np.array_equal(pattern, pattern.T, equal_nan=True)
+    with mock.patch.object(cat, "_CHECK_TILE", tile):
+        if binary and symmetric:
+            assert cat.block_pattern(pattern).pattern.tolist() == pattern.tolist()
+            return
+        # a pattern at fault both ways may be refused for either fault
+        match = ("entries must be 0 or 1" if symmetric else
+                 "must be symmetric" if binary else "entries must be 0 or 1|must be symmetric")
+        with pytest.raises(InvalidParameterError, match=match):
+            cat.block_pattern(pattern)
+
+
 def test_cell_intersects_support_exact():
     sp1 = cat.sierpinski(depth=1)
     # the open middle ninth is exactly the dropped cell
@@ -418,6 +479,15 @@ def test_block_boundary_counts_hold_no_segment_lists():
     assert counts == [256, 1024, 4096, 16384, 65536, 262144]
     k = 1000
     assert peak < 2**20 + k * (k + 1) + 3 * 8 * (k + 1) * 512
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_box_counters_refuse_meshes_below_one(m):
+    for point_set in (cat.SegmentSet(), cat.FullSquareSet(),
+                      cat.support_boundary(cat.checkerboard(4)),
+                      cat.support_boundary(cat.sierpinski())):
+        with pytest.raises(InvalidParameterError, match="mesh count must be >= 1"):
+            point_set.count(m)
 
 
 def test_box_dimension_schedule_validation():
@@ -671,3 +741,72 @@ def test_kernel_distance_holds_no_overlay_square():
     finally:
         tracemalloc.stop()
     assert peak < 2**20 + 4 * cat._DIST_ROWS * n_cells * 8
+
+
+@st.composite
+def _audit_cases(draw):
+    """A weighted or 0/1 graph on n nodes and 1-5 index vectors of one
+    length k, k = 1 and k = n included; the vectors are ascending, as the
+    audit draws them, or in random order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 300))
+    upper = np.triu(rng.random((n, n)))
+    adj = upper + np.triu(upper, 1).T
+    weighted = draw(st.booleans())
+    if not weighted:
+        adj = (adj < 0.5).astype(np.float64)
+    k = draw(st.sampled_from([1, n, int(rng.integers(1, n + 1))]))
+    sets = []
+    for _ in range(draw(st.integers(1, 5))):
+        nodes = rng.choice(n, size=k, replace=False)
+        sets.append(np.sort(nodes) if draw(st.booleans()) else nodes)
+    return SampledGraph(adj, "weighted" if weighted else "unweighted"), sets
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_audit_cases(), block_rows=st.sampled_from([1, 3, 32, 1024]))
+def test_subgraph_distances_bits_match_cut_subgraphs(case, block_rows):
+    g, sets = case
+    full = induce_kernel(g)
+    want = [cat.kernel_distance(induce_kernel(SampledGraph(
+                g.adjacency[np.ix_(nodes, nodes)], g.value_class)), full)
+            for nodes in sets]
+    with mock.patch.object(cat, "_DIST_ROWS", block_rows):
+        got = cat.subgraph_distances(g.adjacency, sets)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    # the full proportion reads exactly zero
+    assert cat.subgraph_distances(g.adjacency, [np.arange(g.n)]) == [0.0]
+
+
+def test_subgraph_distances_validation():
+    adj = np.eye(4)
+    assert cat.subgraph_distances(adj, []) == []
+    for bad_adj in (np.ones(4), np.ones((2, 3)), np.ones((0, 0))):
+        with pytest.raises(InvalidParameterError, match="square"):
+            cat.subgraph_distances(bad_adj, [np.arange(2)])
+    for sets in ([np.arange(2), np.arange(3)], [np.array([], dtype=int)],
+                 [np.ones((2, 2), dtype=int)]):
+        with pytest.raises(InvalidParameterError, match="one length"):
+            cat.subgraph_distances(adj, sets)
+    for nodes in (np.array([0, 4]), np.array([-1, 2]), np.array([0.0, 1.0])):
+        with pytest.raises(InvalidParameterError, match="node indices"):
+            cat.subgraph_distances(adj, [nodes])
+
+
+def test_subgraph_distances_hold_no_subgraph():
+    # five full-size trials: cutting each k x k subgraph out (and the k x n
+    # rows first) held 8 MB per array; the overlay pass holds three
+    # (_DIST_ROWS, n) row blocks at a time (0.75 MB) and the index vectors
+    n = 1024
+    upper = np.triu(np.random.default_rng(3).random((n, n)))
+    adj = upper + np.triu(upper, 1).T
+    rng = np.random.default_rng(4)
+    sets = [rng.permutation(n) for _ in range(5)]
+    tracemalloc.start()
+    try:
+        dists = cat.subgraph_distances(adj, sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dists) == 5 and min(dists) > 0.0
+    assert peak < 5 * cat._DIST_ROWS * n * 8
