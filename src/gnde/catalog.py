@@ -100,7 +100,29 @@ class GraphonSpec:
                 raise InvalidParameterError("carpet depth must be >= 1")
 
 
-_CHECK_TILE = 128  # rows per block, and tile side, of the pattern checks
+_CHECK_TILE = 128  # rows per block, and tile side, of the symmetry and pattern checks
+
+
+def _mirror_tiles_equal(mat, i):
+    """Whether the ``_CHECK_TILE`` rows of the square ``mat`` from row ``i``
+    equal, tile by tile left of and on the diagonal, the transpose of their
+    mirror tiles.
+
+    Over the row blocks i = 0, t, 2t, ... every entry meets its mirror once,
+    so together they give the verdict of ``np.array_equal(mat, mat.T)``
+    (NaN is unequal to itself, -0.0 equals 0.0).  Only a tile at a time is
+    read across the rows, so a power-of-two row stride does not thrash the
+    cache, and no mask of more than one tile is formed.
+    """
+    t = _CHECK_TILE
+    rows = mat[i : i + t]
+    return all(np.array_equal(rows[:, j : j + t], mat[j : j + t, i : i + t].T)
+               for j in range(0, i + 1, t))
+
+
+def is_symmetric(mat) -> bool:
+    """``mat == mat.T`` exactly, for a square 2-D array, one row block at a time."""
+    return all(_mirror_tiles_equal(mat, i) for i in range(0, mat.shape[0], _CHECK_TILE))
 
 
 def _binary_locked(mat, name):
@@ -109,27 +131,23 @@ def _binary_locked(mat, name):
     The entries are checked in the caller's dtype before the cast, so 1.9,
     257 or NaN is refused rather than truncated or wrapped to an int8 1.
     One pass over blocks of ``_CHECK_TILE`` rows checks each block's
-    entries, then compares each of its tiles left of and on the diagonal
-    with the transpose of its mirror tile, whose entries are already
-    checked.  Only a tile at a time is read across the rows, so a
-    power-of-two row stride does not thrash the cache, and the check holds
-    two boolean masks of one row block, not of the whole matrix.
+    entries, then its mirror tiles (``_mirror_tiles_equal``), whose entries
+    are already checked.  The check holds two boolean masks of one row
+    block, not of the whole matrix.
     """
     if mat is None:
         raise InvalidParameterError(f"{name} matrix is required")
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise InvalidParameterError(f"{name} must be a square matrix")
-    t = _CHECK_TILE
-    for i in range(0, mat.shape[0], t):
-        rows = mat[i : i + t]
+    for i in range(0, mat.shape[0], _CHECK_TILE):
+        rows = mat[i : i + _CHECK_TILE]
         binary = rows == 0
         binary |= rows == 1
         if not binary.all():
             raise InvalidParameterError(f"{name} entries must be 0 or 1")
-        for j in range(0, i + 1, t):
-            if not np.array_equal(rows[:, j : j + t], mat[j : j + t, i : i + t].T):
-                raise InvalidParameterError(f"{name} must be symmetric")
+        if not _mirror_tiles_equal(mat, i):
+            raise InvalidParameterError(f"{name} must be symmetric")
     return _locked(mat)
 
 

@@ -276,10 +276,11 @@ def cmd_converge(args, cfg) -> int:
         the wall time being an even share of the batch's solve plus the
         trial's own measure."""
         # Sampling is deterministic, so each graph is sampled once, with every
-        # trial's features.  Its adjacency is split straight into the operator
-        # (S = A / n is never formed) and dropped before the solve.
+        # trial's features.  The graph, symmetric by its own validation, is
+        # split straight into the operator (S = A / n is never formed, and
+        # its symmetry is not checked again) and dropped before the solve.
         graph, feats = sampling.sample_system(spec, n, features, quad)
-        op = kernels.ShiftOperator(graph.adjacency, graph.n)
+        op = kernels.ShiftOperator(graph)
         del graph
         start = time.perf_counter()
         solved = dynamics.integrate_batch(
@@ -509,7 +510,7 @@ def cmd_integrate(args, cfg) -> int:
     solver = _solver_from_config(cfg)
     graph, (feats,) = sampling.sample_system(
         spec, n, [feature], _get_int(cfg, "quad_points", minimum=1))
-    op = kernels.ShiftOperator(graph.adjacency, graph.n)
+    op = kernels.ShiftOperator(graph)
     del graph  # the adjacency is not needed past the split
     traj = dynamics.integrate(op, feats, bank, act, T, solver)
     out = args.out or "trajectory.csv"

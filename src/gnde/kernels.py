@@ -16,11 +16,13 @@ non-finite entry come out NaN.
 S is fixed for a whole trajectory, so it is split once: a
 ``ShiftOperator`` keeps the slices of S with its row exponents and
 non-finite-row mask, and every product at that size splits only X.  Given
-S as A / divisor (a graph's adjacency and n), it divides each row block as
-it splits it, so S is never formed; division is elementwise, so the bits
-are the same.  It keeps the slices only up to S's last nonzero one (its
-depth): one at power-of-two n for the tent and the binary kernels, whose
-entries of S = A/n carry at most log2 n bits.  A skipped slice pair would
+a ``sampling.SampledGraph``, it divides each row block of the adjacency A
+by n as it splits it, so S = A / n is never formed; division is
+elementwise, so the bits are those of the array A / n.  The graph has
+checked its own symmetry, so the operator does not check it again.  It
+keeps the slices only up to S's last nonzero one (its depth): one at
+power-of-two n for the tent and the binary kernels, whose entries of
+S = A/n carry at most log2 n bits.  A skipped slice pair would
 add an exact +-0 to an accumulator that starts at +0.0, so it is never
 -0.0, and x + (+-0) = x for every other x: the depth changes no output
 bit.  For n >= 9, beta <= 24, and every slice entry, an integer of
@@ -49,6 +51,9 @@ reproducibility contract.
 from __future__ import annotations
 
 import numpy as np
+
+from .catalog import is_symmetric
+from .sampling import SampledGraph
 
 ACT_IDENTITY = 0
 ACT_RELU = 1
@@ -111,9 +116,11 @@ def _split(a, beta: int, axis: int, out):
 
 
 class ShiftOperator:
-    """An (m, n) shift matrix S = A / divisor split once for every product
-    ``S @ X``.  Each row block of A is divided as it is split, so the
-    slices are those of the array A / divisor bit for bit (x / 1 == x).
+    """An (m, n) shift matrix S split once for every product ``S @ X``.
+
+    ``S`` is a 2-D array or a ``sampling.SampledGraph``, whose shift is
+    S = adjacency / n: each row block of the adjacency is divided as it is
+    split, so the slices are those of the array adjacency / n bit for bit.
 
     ``slices[p]`` holds slice p of every row of S for p below the depth,
     the count up to S's last nonzero slice (float32 when
@@ -121,17 +128,22 @@ class ShiftOperator:
     with one slice and grows when a row block first needs more, copying
     only the rows already written.  ``exps`` holds each row's exponent
     and ``bad`` the rows holding a non-finite entry.  ``op @ X`` is
-    ``shift_matvec(S, X)`` bit for bit.  ``symmetric`` is A == A.T, set
-    at construction: entries equal in A stay equal divided by one divisor.
-    The operator keeps no reference to A.
+    ``shift_matvec(S, X)`` bit for bit.  ``symmetric`` is S == S.T, set
+    at construction: a graph is symmetric by its own validation (entries
+    equal in the adjacency stay equal divided by n), and an array is
+    checked here.  The operator keeps no reference to S.
     """
 
-    def __init__(self, A, divisor=1.0):
-        A = np.ascontiguousarray(A, dtype=np.float64)
-        if A.ndim != 2:
-            raise ValueError("a shift operator needs a 2-D array")
+    def __init__(self, S):
+        if isinstance(S, SampledGraph):
+            A, divisor = S.adjacency, S.n
+            self.symmetric = True
+        else:
+            A, divisor = np.ascontiguousarray(S, dtype=np.float64), 1.0
+            if A.ndim != 2:
+                raise ValueError("a shift operator needs a 2-D array")
+            self.symmetric = A.shape[0] == A.shape[1] and is_symmetric(A)
         m, n = self.shape = A.shape
-        self.symmetric = m == n and bool(np.array_equal(A, A.T))
         self.beta = slice_bits(n)
         self.rows = max(1, min(m, BLOCK_ENTRIES // max(n, 1)))
         store = np.float32 if self.beta <= FLOAT32_BITS else np.float64
@@ -249,11 +261,19 @@ def layer_stack_forward_batch(S, X, coeffs, act_id: int, slope: float = 0.0) -> 
             for g in range(F):
                 for k in range(K):
                     z += coeffs[:, layer, :, g, k] * powers[k][:, :, g : g + 1]
-        if act_id == ACT_RELU:
-            z = np.where(z > 0.0, z, 0.0)
-        elif act_id == ACT_LEAKY_RELU:
-            z = np.where(z > 0.0, z, slope * z)
-        elif act_id == ACT_TANH:
-            z = np.tanh(z)
-        cur = z.reshape(n, B * F)
+        cur = activate(z, act_id, slope).reshape(n, B * F)
     return cur
+
+
+def activate(z, act_id: int, slope: float = 0.0):
+    """rho(z) entrywise for a float64 array ``z``: the identity (``z``
+    itself), ReLU, leaky ReLU with negative-side ``slope``, or tanh, each
+    of the last three a new array.  The forward map and
+    ``neural.Activation.apply`` both call it, so rho has one form."""
+    if act_id == ACT_RELU:
+        return np.where(z > 0.0, z, 0.0)
+    if act_id == ACT_LEAKY_RELU:
+        return np.where(z > 0.0, z, slope * z)
+    if act_id == ACT_TANH:
+        return np.tanh(z)
+    return z

@@ -52,14 +52,8 @@ class Activation:
         return _ACT_IDS[self.kind]
 
     def apply(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if self.kind == "relu":
-            return np.where(x > 0.0, x, 0.0)
-        if self.kind == "leaky_relu":
-            return np.where(x > 0.0, x, self.slope * x)
-        if self.kind == "tanh":
-            return np.tanh(x)
-        return x.copy()
+        """rho(x) as a new array: ``kernels.activate``, the forward map's own rho."""
+        return kernels.activate(np.array(x, dtype=np.float64), self.act_id, self.slope)
 
 
 @dataclass(frozen=True, eq=False)

@@ -45,7 +45,12 @@ def _locked_float(arr):
 
 @dataclass(frozen=True, eq=False)
 class SampledGraph:
-    """Dense symmetric graph with entries in [0,1] ({0,1} when unweighted)."""
+    """Dense symmetric graph with entries in [0,1] ({0,1} when unweighted).
+
+    The adjacency is checked once, here, and locked read-only, so a
+    ``SampledGraph`` vouches for its symmetry: ``kernels.ShiftOperator``
+    does not check a graph again.
+    """
 
     adjacency: np.ndarray
     value_class: str
@@ -55,16 +60,16 @@ class SampledGraph:
         object.__setattr__(self, "adjacency", adj)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1] or adj.shape[0] < 1:
             raise InvalidParameterError("adjacency must be a square matrix")
-        if not np.array_equal(adj, adj.T):
-            raise InvalidParameterError("adjacency must be exactly symmetric")
         if self.value_class == WEIGHTED:
-            if adj.min() < 0.0 or adj.max() > 1.0:
+            if not (adj.min() >= 0.0 and adj.max() <= 1.0):  # NaN fails both
                 raise InvalidParameterError("weighted adjacency entries must lie in [0,1]")
         elif self.value_class == UNWEIGHTED:
             if not np.isin(adj, (0.0, 1.0)).all():
                 raise InvalidParameterError("unweighted adjacency entries must be 0 or 1")
         else:
             raise InvalidParameterError(f"unknown value class {self.value_class!r}")
+        if not catalog.is_symmetric(adj):
+            raise InvalidParameterError("adjacency must be exactly symmetric")
 
     @property
     def n(self) -> int:
@@ -359,7 +364,7 @@ def sample_system(spec: catalog.GraphonSpec, n: int, features, quad_points: int 
 
 def graph_shift(graph: SampledGraph) -> np.ndarray:
     """Shift operator S = adjacency / n (induced operator norm <= 1): the
-    dense reference of ``kernels.ShiftOperator(graph.adjacency, graph.n)``."""
+    dense reference of ``kernels.ShiftOperator(graph)``."""
     return graph.adjacency / graph.n
 
 

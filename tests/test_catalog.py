@@ -253,6 +253,35 @@ def test_pattern_check_verdict_matches_whole_matrix_check(pattern, tile):
             cat.block_pattern(pattern)
 
 
+@settings(max_examples=80, deadline=None)
+@given(n=st.sampled_from([1, 127, 128, 129, 257]), seed=st.integers(0, 2**32 - 1),
+       edits=st.lists(st.sampled_from(["flip_last", "nan", "nan_diagonal", "nan_pair",
+                                       "signed_zero"]), max_size=2))
+def test_symmetry_check_verdict_matches_whole_matrix(n, seed, edits):
+    # the tiled check against mat == mat.T on sizes around the tile side:
+    # a flipped entry in the last (partial) row block or its mirror column
+    # tiles, NaN (unequal to itself), and -0.0 against its mirror 0.0
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.choice([0.0, 0.5, 1.0], size=(n, n)))
+    mat = upper + np.triu(upper, 1).T
+    last = (n - 1) // cat._CHECK_TILE * cat._CHECK_TILE  # the last row block's first row
+    for edit in edits:
+        i, j = rng.integers(last, n), rng.integers(0, n)
+        if rng.integers(2):
+            i, j = j, i
+        if edit == "flip_last":
+            mat[i, j] += 0.25
+        elif edit == "nan":
+            mat[i, j] = np.nan
+        elif edit == "nan_diagonal":
+            mat[i, i] = np.nan
+        elif edit == "nan_pair":
+            mat[i, j] = mat[j, i] = np.nan
+        else:
+            mat[i, j], mat[j, i] = -0.0, 0.0
+    assert cat.is_symmetric(mat) is np.array_equal(mat, mat.T)
+
+
 def test_cell_intersects_support_exact():
     sp1 = cat.sierpinski(depth=1)
     # the open middle ninth is exactly the dropped cell

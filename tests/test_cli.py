@@ -280,10 +280,10 @@ def test_converge_fits_each_trial_once_per_row(tmp_path, monkeypatch):
 
 def test_converge_computes_each_quantity_once(tmp_path, monkeypatch):
     # one overlay partition per (trial, n), one norm pass per reference, one
-    # shift operator per size split straight from the adjacency (no dense
+    # shift operator per size split straight from the sampled graph (no dense
     # shift), one batched solve per size, exactly that operator and no
-    # sampled adjacency alive during a solve, and every solve on the main
-    # thread whatever --threads says
+    # sampled graph or adjacency alive during a solve, and every solve on the
+    # main thread whatever --threads says
     import gc
     import threading
     import weakref
@@ -291,7 +291,7 @@ def test_converge_computes_each_quantity_once(tmp_path, monkeypatch):
     from gnde import analysis, catalog, dynamics, kernels
 
     calls = {"partition": 0, "norms": 0, "graph_shift": 0}
-    adjacencies, operators, built, threads = [], [], [], set()
+    graphs, adjacencies, operators, built, threads = [], [], [], [], set()
     alive = {"batch": [], "solve": []}
 
     def counted(key, fn):
@@ -302,20 +302,21 @@ def test_converge_computes_each_quantity_once(tmp_path, monkeypatch):
 
     def tracked_sample(*args, sample=smp.sample_system):
         graph, feats = sample(*args)
+        graphs.append(weakref.ref(graph))
         adjacencies.append(weakref.ref(graph.adjacency))
         return graph, feats
 
     class TrackedOperator(kernels.ShiftOperator):
-        def __init__(self, A, divisor=1.0):
-            super().__init__(A, divisor)
-            built.append((A is adjacencies[-1](), divisor, A.shape[0], self.symmetric))
+        def __init__(self, S):
+            super().__init__(S)
+            built.append((S is graphs[-1](), self.shape, self.symmetric))
             operators.append(weakref.ref(self))
 
     def watched(key, fn):
         def wrapper(*args):
             gc.collect()
             alive[key].append((sum(ref() is not None for ref in operators),
-                               sum(ref() is not None for ref in adjacencies)))
+                               sum(ref() is not None for ref in graphs + adjacencies)))
             threads.add(threading.current_thread())
             return fn(*args)
         return wrapper
@@ -337,13 +338,47 @@ def test_converge_computes_each_quantity_once(tmp_path, monkeypatch):
     assert entry(["converge", "--config", cfg, "--out", str(tmp_path / "c.csv"),
                   "--threads", "2"]) == 0
     assert calls == {"partition": 2 * 3, "norms": 2, "graph_shift": 0}
-    # one operator per size, in size order, from the adjacency with divisor n
-    assert built == [(True, n, n, True) for n in (32, 8, 12, 16)]
-    assert len(adjacencies) == 4 and len(operators) == 4
+    # one operator per size, in size order, from the sampled graph itself
+    assert built == [(True, (n, n), True) for n in (32, 8, 12, 16)]
+    assert len(graphs) == len(adjacencies) == len(operators) == 4
     assert len(alive["batch"]) == 4 and len(alive["solve"]) == 2 * 4
     assert max(ops for ops, _ in alive["batch"]) == 1
     assert alive["solve"] == [(1, 0)] * (2 * 4)
     assert threads == {threading.main_thread()}
+
+
+@pytest.mark.parametrize("command, sizes, sampled_n", [
+    ("converge", dict(n_list="8,12,16", n_ref="32", trials="2"), [32, 8, 12, 16]),
+    ("integrate", dict(n="16"), [16]),
+])
+def test_each_sampled_graph_checked_for_symmetry_once(tmp_path, monkeypatch, command,
+                                                      sizes, sampled_n):
+    # the SampledGraph checks its adjacency and the operator built from it
+    # trusts that check: one comparison of each sampled adjacency with its
+    # transpose, not one per graph and one more per operator (every size is
+    # below catalog._CHECK_TILE, so a check is one whole-matrix comparison)
+    from collections import Counter
+
+    sampled, checks = [], []
+    equal = np.array_equal
+
+    def tracked_sample(*args, sample=smp.sample_system):
+        graph, feats = sample(*args)
+        sampled.append(graph.n)
+        return graph, feats
+
+    def counted_equal(a, b, *args, **kwargs):
+        if (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.ndim == 2
+                and a.shape[0] == a.shape[1] == b.shape[1] and np.shares_memory(a, b)):
+            checks.append(a.shape[0])
+        return equal(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(smp, "sample_system", tracked_sample)
+    monkeypatch.setattr(np, "array_equal", counted_equal)
+    cfg = _cfg(tmp_path, graphon="tent", T="0.25", solver="rk4", eval_grid="10", **sizes)
+    assert entry([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
+    assert sampled == sampled_n
+    assert Counter(checks) == Counter(sampled_n)
 
 
 def test_threads_flag_parses_on_every_command():

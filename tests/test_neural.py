@@ -42,6 +42,24 @@ def test_activations_are_normalized_lipschitz():
         assert act.apply(0.0) == 0.0
 
 
+@pytest.mark.parametrize("kind", ["identity", "relu", "leaky_relu", "tanh"])
+def test_forward_map_applies_the_activation_bit_for_bit(kind):
+    # one layer, one channel, one tap h = 1 (S^0 = I): the forward map is
+    # rho(0.0 + x), its tap sum starting at +0.0, so -0.0 reaches rho as
+    # +0.0 and every other x as itself
+    act = neural.Activation(kind, slope=0.3)
+    rng = np.random.default_rng(11)
+    x = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.finfo(float).max, -20.0, 20.0],
+        rng.normal(size=200) * np.exp2(rng.integers(-60, 60, size=200)),
+    ])[:, None]
+    n = x.shape[0]
+    out = neural.gnn_forward(np.full((n, n), 1.0 / n), x, np.ones((1, 1, 1, 1)), act)
+    assert np.array_equal(out.view(np.int64), act.apply(0.0 + x).view(np.int64))
+    plain = (x != 0.0) | ~np.signbit(x)
+    assert np.array_equal(out[plain].view(np.int64), act.apply(x)[plain].view(np.int64))
+
+
 def test_filter_bank_validation():
     with pytest.raises(InvalidParameterError):
         neural.FilterBank(np.ones((2, 2, 2)))
@@ -480,19 +498,20 @@ def test_catalog_shift_depth(name, n, depth):
 
 def test_operator_symmetry_read_once_and_dense_dropped():
     # symmetry is decided at construction, and the operator keeps no
-    # reference to the array it split
+    # reference to the array or graph it split
     import gc
     import weakref
 
     s = np.array([[0.0, 0.5], [0.5, 1.0]])
     op = kernels.ShiftOperator(s)
     assert vars(op)["symmetric"] is True
-    gone = np.array([[0.0, 0.5], [0.5, 1.0]]) * 3.0
-    ref = weakref.ref(gone)
-    divided = kernels.ShiftOperator(gone, 3.0)
+    gone = smp.SampledGraph(s.copy(), "weighted")
+    refs = [weakref.ref(gone), weakref.ref(gone.adjacency)]
+    divided = kernels.ShiftOperator(gone)
     del gone
     gc.collect()
-    assert ref() is None and vars(divided)["symmetric"] is True
+    assert all(ref() is None for ref in refs)
+    assert vars(divided)["symmetric"] is True
     assert not kernels.ShiftOperator(np.array([[0.0, 0.5], [0.25, 1.0]])).symmetric
     assert not kernels.ShiftOperator(np.full((2, 2), np.nan)).symmetric
     assert not kernels.ShiftOperator(np.ones((2, 3))).symmetric
@@ -503,7 +522,7 @@ def test_operator_symmetry_read_once_and_dense_dropped():
     assert np.array_equal(kernels.layer_stack_forward(op, x, coeffs, kernels.ACT_TANH),
                           kernels.layer_stack_forward(s, x, coeffs, kernels.ACT_TANH))
     assert np.array_equal(kernels.layer_stack_forward(divided, x, coeffs, kernels.ACT_TANH),
-                          kernels.layer_stack_forward(s, x, coeffs, kernels.ACT_TANH))
+                          kernels.layer_stack_forward(s / 2, x, coeffs, kernels.ACT_TANH))
 
 
 def _assert_same_operator(got, want, xs):
@@ -526,7 +545,7 @@ def test_operator_from_adjacency_matches_dense_shift(name, n):
     graph, _ = smp.sample_system(cat.from_name(name), n, [])
     rng = np.random.default_rng(n)
     xs = [rng.normal(size=(n, 3)), rng.normal(size=(n, 1)) * 1e-300]
-    _assert_same_operator(kernels.ShiftOperator(graph.adjacency, graph.n),
+    _assert_same_operator(kernels.ShiftOperator(graph),
                           kernels.ShiftOperator(smp.graph_shift(graph)), xs)
 
 
@@ -546,7 +565,7 @@ def test_sample_and_split_hold_one_dense_array(name):
     tracemalloc.start()
     try:
         graph, _ = smp.sample_system(spec, n, [])
-        op = kernels.ShiftOperator(graph.adjacency, graph.n)
+        op = kernels.ShiftOperator(graph)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -566,7 +585,7 @@ def test_split_grown_at_first_block_drops_empty_store(name, n):
     graph, _ = smp.sample_system(cat.from_name(name), n, [])
     tracemalloc.start()
     try:
-        op = kernels.ShiftOperator(graph.adjacency, graph.n)
+        op = kernels.ShiftOperator(graph)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -575,31 +594,41 @@ def test_split_grown_at_first_block_drops_empty_store(name, n):
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 30),
-       divisor=st.sampled_from([1.0, 2.0, 3.0, 7.0, 48.0, 1000.0, 0.1, 1e-300, 1e300]),
+@given(n=st.integers(1, 30), value_class=st.sampled_from([smp.WEIGHTED, smp.UNWEIGHTED]),
        block_rows=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
        poison=st.lists(st.sampled_from([np.inf, -np.inf, np.nan]), max_size=2))
-def test_operator_divisor_matches_divided_array(n, divisor, block_rows, seed, poison):
-    # a symmetric A split with a divisor, a few rows per block so that the
-    # division and the store's growth span several blocks, against the
-    # operator on the array A / divisor
+def test_operator_divisor_matches_divided_array(n, value_class, block_rows, seed, poison):
+    # a sampled graph split with its divisor n, a few rows per block so that
+    # the division and the store's growth span several blocks, against the
+    # operator on the array adjacency / n; and an array holding inf or NaN
+    # split a few rows per block against the same array in one block
     rng = np.random.default_rng(seed)
-    a = rng.uniform(0.0, 1.0, size=(n, n))
-    short = rng.integers(0, n + 1)  # leading rows of 3 bits: later blocks need more
-    a[:short] = np.rint(a[:short] * 8.0) / 8.0
-    a = np.triu(a) + np.triu(a, 1).T
-    scale = np.exp2(rng.integers(-30, 1, size=n))
-    a *= scale[:, None] * scale[None, :]
-    for value in poison:  # an inf or NaN entry, mirrored as in a symmetric A
+    if value_class == smp.WEIGHTED:
+        a = rng.uniform(0.0, 1.0, size=(n, n))
+        short = rng.integers(0, n + 1)  # leading rows of 3 bits: later blocks need more
+        a[:short] = np.rint(a[:short] * 8.0) / 8.0
+        scale = np.exp2(rng.integers(-30, 1, size=n))
+        a *= scale[:, None] * scale[None, :]
+    else:
+        a = rng.integers(0, 2, size=(n, n)).astype(np.float64)
+    graph = smp.SampledGraph(np.triu(a) + np.triu(a, 1).T, value_class)
+    poisoned = graph.adjacency / n
+    for value in poison:  # an inf or NaN entry, mirrored as in a symmetric S
         i, j = rng.integers(n, size=2)
-        a[i, j] = a[j, i] = value
+        poisoned[i, j] = poisoned[j, i] = value
     xs = [rng.normal(size=(n, 2))]
+    whole = kernels.ShiftOperator(poisoned)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "BLOCK_ENTRIES", block_rows * n)
-        got = kernels.ShiftOperator(a, divisor)
-        want = kernels.ShiftOperator(a / divisor)
-    assert got.rows == min(n, block_rows)
+        got = kernels.ShiftOperator(graph)
+        want = kernels.ShiftOperator(graph.adjacency / n)
+        blocked = kernels.ShiftOperator(poisoned)
+    assert got.rows == blocked.rows == min(n, block_rows)
+    assert got.symmetric is True
     _assert_same_operator(got, want, xs)
+    _assert_same_operator(blocked, whole, xs)
+    assert np.array_equal(blocked.bad[:, 0], ~np.isfinite(poisoned).all(axis=1))
+    assert blocked.symmetric is (not np.isnan(poisoned).any())
 
 
 def test_operator_empty_shapes():

@@ -703,6 +703,13 @@ def test_sampled_graph_validation():
         smp.SampledGraph(np.zeros((2, 2)), "signed")
     with pytest.raises(InvalidParameterError):
         smp.SampledGraph(np.zeros((2, 3)), "weighted")
+    # NaN is out of range, whether mirrored or on the diagonal
+    for value_class, message in (("weighted", "must lie in"), ("unweighted", "must be 0 or 1")):
+        for nan_at in ([0, 1], [1, 0]), ([1], [1]):
+            adj = np.zeros((2, 2))
+            adj[nan_at] = np.nan
+            with pytest.raises(InvalidParameterError, match=message):
+                smp.SampledGraph(adj, value_class)
 
 
 def test_pwc_validation():
