@@ -5,7 +5,9 @@ executable checks returning (holds, margin); the constants P, Q, C and
 C-tilde use certified inputs (h_T upper bound, Hoelder data, feature
 Lipschitz constant) so a nonnegative margin is a genuine verification up
 to solver error.  Everything here is pure computation over trajectory
-records; the CSV/JSON emission helpers are shared by the CLI.
+records, apart from the summary JSON writer the CLI shares.  The
+convergence report's columns are :data:`REPORT_COLUMNS`; the report is
+written, like every CSV table, by :func:`sampling.write_csv`.
 """
 
 from __future__ import annotations
@@ -285,24 +287,7 @@ def fit_rate(rows) -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Report emission (CSV schema shared with the CLI)
-
-
-def format_cell(value) -> str:
-    """Deterministic CSV cell: repr for floats, str otherwise, '' for None."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_report_csv(rows, path):
-    """Rows are dicts keyed by REPORT_COLUMNS."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(REPORT_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(format_cell(row.get(col)) for col in REPORT_COLUMNS) + "\n")
+# Summary emission
 
 
 def _jsonable(obj):

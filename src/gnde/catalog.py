@@ -148,11 +148,15 @@ def _binary_locked(mat, name):
             raise InvalidParameterError(f"{name} entries must be 0 or 1")
         if not _mirror_tiles_equal(mat, i):
             raise InvalidParameterError(f"{name} must be symmetric")
-    return _locked(mat)
+    return locked_array(mat, np.int8)
 
 
-def _locked(arr, dtype=np.int8):
-    out = np.ascontiguousarray(np.asarray(arr), dtype=dtype)
+def locked_array(arr, dtype=np.float64):
+    """``arr`` as a read-only C-contiguous ``dtype`` array.
+
+    An argument that already is one is not copied, so the caller's own
+    array is the one locked."""
+    out = np.ascontiguousarray(arr, dtype=dtype)
     out.flags.writeable = False
     return out
 
@@ -300,17 +304,21 @@ def evaluate(spec: GraphonSpec, u, v):
     """Evaluate W(u, v); accepts scalars or broadcastable arrays.
 
     Symmetric in (u, v) bit-for-bit because every closed form below is
-    written in terms of symmetric primitives.
+    written in terms of symmetric primitives.  A pair of scalars or 0-d
+    arrays returns a float with the bits the same pair gets inside arrays.
     """
     uu = _as_domain_array(u, "u")
     vv = _as_domain_array(v, "v")
-    scalar = np.isscalar(u) and np.isscalar(v)
+    # a point runs as a 1-element array: numpy's scalar power rounds
+    # differently from its array loop
+    point = uu.ndim == vv.ndim == 0
+    if point:
+        uu, vv = uu.reshape(1), vv.reshape(1)
     if spec.kind == KIND_TENT:
-        out = uu - vv  # a new array, worked on in place, or a numpy scalar
-        into = out if np.ndim(out) else None
-        out = np.abs(out, out=into)
-        out **= spec.alpha  # not np.power: keeps the sqrt fast path, scalar power
-        out = np.subtract(1.0, out, out=into)
+        out = uu - vv  # a new array, worked on in place
+        np.abs(out, out=out)
+        out **= spec.alpha  # not np.power: keeps the sqrt fast path
+        np.subtract(1.0, out, out=out)
     elif spec.kind == KIND_OSCILLATORY:
         w = spec.frequency * math.pi
         out = 0.5 * (1.0 + np.sin(w * uu) * np.sin(w * vv))
@@ -333,7 +341,7 @@ def evaluate(spec: GraphonSpec, u, v):
             x = x3 - dx
             y = y3 - dy
         out = keep.astype(np.float64)
-    return float(out) if scalar else out
+    return float(out[0]) if point else out
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +390,7 @@ def support_pattern(spec: GraphonSpec) -> np.ndarray:
     level d is the d-fold Kronecker power of the mask.
     """
     if spec.kind == KIND_BLOCK:
-        return _locked(spec.pattern, bool)
+        return locked_array(spec.pattern, bool)
     if spec.kind != KIND_CARPET:
         raise UnsupportedOperationError(
             "support pattern is only defined for block and carpet kernels"
@@ -401,7 +409,7 @@ def support_pattern(spec: GraphonSpec) -> np.ndarray:
         for a, b in kept:
             level[a * s : (a + 1) * s, b * s : (b + 1) * s] = pattern
         pattern = level
-    return _locked(pattern, bool)
+    return locked_array(pattern, bool)
 
 
 def cell_intersects_support(spec: GraphonSpec, cell) -> bool:

@@ -359,7 +359,8 @@ def cmd_converge(args, cfg) -> int:
         if log_domain:
             log_domain_trials.append(trial)
 
-    analysis.write_report_csv(rows, out)
+    sampling.write_csv(out, analysis.REPORT_COLUMNS,
+                       ([row.get(col) for col in analysis.REPORT_COLUMNS] for row in rows))
     valid = [s for s in per_trial_slopes if s is not None]
     per_n_mean = {str(n): float(np.mean(errs)) if errs else None
                   for n, errs in rel_errs.items()}
@@ -396,10 +397,7 @@ def cmd_boxdim(args, cfg) -> int:
     deltas = catalog.default_delta_schedule(boundary)
     slope, counts = catalog.box_counting_dimension(boundary, deltas)
     out = args.out or "boxdim.csv"
-    with open(out, "w") as fh:
-        fh.write("delta,count\n")
-        for delta, count in zip(deltas, counts):
-            fh.write(f"{delta!r},{count}\n")
+    sampling.write_csv(out, ["delta", "count"], zip(deltas, counts))
     analysis.write_summary_json(
         {"graphon": cfg["graphon"], "dimension_estimate": slope,
          "deltas": list(deltas), "counts": [int(c) for c in counts]},
@@ -453,11 +451,8 @@ def cmd_transfer_audit(args, cfg) -> int:
             float(np.std(errors)) if errors else None,
         )
 
-    with open(out, "w") as fh:
-        fh.write("proportion,trial,seed,k,rel_err,nodes,note\n")
-        for proportion, trial, seed, k, err, nodes, note in rows:
-            err_txt = "" if err is None else repr(err)
-            fh.write(f"{proportion!r},{trial},{seed},{k},{err_txt},{nodes},{note}\n")
+    sampling.write_csv(out, ["proportion", "trial", "seed", "k", "rel_err", "nodes", "note"],
+                       rows)
     summary = {
         "edge_list": cfg["edge_list"],
         "n": n,

@@ -33,13 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .catalog import locked_array
 from .errors import (
     DivergenceError,
     InvalidParameterError,
     NonConvergenceError,
 )
 from .neural import Activation, FilterBank, filters_at, h_sup_certified
-from .sampling import FeatureMatrix, check_entries
+from .sampling import FeatureMatrix, check_entries, write_csv
 
 SAFETY = 0.9
 MIN_FACTOR = 0.2
@@ -155,9 +156,7 @@ class TrajectoryRecord:
 
     def __post_init__(self):
         for name in ("eval_times", "states"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, locked_array(getattr(self, name)))
 
     @property
     def n(self) -> int:
@@ -552,12 +551,9 @@ def write_trajectory(traj: TrajectoryRecord, path):
     """CSV with `t` plus n*F state columns x_<node>_<channel>, node-major;
     solver settings go to a `<path>.meta.txt` sidecar."""
     n, F = traj.n, traj.F
-    cols = [f"x_{i}_{f}" for i in range(n) for f in range(F)]
-    with open(path, "w", newline="") as fh:
-        fh.write("t," + ",".join(cols) + "\n")
-        for j, t in enumerate(traj.eval_times):
-            flat = traj.states[j].reshape(-1)
-            fh.write(repr(float(t)) + "," + ",".join(repr(float(x)) for x in flat) + "\n")
+    header = ["t"] + [f"x_{i}_{f}" for i in range(n) for f in range(F)]
+    write_csv(path, header, ([t] + state.reshape(-1).tolist()
+                             for t, state in zip(traj.eval_times.tolist(), traj.states)))
     with open(f"{path}.meta.txt", "w") as fh:
         for key in sorted(traj.solver_meta):
             fh.write(f"{key}={traj.solver_meta[key]}\n")

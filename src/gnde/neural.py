@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .catalog import locked_array
 from .errors import DimensionMismatchError, InvalidParameterError
 from .sampling import FeatureMatrix
 
@@ -72,8 +73,7 @@ class FilterBank:
     horizon: float = 1.0
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.coeffs), dtype=np.float64)
-        arr.flags.writeable = False
+        arr = locked_array(self.coeffs)
         object.__setattr__(self, "coeffs", arr)
         if not np.isfinite(arr).all():
             raise InvalidParameterError("filter coefficients must be finite")

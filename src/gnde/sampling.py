@@ -6,11 +6,17 @@ Finite graphs and feature matrices embed back into function space as
 piecewise-constant (step) functions on the uniform n-partition, and all
 cross-size comparisons go through the exact overlay L2 distance on the
 merged partition.
+
+This module also holds the one CSV cell format and writer of the package:
+:func:`format_cell` writes a float as its ``repr`` and :func:`write_csv`
+ends every line in "\\n".  Every table gnde writes (feature matrices,
+trajectories, the convergence report, box counts, the transfer audit) goes
+through :func:`write_csv`; the edge list keeps its own chunked writer, with
+its weights in :func:`format_cell`'s text.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import re
@@ -37,12 +43,6 @@ CONSTANT = "constant"
 LINEAR = "linear"
 
 
-def _locked_float(arr):
-    out = np.ascontiguousarray(np.asarray(arr), dtype=np.float64)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class SampledGraph:
     """Dense symmetric graph with entries in [0,1] ({0,1} when unweighted).
@@ -56,7 +56,7 @@ class SampledGraph:
     value_class: str
 
     def __post_init__(self):
-        adj = _locked_float(self.adjacency)
+        adj = catalog.locked_array(self.adjacency)
         object.__setattr__(self, "adjacency", adj)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1] or adj.shape[0] < 1:
             raise InvalidParameterError("adjacency must be a square matrix")
@@ -83,7 +83,7 @@ class FeatureMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = _locked_float(self.values)
+        vals = catalog.locked_array(self.values)
         object.__setattr__(self, "values", vals)
         if vals.ndim != 2 or vals.shape[0] < 1 or vals.shape[1] < 1:
             raise InvalidParameterError("feature values must be a 2-D n x F array")
@@ -112,8 +112,8 @@ class PiecewiseConstantFunction:
     kernel: bool = False
 
     def __post_init__(self):
-        bp = _locked_float(self.breakpoints)
-        vals = _locked_float(self.values)
+        bp = catalog.locked_array(self.breakpoints)
+        vals = catalog.locked_array(self.values)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
         if bp.ndim != 1 or bp.size < 2 or bp[0] != 0.0 or bp[-1] != 1.0:
@@ -148,8 +148,8 @@ class FeatureFunctionSpec:
     degree: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _locked_float(np.atleast_2d(self.a)))
-        object.__setattr__(self, "b", _locked_float(np.atleast_2d(self.b)))
+        object.__setattr__(self, "a", catalog.locked_array(np.atleast_2d(self.a)))
+        object.__setattr__(self, "b", catalog.locked_array(np.atleast_2d(self.b)))
         if self.kind not in (FOURIER, HOLDER, CONSTANT, LINEAR):
             raise InvalidParameterError(f"unknown feature kind {self.kind!r}")
         if self.a.shape != self.b.shape:
@@ -421,7 +421,29 @@ def pwc_l2_norm(f: PiecewiseConstantFunction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Edge-list and feature CSV formats
+# CSV tables: the edge list, feature matrices, and every table the CLI writes
+
+
+def format_cell(value) -> str:
+    """One CSV cell: a float (numpy's too) as its Python float ``repr``,
+    which reads back to the same bits; None as the empty cell; anything
+    else as ``str``."""
+    if type(value) is float:  # first: trajectory rows are millions of cells
+        return repr(value)
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):  # np.float64's repr is "np.float64(...)"
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path, header, rows):
+    """Write a header line of column names, then one line per row of cells
+    (:func:`format_cell`), each line ending in "\\n" on every platform."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(format_cell, row)) + "\n")
 
 
 _WRITE_ROWS = 16384  # rows per write: larger chunks only raise the peak memory
@@ -430,14 +452,14 @@ _WRITE_ROWS = 16384  # rows per write: larger chunks only raise the peak memory
 def write_edge_list(graph: SampledGraph, path):
     """CSV edge list: header `n=<n>,class=<class>`, then sorted nonzero
     upper-triangle entries (diagonal included) as `i,j,weight` rows, the
-    weight as its Python float ``repr``.
+    weight as its :func:`format_cell` text.
 
-    Each ``_WRITE_ROWS``-row chunk takes ``repr`` once per distinct weight
-    (``np.unique``) and each node id's ``str`` once per call, then joins the
-    rows from those tables.  The bytes are those of one ``repr`` per row:
-    ``repr`` is a function of the float's bits, and the only distinct bits
-    that ``np.unique`` merges, +0.0 with -0.0 and NaN with NaN, are never
-    written (zeros are dropped, and a ``SampledGraph`` holds no NaN).
+    Each ``_WRITE_ROWS``-row chunk formats each distinct weight once
+    (``np.unique``) and each node id once per call, then joins the rows from
+    those tables.  The bytes are those of one cell per row: the text is a
+    function of the float's bits, and the only distinct bits that
+    ``np.unique`` merges, +0.0 with -0.0 and NaN with NaN, are never written
+    (zeros are dropped, and a ``SampledGraph`` holds no NaN).
     """
     n = graph.n
     iu, ju = np.triu_indices(n)
@@ -452,7 +474,7 @@ def write_edge_list(graph: SampledGraph, path):
             rows = slice(lo, lo + _WRITE_ROWS)
             # per chunk: one np.unique over all rows raises the peak memory
             values, which = np.unique(w[rows], return_inverse=True)
-            texts = [repr(x) for x in values.tolist()]
+            texts = [format_cell(x) for x in values.tolist()]
             fh.write("".join([f"{ids[i]},{ids[j]},{texts[k]}\n" for i, j, k in zip(
                 iu[rows].tolist(), ju[rows].tolist(), which.tolist())]))
 
@@ -544,8 +566,5 @@ def read_edge_list(path) -> SampledGraph:
 
 
 def write_feature_matrix(features: FeatureMatrix, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{c}" for c in range(features.F)])
-        for row in features.values:
-            writer.writerow([repr(float(x)) for x in row])
+    """CSV with columns f0 .. f<F-1>, one row per node."""
+    write_csv(path, [f"f{c}" for c in range(features.F)], features.values.tolist())

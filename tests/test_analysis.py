@@ -280,37 +280,6 @@ def test_fit_rate_noise_and_guards():
         an.fit_rate([(64, 0.1), (64, 0.2), (64, 0.3)])
 
 
-def test_format_cell():
-    assert an.format_cell(None) == ""
-    assert an.format_cell(0.1) == "0.1"
-    assert an.format_cell(float(2)) == "2.0"
-    assert an.format_cell(42) == "42"
-    assert an.format_cell("tent") == "tent"
-
-
-def test_write_report_csv(tmp_path):
-    path = tmp_path / "report.csv"
-    rows = [
-        {
-            "graphon": "tent",
-            "alpha_or_dim": 1.0,
-            "n": 128,
-            "n_ref": 2048,
-            "T": 1.0,
-            "seed": 7,
-            "sup_rel_err": 0.125,
-            "abs_err": 0.25,
-            "bound": None,
-            "slope_running": None,
-            "runtime_ms": 3.5,
-        }
-    ]
-    an.write_report_csv(rows, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == ",".join(an.REPORT_COLUMNS)
-    assert lines[1] == "tent,1.0,128,2048,1.0,7,0.125,0.25,,,3.5"
-
-
 def test_write_summary_json_deterministic(tmp_path):
     summary = {"b": np.float64(0.5), "a": [np.int64(3), 2.0], "c": {"z": 1, "y": None}}
     p1, p2 = tmp_path / "s1.json", tmp_path / "s2.json"

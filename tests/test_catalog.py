@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gnde import catalog as cat
@@ -46,15 +46,18 @@ def test_tent_point_values():
 
 
 def _tent_reference(alpha, u, v):
-    """The tent as evaluate formed it out of place: 1 - |u - v|**alpha."""
-    out = 1.0 - np.abs(np.asarray(u, dtype=np.float64) - np.asarray(v, dtype=np.float64)) ** alpha
-    return float(out) if np.isscalar(u) and np.isscalar(v) else out
+    """The tent out of place on arrays, 1 - |u - v|**alpha; a point (scalars
+    or 0-d arrays) as 1-element arrays, returned as a float."""
+    uu, vv = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    if uu.ndim == vv.ndim == 0:
+        return float(_tent_reference(alpha, uu.reshape(1), vv.reshape(1))[0])
+    return 1.0 - np.abs(uu - vv) ** alpha
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.3])
 def test_tent_in_place_matches_reference_bits(alpha):
     # evaluate builds the tent in one array in place; the bits are those of
-    # the out-of-place closed form, and a scalar pair still gives a float
+    # the out-of-place closed form, and a point gives a float
     spec = cat.tent(alpha)
     rng = np.random.default_rng(13)
     u, v = rng.random(500), rng.random(500)
@@ -115,6 +118,20 @@ def test_evaluate_symmetry_and_range():
         b = cat.evaluate(spec, v, u)
         assert np.array_equal(a, b), name
         assert a.min() >= 0.0 and a.max() <= 1.0, name
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@example(0.3, 0.6137916910471019, 0.01791347207176852)
+def test_evaluate_point_has_its_array_bits(alpha, u, v):
+    # a pair gives the same float whether it comes as scalars, 0-d arrays or
+    # array entries (numpy's scalar power rounds unlike its array loop)
+    for spec in [cat.tent(alpha)] + [cat.from_name(name) for name in cat.CATALOG_NAMES]:
+        entry = cat.evaluate(spec, np.array([0.25, u, 1.0]), np.array([0.5, v, 0.0]))[1]
+        for pair in ((u, v), (np.array(u), np.array(v)), (np.float64(u), v)):
+            got = cat.evaluate(spec, *pair)
+            assert type(got) is float, spec.kind
+            assert np.float64(got).tobytes() == entry.tobytes(), (spec.kind, pair)
 
 
 def test_evaluate_domain_check():

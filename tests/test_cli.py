@@ -395,6 +395,45 @@ def test_converge_rejects_bad_reference(tmp_path):
     assert entry(["converge", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def test_every_output_is_lf_and_parses_back(tmp_path):
+    # every file the commands write ends its lines in "\n" alone and holds
+    # floats as Python reprs (never "np.float64(...)"); each CSV reads back
+    out = tmp_path / "out"
+    out.mkdir()
+    edges = str(out / "s.csv")
+    runs = [
+        ("sample", dict(n="8"), edges),
+        ("integrate", dict(n="6", T="0.25", solver="rk4", eval_grid="4"), "traj.csv"),
+        ("converge", dict(n_list="8,12,16", n_ref="32", trials="1", T="0.25",
+                          solver="rk4", eval_grid="4"), "conv.csv"),
+        ("boxdim", dict(graphon="hsbm"), "dim.csv"),
+        ("transfer-audit", dict(edge_list=edges, proportions="0.5,1.0", audit_trials="2"),
+         "audit.csv"),
+    ]
+    for command, kv, name in runs:
+        cfg = _cfg(tmp_path, f"{command}.cfg", **kv)
+        assert entry([command, "--config", cfg, "--out", str(out / name)]) == 0
+    tables = ["audit.csv", "conv.csv", "dim.csv", "s.features.csv", "traj.csv"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        tables + ["s.csv", "audit.csv.summary.json", "conv.csv.summary.json",
+                  "dim.csv.summary.json", "traj.csv.meta.txt"])
+    for path in out.iterdir():
+        raw = path.read_bytes()
+        assert raw.endswith(b"\n") and b"\r" not in raw and b"np." not in raw, path.name
+    assert smp.read_edge_list(edges).n == 8
+    for name in tables:
+        rows = _read_csv(out / name)
+        assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows[1:]), name
+    for name in ("s.features.csv", "traj.csv"):
+        assert np.isfinite(np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2)).all()
+    for row in _read_csv(out / "conv.csv")[1:]:
+        record = dict(zip(REPORT_COLUMNS, row))
+        assert float(record["sup_rel_err"]) > 0.0 and int(record["n"]) in (8, 12, 16)
+    assert [float(delta) for delta, _ in _read_csv(out / "dim.csv")[1:]] == [
+        2.0**-j for j in range(4, 10)]
+    assert all(float(row[4]) >= 0.0 for row in _read_csv(out / "audit.csv")[1:])
+
+
 def test_boxdim_sierpinski(tmp_path):
     cfg = _cfg(tmp_path, graphon="sierpinski")
     out = str(tmp_path / "dim.csv")

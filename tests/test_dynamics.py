@@ -540,7 +540,9 @@ def test_write_trajectory(tmp_path):
     traj = dyn.integrate(s, z, bank, TANH, 1.0, cfg)
     path = tmp_path / "traj.csv"
     dyn.write_trajectory(traj, path)
-    lines = path.read_text().splitlines()
+    raw = path.read_bytes()
+    assert b"\r" not in raw and raw.endswith(b"\n")
+    lines = raw.decode().splitlines()
     assert lines[0] == "t," + ",".join(f"x_{i}_{f}" for i in range(3) for f in range(2))
     assert len(lines) == 6
     back = np.asarray(

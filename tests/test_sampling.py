@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from gnde import catalog as cat
 from gnde import sampling as smp
+from gnde.analysis import REPORT_COLUMNS
 from gnde.errors import (
     ComplexityGuardError,
     DimensionMismatchError,
@@ -687,9 +688,34 @@ def test_feature_matrix_round_trip(tmp_path):
     fm = smp.FeatureMatrix(rng.normal(size=(6, 3)))
     path = tmp_path / "features.csv"
     smp.write_feature_matrix(fm, path)
-    assert path.read_text().splitlines()[0] == "f0,f1,f2"
+    assert path.read_bytes() == ("f0,f1,f2\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in fm.values.tolist())).encode()
     back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     assert np.array_equal(back, fm.values)
+
+
+def test_format_cell():
+    assert smp.format_cell(None) == ""
+    assert smp.format_cell(0.1) == "0.1"
+    assert smp.format_cell(float(2)) == "2.0"
+    assert smp.format_cell(42) == "42"
+    assert smp.format_cell("tent") == "tent"
+    # numpy scalars print as the Python values they hold
+    assert smp.format_cell(np.float64(0.1)) == "0.1"
+    assert smp.format_cell(np.float32(0.5)) == "0.5"
+    assert smp.format_cell(np.int64(7)) == "7"
+
+
+def test_write_csv(tmp_path):
+    # a convergence-report table, as gnde converge writes it
+    path = tmp_path / "report.csv"
+    rows = [["tent", 1.0, 128, 2048, 1.0, 7, 0.125, 0.25, None, None, 3.5],
+            ["hsbm", np.float64(1.5), 8, 16, 0.5, 9, None, np.float64(0.25), None, None, 0.0]]
+    smp.write_csv(path, REPORT_COLUMNS, rows)
+    assert path.read_bytes() == (
+        ",".join(REPORT_COLUMNS) + "\n"
+        "tent,1.0,128,2048,1.0,7,0.125,0.25,,,3.5\n"
+        "hsbm,1.5,8,16,0.5,9,,0.25,,,0.0\n").encode()
 
 
 def test_sampled_graph_validation():
