@@ -11,8 +11,8 @@ from . import analysis, catalog, dynamics, kernels, neural, sampling
 from .analysis import (
     BoundInputs,
     fit_rate,
-    rate_constant_unweighted,
-    rate_constant_weighted,
+    rate_constant,
+    rate_form,
     stability_bound_check,
     stability_constants,
     trajectory_sup_absolute_error,

@@ -1,13 +1,14 @@
 """Error metrics, theoretical constants, rate fitting, and bound checks.
 
 The stability and transferability inequalities are implemented as
-executable checks returning (holds, margin); the constants P, Q, C and
-C-tilde use certified inputs (h_T upper bound, Hoelder data, feature
-Lipschitz constant) so a nonnegative margin is a genuine verification up
-to solver error.  Everything here is pure computation over trajectory
-records, apart from the summary JSON writer the CLI shares.  The
-convergence report's columns are :data:`REPORT_COLUMNS`; the report is
-written, like every CSV table, by :func:`sampling.write_csv`.
+executable checks returning (holds, margin); the constants P, Q and C
+use certified inputs (h_T upper bound, feature Lipschitz constant) so a
+nonnegative margin is a genuine verification up to solver error, and
+:func:`rate_form` alone picks a regime's rate.  Everything here is pure
+computation over trajectory records, apart from the summary JSON writer
+the CLI shares.  The convergence report's columns are
+:data:`REPORT_COLUMNS`; the report is written, like every CSV table, by
+:func:`sampling.write_csv`.
 """
 
 from __future__ import annotations
@@ -18,17 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import catalog, sampling
+from . import catalog, neural, sampling
 from .errors import (
     DegenerateReferenceError,
     InsufficientDataError,
     InvalidParameterError,
     LogDomainError,
 )
-
-#: Entries (eval times x cells x F) of one block of the per-time L2 sums;
-#: bounds the transient arrays below the allocator's mmap threshold.
-L2_BLOCK_ENTRIES = 1 << 12
 
 REPORT_COLUMNS = (
     "graphon",
@@ -55,29 +52,24 @@ class BoundInputs:
     T: float
     h_T: float
     X_sup_norm: float
-    A1: float = 0.0
-    alpha: float = 1.0
     A2: float = 0.0
-    b: float | None = None
-    eps: float | None = None
 
     def __post_init__(self):
         if min(self.F, self.K, self.L) < 1:
             raise InvalidParameterError("F, K, L must be positive integers")
-        if self.T < 0.0 or self.h_T < 0.0 or self.A1 < 0.0 or self.A2 < 0.0:
-            raise InvalidParameterError("T, h_T, A1, A2 must be nonnegative")
+        if self.T < 0.0 or self.h_T < 0.0 or self.A2 < 0.0:
+            raise InvalidParameterError("T, h_T, A2 must be nonnegative")
         if self.X_sup_norm < 0.0:
             raise InvalidParameterError("X_sup_norm must be nonnegative")
-        if not (0.0 < self.alpha <= 1.0):
-            raise InvalidParameterError("alpha must be in (0, 1]")
-        if self.b is not None:
-            unweighted_exponent(self.b, self.eps)
 
 
 def _growth(inp: BoundInputs) -> float:
-    """exp(T (F K h_T)^L), or inf where that overflows a float."""
+    """exp(T (F K h_T)^L), or inf where the power or the exponential
+    overflows; an infinite F K h_T at T = 0 gives NaN, as 0 * inf does."""
+    lam = neural.field_lipschitz(inp.F, inp.K, inp.h_T, inp.L)
+    overflowed = lam == math.inf and math.isfinite(inp.F * inp.K * inp.h_T)
     try:
-        return math.exp(inp.T * (inp.F * inp.K * inp.h_T) ** inp.L)
+        return math.inf if overflowed else math.exp(inp.T * lam)
     except OverflowError:
         return math.inf
 
@@ -121,25 +113,25 @@ def unweighted_exponent(b: float, eps: float | None) -> float:
     return 1.0 - (b + eps) / 2.0
 
 
+def rate_form(spec: catalog.GraphonSpec, eps: float | None):
+    """(alpha_or_dim, exponent, kernel_term) of the bound C n^{-exponent},
+    C being :func:`rate_constant` with that kernel term: (alpha, alpha,
+    kernel_sampling_bound(A1, alpha, 1)) for a weighted (A1, alpha)-Hoelder
+    kernel, (b, unweighted_exponent(b, eps), 1) for a binary kernel of
+    boundary dimension b; the exponent is None where no b is known."""
+    if spec.value_class == catalog.WEIGHTED:
+        A1, alpha = spec.holder_meta
+        return alpha, alpha, kernel_sampling_bound(A1, alpha, 1)
+    b = spec.nominal_box_dim
+    return b, None if b is None else unweighted_exponent(b, eps), 1.0
+
+
 def rate_constant(inp: BoundInputs, kernel_term: float) -> float:
     """C with ||X_n - X||_C <= C n^{-exponent}: the growth times the sampling
     bounds at n = 1, feature_sampling_bound(A2, F, 1) + L K X_sup_norm
-    kernel_term, where kernel_term is kernel_sampling_bound(A1, alpha, 1)
-    for weighted sampling and 1 for binary sampling."""
+    kernel_term, the kernel term being :func:`rate_form`'s."""
     return _grown(inp, feature_sampling_bound(inp.A2, inp.F, 1)
                   + inp.L * inp.K * inp.X_sup_norm * kernel_term)
-
-
-def rate_constant_weighted(inp: BoundInputs) -> float:
-    """C with ||X_n - X||_C <= C n^{-alpha} for weighted sampling."""
-    return rate_constant(inp, kernel_sampling_bound(inp.A1, inp.alpha, 1))
-
-
-def rate_constant_unweighted(inp: BoundInputs) -> tuple[float, float]:
-    """(C_tilde, exponent) with ||X_n - X||_C <= C_tilde n^{-exponent}."""
-    if inp.b is None or inp.eps is None:
-        raise InvalidParameterError("unweighted rate needs box dimension b and eps")
-    return rate_constant(inp, 1.0), unweighted_exponent(inp.b, inp.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -157,53 +149,30 @@ def _check_compatible(traj_a, traj_b):
         raise InvalidParameterError("feature values must be finite")
 
 
-def _l2_per_time(block, count, F, widths):
-    """sqrt(sum_c widths[c] * sum_f D[j, c, f]**2) for each eval time j < count.
-
-    ``block(lo, hi)`` returns D[lo:hi] as a new (hi - lo, widths.size, F)
-    array, which is squared in place; a block holds about
-    ``L2_BLOCK_ENTRIES`` entries.  The channel sums are made C-contiguous
-    before the cell sums, so each time's cell sum runs over contiguous
-    memory, as a 1-D sum does.
-    """
-    step = max(1, L2_BLOCK_ENTRIES // max(1, widths.size * F))
-    for lo in range(0, count, step):
-        sq = block(lo, min(count, lo + step))
-        sq *= sq
-        inner = np.ascontiguousarray(np.sum(sq, axis=2))
-        inner *= widths
-        yield from map(math.sqrt, np.sum(inner, axis=1).tolist())
-
-
 def _overlay_distances(traj_n, traj_ref):
     """The overlay L2 distance between the induced states at each eval time.
 
     The merged partition of the two uniform partitions is built once, and
-    each block of eval times gathers its cell differences at once.  Every
-    distance equals the per-state ``sampling.overlay_l2_distance`` bit for
-    bit.  The hazard is memory layout, not batching: a numpy sum's bits
-    depend on the layout of the array it reduces, not on how many times
-    share the call.  The gather ``states[lo:hi, ia]`` is not C-ordered
-    (numpy lays it out cell by cell, each cell's times together), nor is
-    its channel sum, and cell sums over that layout miss the per-state ones
-    in the last bit.
+    each block of eval times gathers its cell differences at once.  The
+    gather ``states[lo:hi, ia]`` is not C-ordered (numpy lays it out cell
+    by cell, each cell's times together); ``sampling.l2_per_row`` makes its
+    channel sums contiguous, so each time's bits are its own state's.
     """
     _check_compatible(traj_n, traj_ref)
     ia, ib, widths = catalog.overlay_partition(
         sampling.uniform_breakpoints(traj_n.n), sampling.uniform_breakpoints(traj_ref.n)
     )
     states_n, states_ref = traj_n.states, traj_ref.states
-    return _l2_per_time(lambda lo, hi: states_n[lo:hi, ia] - states_ref[lo:hi, ib],
-                        len(states_n), traj_n.F, widths)
+    return sampling.l2_per_row(lambda lo, hi: states_n[lo:hi, ia] - states_ref[lo:hi, ib],
+                               len(states_n), traj_n.F, widths)
 
 
 def trajectory_norms(traj) -> list[float]:
-    """L2 norm of the induced state at each eval time, summed as
-    ``sampling.pwc_l2_norm`` sums it."""
+    """L2 norm of the induced state at each eval time."""
     widths = np.diff(sampling.uniform_breakpoints(traj.n))
     states = traj.states
-    return list(_l2_per_time(lambda lo, hi: states[lo:hi].copy(),
-                             len(states), traj.F, widths))
+    return list(sampling.l2_per_row(lambda lo, hi: states[lo:hi].copy(),
+                                    len(states), traj.F, widths))
 
 
 def trajectory_sup_absolute_error(traj_n, traj_ref) -> float:

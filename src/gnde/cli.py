@@ -232,17 +232,6 @@ def _trial_seed(master: int, *path) -> int:
 # converge
 
 
-def _rate_form(spec, eps):
-    """(alpha_or_dim, exponent, kernel_term) of the row bound c * n**-exponent,
-    c being ``analysis.rate_constant`` with that kernel term; the exponent is
-    None where no bound is certified."""
-    if spec.value_class == catalog.WEIGHTED:
-        A1, alpha = spec.holder_meta
-        return alpha, alpha, analysis.kernel_sampling_bound(A1, alpha, 1)
-    b = spec.nominal_box_dim
-    return b, None if b is None else analysis.unweighted_exponent(b, eps), 1.0
-
-
 def cmd_converge(args, cfg) -> int:
     spec = _graphon_from_config(cfg)
     n_list = sorted(_get_int_list(cfg, "n_list"))
@@ -255,7 +244,7 @@ def cmd_converge(args, cfg) -> int:
     T = _get_float(cfg, "T")
     channels = _get_int(cfg, "channels", minimum=1)
     quad = _get_int(cfg, "quad_points", minimum=1)
-    alpha_or_dim, exponent, kernel_term = _rate_form(spec, _get_float(cfg, "eps"))
+    alpha_or_dim, exponent, kernel_term = analysis.rate_form(spec, _get_float(cfg, "eps"))
     act = _activation_from_config(cfg)
     solver = _solver_from_config(cfg)
     master = _master_seed(args, cfg)

@@ -39,7 +39,7 @@ from .errors import (
     InvalidParameterError,
     NonConvergenceError,
 )
-from .neural import Activation, FilterBank, filters_at, h_sup_certified
+from .neural import Activation, FilterBank, field_lipschitz, filters_at, h_sup_certified
 from .sampling import FeatureMatrix, check_entries, write_csv
 
 SAFETY = 0.9
@@ -393,6 +393,11 @@ def _picard(Z, bank, T, cfg):
         raise InvalidParameterError(
             f"picard oracle is limited to n <= {PICARD_MAX_N} and T <= {PICARD_MAX_T}"
         )
+    h_T = h_sup_certified(bank)
+    lam = field_lipschitz(bank.F, bank.K, h_T, bank.L)
+    if lam == math.inf and math.isfinite(bank.F * bank.K * h_T):
+        raise NonConvergenceError(f"picard windows cannot contract: the {bank.L}-layer bank's "
+                                  "Lipschitz bound (F K h_T)^L exceeds the float range")
     times = _eval_times(T, cfg.eval_grid)
     sub = max(1, math.ceil(PICARD_GRID_PER_UNIT * T / cfg.eval_grid))
     # Fine quadrature grid aligned with the eval grid: sub points per
@@ -403,7 +408,7 @@ def _picard(Z, bank, T, cfg):
     )
     N = fine.size
 
-    lam = (bank.F * bank.K * h_sup_certified(bank)) ** bank.L
+    # An infinite F K h_T gives one-step windows (tau = 0).
     tau = min(PICARD_CONTRACTION / lam, T) if lam > 0.0 else T
 
     states = np.empty((times.size, n, Z.shape[1]))

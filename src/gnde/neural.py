@@ -137,6 +137,16 @@ def h_sup_certified(bank: FilterBank) -> float:
     return float(np.max(np.sum(np.abs(bank.coeffs), axis=4)))
 
 
+def field_lipschitz(F: int, K: int, h_T: float, L: int) -> float:
+    """(F K h_T)^L, the Lipschitz constant of the vector field on a shift of
+    norm <= 1 when h_T bounds every filter tap, or inf where the power of a
+    finite F K h_T overflows a float."""
+    try:
+        return (F * K * h_T) ** L
+    except OverflowError:
+        return math.inf
+
+
 def random_filter_bank(
     L: int,
     F: int,

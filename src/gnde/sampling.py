@@ -389,6 +389,30 @@ def induce_features(features: FeatureMatrix) -> PiecewiseConstantFunction:
     )
 
 
+#: Entries (rows x cells x F) of one block of :func:`l2_per_row`; bounds
+#: the transient arrays below the allocator's mmap threshold.
+L2_BLOCK_ENTRIES = 1 << 12
+
+
+def l2_per_row(block, count, F, widths):
+    """sqrt(sum_c widths[c] * sum_f D[j, c, f]**2) for each row j < count:
+    the L2 norms of step functions on cells of widths ``widths``.
+
+    ``block(lo, hi)`` returns D[lo:hi] as a new (hi - lo, widths.size, F)
+    array, which is squared in place; a block holds about
+    ``L2_BLOCK_ENTRIES`` entries.  The channel sums are made C-contiguous
+    before the cell sums, so each row's cell sum runs over contiguous
+    memory, as a 1-D sum does, whatever the block's layout and size.
+    """
+    step = max(1, L2_BLOCK_ENTRIES // max(1, widths.size * F))
+    for lo in range(0, count, step):
+        sq = block(lo, min(count, lo + step))
+        sq *= sq
+        inner = np.ascontiguousarray(np.sum(sq, axis=2))
+        inner *= widths
+        yield from map(math.sqrt, np.sum(inner, axis=1).tolist())
+
+
 def overlay_l2_distance(
     f_a: PiecewiseConstantFunction, f_b: PiecewiseConstantFunction
 ) -> float:
@@ -405,7 +429,8 @@ def overlay_l2_distance(
         )
     ia, ib, widths = catalog.overlay_partition(f_a.breakpoints, f_b.breakpoints)
     diff = f_a.values[ia] - f_b.values[ib]
-    return float(math.sqrt(np.sum(widths * np.sum(diff * diff, axis=1))))
+    (dist,) = l2_per_row(lambda lo, hi: diff[None], 1, f_a.F, widths)
+    return dist
 
 
 def pwc_l2_norm(f: PiecewiseConstantFunction) -> float:
@@ -416,8 +441,8 @@ def pwc_l2_norm(f: PiecewiseConstantFunction) -> float:
     if f.kernel:
         zero = PiecewiseConstantFunction(np.array([0.0, 1.0]), np.zeros((1, 1)), kernel=True)
         return catalog.kernel_distance(f, zero)
-    w = np.diff(f.breakpoints)
-    return float(math.sqrt(np.sum(w * np.sum(f.values * f.values, axis=1))))
+    (norm,) = l2_per_row(lambda lo, hi: f.values[None].copy(), 1, f.F, np.diff(f.breakpoints))
+    return norm
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Criteria 1-4 read the shared desk-preset sweeps (tent, Hoelder tent,
 checkerboard 8, HSBM, hexaflake; 10 trials each at master seed 42).  The
-rest drive the library directly.  Tolerances are fixed here and nowhere
-else; a genuine regression must turn exactly one of these lines red.
+rest drive the library directly, as does criterion 3's second test, on
+the kernel sampling gap that orders the binary kernels.  Tolerances are
+fixed here and nowhere else; a genuine regression must turn exactly one
+of these lines red.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from gnde import analysis as an
 from gnde import catalog as cat
 from gnde import dynamics as dyn
-from gnde import neural
+from gnde import kernels, neural
 from gnde import sampling as smp
 from gnde.cli import entry
 
@@ -46,6 +48,28 @@ def test_criterion_03_binary_dimension_ordering(
         assert smooth <= rough - 0.1, (name, smooth, rough)
 
 
+def test_criterion_03_kernel_gap_at_unaligned_sizes():
+    # The exact sampling gap ||W - W_n||_L2 of a binary kernel falls like
+    # n^-(2 - b)/2.  The sizes are not multiples of the 8 x 8 block
+    # patterns' width, where W_n = W and the gap is 0; no random draw enters.
+    ns = (101, 151, 203, 307, 409, 613, 1021, 2039)
+    specs = {"checkerboard": cat.checkerboard(8), "hsbm": cat.hsbm(),
+             "hexaflake": cat.hexaflake()}
+    slopes = {}
+    for name, spec in specs.items():
+        pattern = cat.support_pattern(spec).astype(np.float64)
+        w = smp.PiecewiseConstantFunction(
+            cat.uniform_breakpoints(pattern.shape[0]), pattern, kernel=True)
+        gaps = [cat.kernel_distance(smp.induce_kernel(smp.sample_unweighted(spec, n)), w)
+                for n in ns]
+        slopes[name] = an.fit_rate(zip(ns, gaps))[0]
+    rough = slopes.pop("hexaflake")
+    for name, slope in slopes.items():
+        b = specs[name].nominal_box_dim
+        assert abs(slope + (2.0 - b) / 2.0) <= 0.05, (name, slope)
+        assert slope <= rough - 0.2, (name, slope, rough)
+
+
 def test_criterion_04_bound_dominance(
     tent_sweep, holder_sweep, checkerboard_sweep, hsbm_sweep, hexaflake_sweep
 ):
@@ -69,9 +93,9 @@ def test_criterion_05_three_solver_agreement():
         n = int(rng.integers(2, 21))
         T = float(0.1 + 0.4 * rng.random())
         if case % 2 == 0:
-            s = smp.graph_shift(smp.sample_weighted(cat.tent(), n))
+            s = kernels.ShiftOperator(smp.sample_weighted(cat.tent(), n))
         else:
-            s = smp.graph_shift(smp.sample_unweighted(cat.checkerboard(4), n))
+            s = kernels.ShiftOperator(smp.sample_unweighted(cat.checkerboard(4), n))
         L, F, K = (int(rng.integers(1, 3)) for _ in range(3))
         bank = neural.random_filter_bank(L, F, K, rng)
         z = rng.normal(size=(n, F))
@@ -125,17 +149,13 @@ def test_criterion_06_stability_inequality():
 
 
 def _transfer_family(spec, ns, feature, rng):
+    # sampled and integrated as `gnde converge` samples and integrates
     bank = neural.random_filter_bank(2, 1, 2, rng)
     cfg = dyn.SolverConfig(method="dp5", atol=1e-7, rtol=1e-7, eval_grid=20)
     trajs = {}
     for n in ns:
-        if spec.value_class == "weighted":
-            g = smp.sample_weighted(spec, n)
-            z = smp.sample_features_pointwise(feature, n)
-        else:
-            g = smp.sample_unweighted(spec, n)
-            z = smp.sample_features_cell_average(feature, n)
-        trajs[n] = dyn.integrate(smp.graph_shift(g), z, bank, TANH, 1.0, cfg)
+        g, (z,) = smp.sample_system(spec, n, [feature])
+        trajs[n] = dyn.integrate(kernels.ShiftOperator(g), z, bank, TANH, 1.0, cfg)
     x_sup = max(
         dyn.scaled_norm(t.states[j])
         for t in trajs.values()
@@ -147,34 +167,22 @@ def _transfer_family(spec, ns, feature, rng):
 def test_criterion_07_transferability_pairs():
     rng = np.random.default_rng(4207)
     feature = smp.random_fourier_features(1, 10, rng)
-
-    tent_ns = (64, 128, 256, 512)
-    bank, trajs, x_sup = _transfer_family(cat.tent(), tent_ns, feature, rng)
-    inp = an.BoundInputs(
-        F=1, K=2, L=2, T=1.0, h_T=neural.h_sup_certified(bank),
-        X_sup_norm=x_sup, A1=1.0, alpha=1.0, A2=feature.lipschitz_bound(),
-    )
-    constant = an.rate_constant_weighted(inp)
-    for a in tent_ns:
-        for b in tent_ns:
-            holds, margin = an.transferability_gap_check(
-                trajs[a], trajs[b], constant, 1.0
-            )
-            assert holds, ("tent", a, b, margin)
-
-    cb_ns = (256, 512)
-    bank2, trajs2, x_sup2 = _transfer_family(cat.checkerboard(), cb_ns, feature, rng)
-    rough = an.BoundInputs(
-        F=1, K=2, L=2, T=1.0, h_T=neural.h_sup_certified(bank2),
-        X_sup_norm=x_sup2, A2=feature.lipschitz_bound(), b=1.0, eps=0.1,
-    )
-    c_tilde, exponent = an.rate_constant_unweighted(rough)
-    for a in cb_ns:
-        for b in cb_ns:
-            holds, margin = an.transferability_gap_check(
-                trajs2[a], trajs2[b], c_tilde, exponent
-            )
-            assert holds, ("checkerboard", a, b, margin)
+    for name, spec, ns in (("tent", cat.tent(), (64, 128, 256, 512)),
+                           ("checkerboard", cat.checkerboard(), (256, 512))):
+        bank, trajs, x_sup = _transfer_family(spec, ns, feature, rng)
+        # the constant and exponent of the bound column `gnde converge` writes
+        _, exponent, kernel_term = an.rate_form(spec, 0.1)
+        inp = an.BoundInputs(
+            F=1, K=2, L=2, T=1.0, h_T=neural.h_sup_certified(bank),
+            X_sup_norm=x_sup, A2=feature.lipschitz_bound(),
+        )
+        constant = an.rate_constant(inp, kernel_term)
+        for a in ns:
+            for b in ns:
+                holds, margin = an.transferability_gap_check(
+                    trajs[a], trajs[b], constant, exponent
+                )
+                assert holds, (name, a, b, margin)
 
 
 def test_criterion_08_box_counting_recovery():

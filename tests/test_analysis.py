@@ -31,17 +31,20 @@ def test_stability_constants_formulas():
 
 def test_constants_overflow_to_inf():
     # F K h_T = 90: exp(3 * 90^3) overflows, and at L=300 so does 90^300 itself
+    weighted_term = an.rate_form(cat.tent(), 0.1)[2]
     for L in (3, 300):
         big = dict(F=3, K=3, L=L, T=3.0, h_T=10.0, X_sup_norm=1.0)
         assert an.stability_constants(an.BoundInputs(**big)) == (math.inf, math.inf)
-        assert an.rate_constant_weighted(an.BoundInputs(**big, A2=1.0)) == math.inf
-        unweighted = an.BoundInputs(**big, b=1.5, eps=0.1)
-        assert an.rate_constant_unweighted(unweighted)[0] == math.inf
+        assert an.rate_constant(an.BoundInputs(**big, A2=1.0), weighted_term) == math.inf
+        assert an.rate_constant(an.BoundInputs(**big), 1.0) == math.inf
         # a zero factor gives a zero constant, not inf * 0 = nan
-        still = an.BoundInputs(**{**big, "X_sup_norm": 0.0}, b=1.5, eps=0.1)
+        still = an.BoundInputs(**{**big, "X_sup_norm": 0.0})
         assert an.stability_constants(still) == (math.inf, 0.0)
-        assert an.rate_constant_weighted(still) == 0.0
-        assert an.rate_constant_unweighted(still)[0] == 0.0
+        assert an.rate_constant(still, weighted_term) == 0.0
+        assert an.rate_constant(still, 1.0) == 0.0
+    # the power alone overflows, and at T = 0 the growth is still inf
+    at_rest = an.BoundInputs(F=3, K=3, L=300, T=0.0, h_T=10.0, X_sup_norm=1.0)
+    assert an.stability_constants(at_rest) == (math.inf, math.inf)
 
 
 def test_holder_radical_against_quadrature():
@@ -76,23 +79,26 @@ def test_feature_sampling_bound_tight_for_linear():
 
 
 def test_rate_constants():
-    inp = an.BoundInputs(
-        F=2, K=2, L=2, T=1.0, h_T=0.5, X_sup_norm=1.5, A1=1.0, alpha=0.5, A2=2.0
-    )
+    inp = an.BoundInputs(F=2, K=2, L=2, T=1.0, h_T=0.5, X_sup_norm=1.5, A2=2.0)
     p, _ = an.stability_constants(inp)
+    # the holder tent is (1, 1/2)-Hoelder: exponent 1/2, kernel term A1 * radical(1/2)
+    alpha_or_dim, exponent, kernel_term = an.rate_form(cat.tent(0.5), 0.1)
+    assert (alpha_or_dim, exponent) == (0.5, 0.5)
+    assert kernel_term == 1.0 * an.holder_kernel_radical(0.5)
     want = p * (
         2.0 * math.sqrt(2.0 / 3.0)
         + 2 * 2 * 1.5 * 1.0 * an.holder_kernel_radical(0.5)
     )
-    assert an.rate_constant_weighted(inp) == pytest.approx(want, rel=1e-15)
-    rough = an.BoundInputs(
-        F=2, K=2, L=2, T=1.0, h_T=0.5, X_sup_norm=1.5, A2=2.0, b=1.5, eps=0.1
-    )
-    c, e = an.rate_constant_unweighted(rough)
-    assert e == pytest.approx(1.0 - (1.5 + 0.1) / 2.0, rel=1e-15)
+    assert an.rate_constant(inp, kernel_term) == pytest.approx(want, rel=1e-15)
+    # a binary kernel: exponent 1 - (b + eps)/2 and kernel term 1
+    assert an.unweighted_exponent(1.5, 0.1) == pytest.approx(1.0 - (1.5 + 0.1) / 2.0,
+                                                             rel=1e-15)
+    b, e, term = an.rate_form(cat.checkerboard(), 0.1)
+    assert (b, e, term) == (1.0, an.unweighted_exponent(1.0, 0.1), 1.0)
+    c = an.rate_constant(inp, term)
     assert c == pytest.approx(p * (2.0 * math.sqrt(2.0 / 3.0) + 2 * 2 * 1.5), rel=1e-15)
-    with pytest.raises(InvalidParameterError):
-        an.rate_constant_unweighted(inp)
+    with pytest.raises(InvalidParameterError):  # a binary rate needs eps
+        an.rate_form(cat.checkerboard(), None)
 
 
 def test_bound_inputs_validation():
@@ -101,16 +107,15 @@ def test_bound_inputs_validation():
         an.BoundInputs(**{**ok, "F": 0})
     with pytest.raises(InvalidParameterError):
         an.BoundInputs(**{**ok, "h_T": -0.1})
+    # b and eps are checked where the binary rate is formed
     with pytest.raises(InvalidParameterError):
-        an.BoundInputs(**{**ok, "alpha": 0.0})
+        an.unweighted_exponent(2.0, 0.1)
     with pytest.raises(InvalidParameterError):
-        an.BoundInputs(**{**ok, "alpha": 1.5})
+        an.unweighted_exponent(1.5, 0.6)
     with pytest.raises(InvalidParameterError):
-        an.BoundInputs(**{**ok, "b": 2.0, "eps": 0.1})
+        an.unweighted_exponent(1.5, None)
     with pytest.raises(InvalidParameterError):
-        an.BoundInputs(**{**ok, "b": 1.5, "eps": 0.6})
-    with pytest.raises(InvalidParameterError):
-        an.BoundInputs(**{**ok, "b": 1.5})
+        an.rate_form(cat.checkerboard(), 1.0)
 
 
 def _record(states):
@@ -215,7 +220,7 @@ def test_blocked_distances_equal_per_state_overlay(pair, block):
         dists.append(smp.overlay_l2_distance(smp.induce_features(smp.FeatureMatrix(x_n)), ref))
         norms.append(smp.pwc_l2_norm(ref))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(an, "L2_BLOCK_ENTRIES", 1 if block == "time" else 1 << 40)
+        mp.setattr(smp, "L2_BLOCK_ENTRIES", 1 if block == "time" else 1 << 40)
         got_dists = list(an._overlay_distances(traj_n, traj_ref))
         got_norms = an.trajectory_norms(traj_ref)
     assert [d.hex() for d in got_dists] == [d.hex() for d in dists]

@@ -690,6 +690,25 @@ def test_dp5_underflowing_tolerances_exit_3_without_warning(tmp_path):
     assert done.stderr == "gnde: numerical failure: dp5 step size underflow\n"
 
 
+def test_picard_overflowing_lipschitz_bound_exits_3(tmp_path):
+    # (F K h_T)^L overflows a float at 400 layers: no Picard window can
+    # contract, which is refused before the first round
+    cfg = _cfg(tmp_path, solver="picard", n="8", layers="400", channels="3", taps="3")
+    done = _run_module(tmp_path, "integrate", "--config", cfg, "--out", "t.csv")
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == (
+        "gnde: numerical failure: picard windows cannot contract: the 400-layer "
+        "bank's Lipschitz bound (F K h_T)^L exceeds the float range\n"
+    )
+    assert not (tmp_path / "t.csv").exists()
+    # an infinite F K h_T overflows no power: one-step windows, as before
+    zero = _cfg(tmp_path, "zero.cfg", solver="picard", n="8", layers="1", channels="3",
+                taps="3", T="0.1", filter_coeffs=",".join(["1e308"] * 27),
+                feature="constant", feature_values="0,0,0")
+    assert entry(["integrate", "--config", zero, "--out", str(tmp_path / "z.csv")]) == 0
+    assert "window=0.0\n" in (tmp_path / "z.csv.meta.txt").read_text()
+
+
 @pytest.mark.parametrize("solver, failure", [
     ("rk4", "DivergenceError: non-finite state at t=1.0"),
     ("dp5", "NonConvergenceError: dp5 step size underflow"),
