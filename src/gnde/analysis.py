@@ -271,6 +271,6 @@ def _jsonable(obj):
 
 def write_summary_json(summary: dict, path):
     """Sidecar summary; deterministic byte-for-byte given equal content."""
-    with open(path, "w") as fh:
+    with open(path, "w", newline="") as fh:
         json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -249,6 +249,9 @@ def cmd_converge(args, cfg) -> int:
     solver = _solver_from_config(cfg)
     master = _master_seed(args, cfg)
     out = args.out or "converge.csv"
+    # every trial's reference trajectory is held at once
+    sampling.check_entries(("n_ref", sampling.node_count(n_ref)), ("channels", channels),
+                           ("eval_grid", solver.eval_grid + 1), ("trials", trials))
 
     # Per-trial draws: bank and feature coefficients from the recorded seed.
     draws = []
@@ -407,6 +410,9 @@ def cmd_transfer_audit(args, cfg) -> int:
     if not proportions or any(not (0.0 < p <= 1.0) for p in proportions):
         raise ConfigError("proportions must lie in (0, 1]")
     trials = _get_int(cfg, "audit_trials", minimum=1)
+    # every row keeps its node ids
+    sampling.check_entries(("n", graph.n), ("proportions", len(proportions)),
+                           ("audit_trials", trials))
     master = _master_seed(args, cfg)
     out = args.out or "audit.csv"
 
@@ -520,7 +526,7 @@ def cmd_catalog(args, cfg) -> int:
         lines.append(f"{name}: " + ", ".join(parts))
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", newline="") as fh:
             fh.write(text)
     print(text, end="")
     return 0

@@ -559,6 +559,6 @@ def write_trajectory(traj: TrajectoryRecord, path):
     header = ["t"] + [f"x_{i}_{f}" for i in range(n) for f in range(F)]
     write_csv(path, header, ([t] + state.reshape(-1).tolist()
                              for t, state in zip(traj.eval_times.tolist(), traj.states)))
-    with open(f"{path}.meta.txt", "w") as fh:
+    with open(f"{path}.meta.txt", "w", newline="") as fh:
         for key in sorted(traj.solver_meta):
             fh.write(f"{key}={traj.solver_meta[key]}\n")

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import builtins
 import csv
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -395,11 +399,8 @@ def test_converge_rejects_bad_reference(tmp_path):
     assert entry(["converge", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
 
-def test_every_output_is_lf_and_parses_back(tmp_path):
-    # every file the commands write ends its lines in "\n" alone and holds
-    # floats as Python reprs (never "np.float64(...)"); each CSV reads back
-    out = tmp_path / "out"
-    out.mkdir()
+def _write_every_output(tmp_path, out):
+    """Run every command once, each writing its outputs into ``out``."""
     edges = str(out / "s.csv")
     runs = [
         ("sample", dict(n="8"), edges),
@@ -409,14 +410,24 @@ def test_every_output_is_lf_and_parses_back(tmp_path):
         ("boxdim", dict(graphon="hsbm"), "dim.csv"),
         ("transfer-audit", dict(edge_list=edges, proportions="0.5,1.0", audit_trials="2"),
          "audit.csv"),
+        ("catalog", {}, "catalog.txt"),
     ]
     for command, kv, name in runs:
         cfg = _cfg(tmp_path, f"{command}.cfg", **kv)
         assert entry([command, "--config", cfg, "--out", str(out / name)]) == 0
+    return edges
+
+
+def test_every_output_is_lf_and_parses_back(tmp_path):
+    # every file the commands write ends its lines in "\n" alone and holds
+    # floats as Python reprs (never "np.float64(...)"); each CSV reads back
+    out = tmp_path / "out"
+    out.mkdir()
+    edges = _write_every_output(tmp_path, out)
     tables = ["audit.csv", "conv.csv", "dim.csv", "s.features.csv", "traj.csv"]
     assert sorted(p.name for p in out.iterdir()) == sorted(
         tables + ["s.csv", "audit.csv.summary.json", "conv.csv.summary.json",
-                  "dim.csv.summary.json", "traj.csv.meta.txt"])
+                  "dim.csv.summary.json", "traj.csv.meta.txt", "catalog.txt"])
     for path in out.iterdir():
         raw = path.read_bytes()
         assert raw.endswith(b"\n") and b"\r" not in raw and b"np." not in raw, path.name
@@ -432,6 +443,26 @@ def test_every_output_is_lf_and_parses_back(tmp_path):
     assert [float(delta) for delta, _ in _read_csv(out / "dim.csv")[1:]] == [
         2.0**-j for j in range(4, 10)]
     assert all(float(row[4]) >= 0.0 for row in _read_csv(out / "audit.csv")[1:])
+
+
+def test_every_write_sets_its_line_ends(tmp_path, monkeypatch):
+    # a text-mode write without newline="" would end its lines in the
+    # platform's line end (CRLF on Windows), which a Linux run cannot see
+    opens = []
+
+    def spy(file, mode="r", *args, **kwargs):
+        opens.append((os.path.basename(file), mode, kwargs.get("newline")))
+        return builtins.open(file, mode, *args, **kwargs)
+
+    for info in pkgutil.iter_modules(gnde.__path__):
+        module = importlib.import_module(f"gnde.{info.name}")
+        monkeypatch.setattr(module, "open", spy, raising=False)
+    out = tmp_path / "out"
+    out.mkdir()
+    _write_every_output(tmp_path, out)
+    writes = [(name, mode, newline) for name, mode, newline in opens if set(mode) & set("wax+")]
+    assert {name for name, _, _ in writes} == {p.name for p in out.iterdir()}
+    assert [w for w in writes if "b" not in w[1] and w[2] != ""] == []
 
 
 def test_boxdim_sierpinski(tmp_path):
@@ -637,6 +668,22 @@ def test_oversized_config_sizes_exit_2(tmp_path, capsys, key, extra):
     assert entry(["integrate", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"gnde: config error: {key} sizes an array")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [("converge", "trials"),
+                                          ("transfer-audit", "audit_trials")])
+def test_oversized_trial_counts_exit_2(tmp_path, capsys, command, key):
+    # converge holds every trial's reference trajectory, transfer-audit every
+    # row's node ids: refused before the first trial is drawn
+    edges = tmp_path / "edges.csv"
+    edges.write_bytes(b"n=4,class=weighted\n0,1,0.5\n")
+    cfg = _cfg(tmp_path, edge_list=str(edges), **{key: str(10**20)})
+    out = tmp_path / "t.csv"
+    start = time.process_time()
+    assert entry([command, "--config", cfg, "--out", str(out)]) == 2
+    assert time.process_time() - start < 1.0
+    assert capsys.readouterr().err.startswith(f"gnde: config error: {key} sizes an array")
     assert not out.exists()
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import math
 import tempfile
 from pathlib import Path
@@ -426,98 +425,119 @@ def test_edge_list_parse_error_carries_line(tmp_path):
     assert str(err.value) == f"{path}:5: edge row out of range '2,3,nan'"
 
 
-def _read_outcome(path, loop_only=False):
-    """What read_edge_list makes of ``path``: the graph's class and
-    adjacency bytes, or the error's type, message and line.  ``loop_only``
-    turns the fast parse off, leaving the line loop."""
-    off = mock.patch.object(smp, "_parse_plain", lambda raw: None)
-    with off if loop_only else contextlib.nullcontext():
-        try:
-            g = smp.read_edge_list(path)
-        except GndeError as exc:
-            return type(exc).__name__, str(exc), getattr(exc, "line", None)
-    return g.value_class, g.adjacency.tobytes()
+_HEAD = b"n=4,class=weighted\ni,j,weight\n"
+_PLAIN = {(0, 1): 0.5, (2, 3): 1.0}
+
+# name: (bytes, outcome); the outcome of a file that reads is its class, n
+# and {(i, j): weight}; of one that does not, the error type and, for an
+# EdgeListParseError, the line it names
+_EDGE_CASES = {
+    "plain": (_HEAD + b"0,1,0.5\n2,3,1.0\n3,3,0.25\n", ("weighted", 4, {**_PLAIN, (3, 3): 0.25})),
+    "unweighted": (b"n=3,class=unweighted\ni,j,weight\n0,2,1.0\n1,1,1.0\n",
+                   ("unweighted", 3, {(0, 2): 1.0, (1, 1): 1.0})),
+    "unsorted rows": (_HEAD + b"2,3,1.0\n0,1,0.5\n", ("weighted", 4, _PLAIN)),
+    "no trailing newline": (_HEAD + b"0,1,0.5\n2,3,1.0", ("weighted", 4, _PLAIN)),
+    "blank lines": (_HEAD + b"\n0,1,0.5\n\n\n2,3,1.0\n\n", ("weighted", 4, _PLAIN)),
+    "whitespace-only line": (_HEAD + b"0,1,0.5\n   \n2,3,1.0\n", (EdgeListParseError, 4)),
+    "spaced fields": (_HEAD + b" 0 , 1 , 0.5 \n", ("weighted", 4, {(0, 1): 0.5})),
+    "id 1.0": (_HEAD + b"1.0,2,0.5\n", (EdgeListParseError, 3)),
+    "id 1e0": (_HEAD + b"1e0,2,0.5\n", (EdgeListParseError, 3)),
+    "id +1": (_HEAD + b"+1,2,0.5\n", ("weighted", 4, {(1, 2): 0.5})),
+    "id 1_0": (b"n=12,class=weighted\ni,j,weight\n1_0,11,0.5\n", (EdgeListParseError, 3)),
+    "weight 1_0.5": (_HEAD + b"0,1,0_0.5\n", (EdgeListParseError, 3)),
+    "fourth column": (_HEAD + b"0,1,0.5,extra\n", (EdgeListParseError, 3)),
+    "trailing comma": (_HEAD + b"0,1,0.5,\n", (EdgeListParseError, 3)),
+    "repeated pair": (_HEAD + b"0,1,0.5\n2,3,1.0\n0,1,0.25\n", (EdgeListParseError, 5)),
+    "pair thrice": (_HEAD + b"0,1,0.5\n0,1,0.5\n0,1,0.25\n", (EdgeListParseError, 4)),
+    "CRLF": (b"n=4,class=weighted\r\ni,j,weight\r\n0,1,0.5\r\n", ("weighted", 4, {(0, 1): 0.5})),
+    "CRLF body": (_HEAD + b"0,1,0.5\r\n2,3,1.0\r\n", ("weighted", 4, _PLAIN)),
+    "CRLF empty line": (_HEAD + b"0,1,0.5\r\n\r\n2,3,nan\r\n", (EdgeListParseError, 5)),
+    "form feed": (_HEAD + b"0,1,0.5\x0c2,3,1.0\n", (EdgeListParseError, 3)),
+    "unit separator": (_HEAD + b"0,1,0.5\x1f\n", (EdgeListParseError, 3)),
+    "tab": (_HEAD + b"0,\t1,0.5\n", ("weighted", 4, {(0, 1): 0.5})),
+    "space separator": (_HEAD + b"0 1 0.5\n", (EdgeListParseError, 3)),
+    "header only": (_HEAD, ("weighted", 4, {})),
+    "header and blank lines": (_HEAD + b"\n\n", ("weighted", 4, {})),
+    "no column line": (b"n=4,class=weighted\n0,1,0.5\n", ("weighted", 4, {(0, 1): 0.5})),
+    "first line only": (b"n=4,class=weighted", ("weighted", 4, {})),
+    "nan weight": (_HEAD + b"0,1,nan\n", (EdgeListParseError, 3)),
+    "inf weight": (_HEAD + b"0,1,0.5\n1,2,-inf\n", (EdgeListParseError, 4)),
+    "weight beyond 1": (_HEAD + b"0,1,1.5\n", (InvalidParameterError, None)),
+    "negative weight": (_HEAD + b"0,1,-0.25\n", (InvalidParameterError, None)),
+    "negative zero": (_HEAD + b"0,1,-0.0\n", ("weighted", 4, {(0, 1): -0.0})),
+    "subnormal": (_HEAD + b"0,1,5e-324\n1,1,2.5e-310\n",
+                  ("weighted", 4, {(0, 1): 5e-324, (1, 1): 2.5e-310})),
+    "overflowing id": (_HEAD + b"0,99999999999999999999,0.5\n", (EdgeListParseError, 3)),
+    "overflowing product": (_HEAD + b"4611686018427387904,3,0.5\n", (EdgeListParseError, 3)),
+    "negative id": (_HEAD + b"-1,2,0.5\n", (EdgeListParseError, 3)),
+    "lower triangle": (_HEAD + b"3,1,0.5\n", (EdgeListParseError, 3)),
+    "id n": (_HEAD + b"0,4,0.5\n", (EdgeListParseError, 3)),
+    "non-ASCII UTF-8": (_HEAD + "0,1,0.5\n1,2,é\n".encode(), (EdgeListParseError, 4)),
+    "non-ASCII digit": (_HEAD + "0,١,0.5\n".encode(), (EdgeListParseError, 3)),
+    "not UTF-8": (_HEAD + b"0,1,0.5\n0,\xff,1.0\n", (EdgeListParseError, 4)),
+    "comment": (_HEAD + b"0,1,0.5 # note\n", (EdgeListParseError, 3)),
+    "quoted": (_HEAD + b'0,1,"0.5"\n', (EdgeListParseError, 3)),
+    "n=0": (b"n=0,class=weighted\ni,j,weight\n", (EdgeListParseError, 1)),
+    "n with leading zeros": (b"n=0000000000000000004,class=weighted\ni,j,weight\n0,1,0.5\n",
+                             ("weighted", 4, {(0, 1): 0.5})),
+    "n beyond the limit": (b"n=1000000000,class=weighted\ni,j,weight\n0,1,0.5\n",
+                           (ComplexityGuardError, None)),
+    "empty": (b"", (EdgeListParseError, 1)),
+}
 
 
-def _assert_parsers_agree(raw: bytes, fast: bool | None = None):
-    """Fast parse and line loop agree on ``raw``; ``fast`` says whether the
-    fast path must (True) or must not (False) be the one that decided."""
+def _read_bytes(raw: bytes):
+    """read_edge_list of a file holding ``raw``: the graph, or the error."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "edges.csv"
         path.write_bytes(raw)
-        got = _read_outcome(path)
-        assert got == _read_outcome(path, loop_only=True)
-    if fast is not None:
         try:
-            decided = smp._parse_plain(raw) is not None
-        except GndeError:  # an error the line loop raises too
-            decided = True
-        assert decided == fast
-    return got
+            return smp.read_edge_list(path)
+        except GndeError as exc:
+            return exc
 
 
-_HEAD = b"n=4,class=weighted\ni,j,weight\n"
-
-# (bytes, the fast path decides, outcome kind: the class or the error type)
-_EDGE_CASES = {
-    "plain": (_HEAD + b"0,1,0.5\n2,3,1.0\n3,3,0.25\n", True, "weighted"),
-    "unweighted": (b"n=3,class=unweighted\ni,j,weight\n0,2,1.0\n1,1,1.0\n", True,
-                   "unweighted"),
-    "unsorted rows": (_HEAD + b"2,3,1.0\n0,1,0.5\n", True, "weighted"),
-    "no trailing newline": (_HEAD + b"0,1,0.5\n2,3,1.0", True, "weighted"),
-    "blank lines": (_HEAD + b"\n0,1,0.5\n\n\n2,3,1.0\n\n", True, "weighted"),
-    "whitespace-only line": (_HEAD + b"0,1,0.5\n   \n2,3,1.0\n", False, "weighted"),
-    "spaced fields": (_HEAD + b" 0 , 1 , 0.5 \n", True, "weighted"),
-    "id 1.0": (_HEAD + b"1.0,2,0.5\n", False, "EdgeListParseError"),
-    "id 1e0": (_HEAD + b"1e0,2,0.5\n", False, "EdgeListParseError"),
-    "id +1": (_HEAD + b"+1,2,0.5\n", True, "weighted"),
-    "id 1_0": (b"n=12,class=weighted\ni,j,weight\n1_0,11,0.5\n", False, "weighted"),
-    "weight 1_0.5": (_HEAD + b"0,1,0_0.5\n", False, "weighted"),
-    "fourth column": (_HEAD + b"0,1,0.5,extra\n", False, "weighted"),
-    "trailing comma": (_HEAD + b"0,1,0.5,\n", False, "weighted"),
-    "repeated pair": (_HEAD + b"0,1,0.5\n2,3,1.0\n0,1,0.25\n", False, "weighted"),
-    "CRLF": (b"n=4,class=weighted\r\ni,j,weight\r\n0,1,0.5\r\n", False, "weighted"),
-    "CRLF body": (_HEAD + b"0,1,0.5\r\n2,3,1.0\r\n", False, "weighted"),
-    "form feed": (_HEAD + b"0,1,0.5\x0c2,3,1.0\n", False, "weighted"),
-    "unit separator": (_HEAD + b"0,1,0.5\x1f\n", False, "EdgeListParseError"),
-    "tab": (_HEAD + b"0,\t1,0.5\n", False, "weighted"),
-    "space separator": (_HEAD + b"0 1 0.5\n", False, "EdgeListParseError"),
-    "header only": (_HEAD, False, "weighted"),
-    "header and blank lines": (_HEAD + b"\n\n", False, "weighted"),
-    "no column line": (b"n=4,class=weighted\n0,1,0.5\n", False, "weighted"),
-    "first line only": (b"n=4,class=weighted", False, "weighted"),
-    "nan weight": (_HEAD + b"0,1,nan\n", False, "EdgeListParseError"),
-    "inf weight": (_HEAD + b"0,1,0.5\n1,2,-inf\n", False, "EdgeListParseError"),
-    "weight beyond 1": (_HEAD + b"0,1,1.5\n", True, "InvalidParameterError"),
-    "negative weight": (_HEAD + b"0,1,-0.25\n", True, "InvalidParameterError"),
-    "negative zero": (_HEAD + b"0,1,-0.0\n", True, "weighted"),
-    "subnormal": (_HEAD + b"0,1,5e-324\n1,1,2.5e-310\n", True, "weighted"),
-    "overflowing id": (_HEAD + b"0,99999999999999999999,0.5\n", False,
-                       "EdgeListParseError"),
-    "overflowing product": (_HEAD + b"4611686018427387904,3,0.5\n", False,
-                            "EdgeListParseError"),
-    "negative id": (_HEAD + b"-1,2,0.5\n", False, "EdgeListParseError"),
-    "lower triangle": (_HEAD + b"3,1,0.5\n", False, "EdgeListParseError"),
-    "id n": (_HEAD + b"0,4,0.5\n", False, "EdgeListParseError"),
-    "non-ASCII UTF-8": (_HEAD + "0,1,0.5\n1,2,é\n".encode(), False,
-                        "EdgeListParseError"),
-    "non-ASCII digit": (_HEAD + "0,١,0.5\n".encode(), False, "weighted"),
-    "not UTF-8": (_HEAD + b"0,1,0.5\n0,\xff,1.0\n", False, "EdgeListParseError"),
-    "comment": (_HEAD + b"0,1,0.5 # note\n", False, "EdgeListParseError"),
-    "quoted": (_HEAD + b'0,1,"0.5"\n', False, "EdgeListParseError"),
-    "n=0": (b"n=0,class=weighted\ni,j,weight\n", False, "EdgeListParseError"),
-    "n with leading zeros": (b"n=0000000000000000004,class=weighted\ni,j,weight\n0,1,0.5\n",
-                        False, "weighted"),
-    "n beyond the limit": (b"n=1000000000,class=weighted\ni,j,weight\n0,1,0.5\n", True,
-                           "ComplexityGuardError"),
-    "empty": (b"", False, "EdgeListParseError"),
-}
+def _assert_names_its_line(raw: bytes, exc: EdgeListParseError):
+    """The error names a line of the file; a row error quotes that line."""
+    lines = raw.split(b"\n")
+    assert 1 <= exc.line <= len(lines)
+    if "edge row" in str(exc):
+        text = lines[exc.line - 1]
+        text = text[:-1] if text.endswith(b"\r") else text
+        assert str(exc).endswith(f" {text.decode()!r}")
 
 
 @pytest.mark.parametrize("name", list(_EDGE_CASES))
 def test_edge_list_fast_parse_agrees_with_line_loop(name):
-    raw, fast, kind = _EDGE_CASES[name]
-    assert _assert_parsers_agree(raw, fast)[0] == kind
+    # read_edge_list against the table.  The name dates from two parsers (a
+    # fast np.loadtxt parse and a line loop); it is kept so that each case's
+    # test id stays the same.
+    raw, (kind, *rest) = _EDGE_CASES[name]
+    got = _read_bytes(raw)
+    if isinstance(kind, str):
+        n, edges = rest
+        want = np.zeros((n, n))
+        for (i, j), w in edges.items():
+            want[i, j] = want[j, i] = w
+        assert isinstance(got, smp.SampledGraph), got
+        assert got.value_class == kind
+        assert got.adjacency.tobytes() == want.tobytes()
+    else:
+        assert type(got) is kind
+        if kind is EdgeListParseError:
+            assert got.line == rest[0]
+            _assert_names_its_line(raw, got)
+
+
+@pytest.mark.parametrize("name", ["CRLF", "CRLF body", "blank lines", "no column line",
+                                  "no trailing newline", "spaced fields", "id +1"])
+def test_edge_list_variants_write_back_as_the_writer_layout(tmp_path, name):
+    raw, (cls, n, edges) = _EDGE_CASES[name]
+    path = tmp_path / "edges.csv"
+    smp.write_edge_list(_read_bytes(raw), path)
+    want = [f"n={n},class={cls}\n", "i,j,weight\n"]
+    want += [f"{i},{j},{w!r}\n" for (i, j), w in sorted(edges.items())]
+    assert path.read_bytes() == "".join(want).encode()
 
 
 _ODD_IDS = ["1.0", "1e0", "+1", " 1 ", "1_0", "-0", "007", "-1", "",
@@ -567,8 +587,13 @@ def _edge_list_bytes(draw):
 @given(raw=_edge_list_bytes())
 @example(raw=b"n=2,class=weighted\ni,j,weight\n0,1,0.5\n0,1,0.25\n")
 @example(raw=b"n=2,class=unweighted\ni,j,weight\n0,0,1.0\n0,1,1\n1,1,1.0")
-def test_edge_list_fast_parse_differential(raw):
-    _assert_parsers_agree(raw)
+def test_edge_list_reader_is_total(raw):
+    # every file reads as a graph or fails with a GndeError; a parse error
+    # names one of the file's lines
+    got = _read_bytes(raw)
+    assert isinstance(got, (smp.SampledGraph, GndeError)), got
+    if isinstance(got, EdgeListParseError):
+        _assert_names_its_line(raw, got)
 
 
 def _reference_edge_list(g) -> bytes:
@@ -612,8 +637,11 @@ def test_edge_list_round_trip_bits(g, chunk_rows):
     assert raw == _reference_edge_list(g)
     assert back.value_class == g.value_class
     assert back.adjacency.tobytes() == g.adjacency.tobytes()
-    # the writer's own output takes the fast path unless it has no rows
-    assert (smp._parse_plain(raw) is not None) == bool(np.any(g.adjacency))
+    # what was read writes back as the same bytes
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "again.csv"
+        smp.write_edge_list(back, path)
+        assert path.read_bytes() == raw
 
 
 @st.composite
@@ -663,7 +691,7 @@ def test_edge_list_drops_negative_zero(tmp_path):
 def test_dense_size_guard_fires_before_allocating(tmp_path):
     over = smp.MAX_DENSE_NODES + 1
     path = tmp_path / "big.csv"
-    for end in (b"\n", b"\r\n"):  # the np.loadtxt layout, and the line loop's
+    for end in (b"\n", b"\r\n"):
         path.write_bytes(b"n=%d,class=unweighted%si,j,weight%s0,1,1.0%s" % (over, end, end, end))
         with mock.patch.object(np, "zeros", side_effect=AssertionError("allocated")), \
                 mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")):
