@@ -54,50 +54,81 @@ _MAX_MESH = 4096  # finest 1/m mesh accepted by the box counters
 _MAX_CARPET_DEPTH = 9  # 3^9 leaves per side: a 387 MB boolean support pattern
 _MAX_PATTERN_SIDE = 3**_MAX_CARPET_DEPTH  # widest hsbm or checkerboard pattern
 
+#: The kernel kind each ``GraphonSpec`` parameter belongs to.
+_KIND_OF_PARAM = {"alpha": KIND_TENT, "frequency": KIND_OSCILLATORY, "pattern": KIND_BLOCK,
+                  "mask": KIND_CARPET, "depth": KIND_CARPET}
+
 
 @dataclass(frozen=True, eq=False)
 class GraphonSpec:
     """Immutable description of one analytic kernel.
 
-    ``kind`` selects the closed form; the remaining fields are kind-specific
-    (``alpha`` for tent, ``frequency`` for oscillatory, ``pattern`` for block
-    patterns, ``mask``/``depth`` for triadic carpets; a pattern or mask of
-    any dtype is checked to be square, symmetric and exactly 0/1, then kept
-    as a read-only int8 array).  ``holder_meta`` is an
-    optional pair (A1, alpha) certifying |W(u2,v2)-W(u1,v1)| <=
-    A1*(|du|+|dv|)^alpha; ``nominal_box_dim`` records the box-counting
-    dimension of the support boundary for binary kinds.
+    The fields are the defining inputs: ``kind`` selects the closed form,
+    the others are kind-specific (``alpha`` for tent, ``frequency`` for
+    oscillatory, ``pattern`` for block patterns, ``mask``/``depth`` for
+    triadic carpets) and refused on another kind.  A pattern or mask of any
+    dtype is checked to be square, symmetric and exactly 0/1, then kept as
+    a read-only int8 array.  ``value_class``, ``holder_meta`` and
+    ``nominal_box_dim`` are read-only properties derived from the fields.
     """
 
     kind: str
-    value_class: str
     alpha: float | None = None
     frequency: int | None = None
     pattern: np.ndarray | None = None
     mask: np.ndarray | None = None
     depth: int | None = None
-    holder_meta: tuple[float, float] | None = None
-    nominal_box_dim: float | None = None
 
     def __post_init__(self):
-        if self.kind not in (KIND_TENT, KIND_OSCILLATORY, KIND_BLOCK, KIND_CARPET):
+        if self.kind not in _KIND_OF_PARAM.values():
             raise InvalidParameterError(f"unknown kernel kind {self.kind!r}")
-        if self.value_class not in (WEIGHTED, BINARY):
-            raise InvalidParameterError(f"unknown value class {self.value_class!r}")
+        for name, kind in _KIND_OF_PARAM.items():
+            if getattr(self, name) is not None and kind != self.kind:
+                raise InvalidParameterError(f"{name} does not apply to kernel kind {self.kind!r}")
         if self.kind == KIND_TENT:
             if self.alpha is None or not (0.0 < self.alpha <= 1.0):
                 raise InvalidParameterError("tent exponent alpha must be in (0, 1]")
+            object.__setattr__(self, "alpha", float(self.alpha))
         elif self.kind == KIND_OSCILLATORY:
             if self.frequency is None or int(self.frequency) < 1:
                 raise InvalidParameterError("oscillation frequency must be a positive integer")
+            object.__setattr__(self, "frequency", int(self.frequency))
         elif self.kind == KIND_BLOCK:
             object.__setattr__(self, "pattern", _binary_locked(self.pattern, "pattern"))
-        elif self.kind == KIND_CARPET:
+        else:  # KIND_CARPET
             object.__setattr__(self, "mask", _binary_locked(self.mask, "mask"))
             if self.mask.shape != (3, 3):
                 raise InvalidParameterError("carpet mask must be 3x3")
             if self.depth is None or int(self.depth) < 1:
                 raise InvalidParameterError("carpet depth must be >= 1")
+            object.__setattr__(self, "depth", int(self.depth))
+
+    @property
+    def value_class(self) -> str:
+        return WEIGHTED if self.kind in (KIND_TENT, KIND_OSCILLATORY) else BINARY
+
+    @property
+    def holder_meta(self) -> tuple[float, float] | None:
+        """(A1, alpha) with |W(u2,v2)-W(u1,v1)| <= A1*(|du|+|dv|)^alpha, for
+        the weighted kinds."""
+        if self.kind == KIND_TENT:
+            return 1.0, self.alpha
+        if self.kind == KIND_OSCILLATORY:
+            return self.frequency * math.pi / 2.0, 1.0
+        return None
+
+    @property
+    def nominal_box_dim(self) -> float | None:
+        """Box dimension of a binary kernel's support boundary: 1 for a block
+        pattern, log r / log 3 for a carpet keeping r subcells."""
+        if self.kind == KIND_BLOCK:
+            return 1.0
+        if self.kind != KIND_CARPET:
+            return None
+        r = int(self.mask.sum())
+        dim = math.log(r) / math.log(3.0) if r > 0 else 0.0
+        # degenerate masks (r < 3 or r = 9) have no fractal boundary
+        return dim if 1.0 <= dim < 2.0 else None
 
 
 _CHECK_TILE = 128  # rows per block, and tile side, of the symmetry and pattern checks
@@ -155,7 +186,7 @@ def locked_array(arr, dtype=np.float64):
     """``arr`` as a read-only C-contiguous ``dtype`` array.
 
     An argument that already is one is not copied, so the caller's own
-    array is the one locked."""
+    array is the one locked; a value object built on it locks it too."""
     out = np.ascontiguousarray(arr, dtype=dtype)
     out.flags.writeable = False
     return out
@@ -163,23 +194,12 @@ def locked_array(arr, dtype=np.float64):
 
 def tent(alpha: float = 1.0) -> GraphonSpec:
     """W(u,v) = 1 - |u-v|^alpha; Hoelder with constant A1 = 1 and exponent alpha."""
-    return GraphonSpec(
-        kind=KIND_TENT,
-        value_class=WEIGHTED,
-        alpha=float(alpha),
-        holder_meta=(1.0, float(alpha)),
-    )
+    return GraphonSpec(KIND_TENT, alpha=alpha)
 
 
 def oscillatory(frequency: int = 20) -> GraphonSpec:
     """W(u,v) = (1 + sin(f*pi*u) sin(f*pi*v)) / 2, Lipschitz with A1 = f*pi/2."""
-    f = int(frequency)
-    return GraphonSpec(
-        kind=KIND_OSCILLATORY,
-        value_class=WEIGHTED,
-        frequency=f,
-        holder_meta=(f * math.pi / 2.0, 1.0),
-    )
+    return GraphonSpec(KIND_OSCILLATORY, frequency=frequency)
 
 
 def _refuse_wide_pattern(name: str, side: str):
@@ -192,12 +212,7 @@ def _refuse_wide_pattern(name: str, side: str):
 
 def block_pattern(pattern) -> GraphonSpec:
     """Binary kernel constant on a k x k grid: W(u,v) = pattern[floor(ku), floor(kv)]."""
-    return GraphonSpec(
-        kind=KIND_BLOCK,
-        value_class=BINARY,
-        pattern=pattern,
-        nominal_box_dim=1.0,
-    )
+    return GraphonSpec(KIND_BLOCK, pattern=pattern)
 
 
 def hsbm(levels: int = 3) -> GraphonSpec:
@@ -229,18 +244,7 @@ def checkerboard(cells: int = 10) -> GraphonSpec:
 
 def triadic_carpet(mask, depth: int) -> GraphonSpec:
     """Prefractal carpet: recurse ``depth`` levels on a symmetric 3x3 keep-mask."""
-    mask = _binary_locked(mask, "mask")
-    r = int(mask.sum())
-    dim = math.log(r) / math.log(3.0) if r > 0 else None
-    if dim is not None and not (1.0 <= dim < 2.0):
-        dim = None  # degenerate masks (r < 3 or r = 9) have no fractal boundary
-    return GraphonSpec(
-        kind=KIND_CARPET,
-        value_class=BINARY,
-        mask=mask,
-        depth=int(depth),
-        nominal_box_dim=dim,
-    )
+    return GraphonSpec(KIND_CARPET, mask=mask, depth=depth)
 
 
 def sierpinski(depth: int = SIERPINSKI_DEFAULT_DEPTH) -> GraphonSpec:
@@ -578,7 +582,7 @@ def support_boundary(spec: GraphonSpec):
     For block patterns the boundary is the exact union of grid segments.  For
     triadic carpets the descriptor represents the ideal infinite-depth set
     that the finite-depth kernel approximates (the quantity the
-    ``nominal_box_dim`` field refers to).
+    ``nominal_box_dim`` property refers to).
     """
     if spec.value_class != BINARY:
         raise UnsupportedOperationError("support boundary needs a binary kernel")

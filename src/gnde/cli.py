@@ -198,10 +198,8 @@ def _bank_from_config(cfg, horizon: float, rng) -> neural.FilterBank:
         raise ConfigError(
             f"filter_coeffs needs {want} values for shape {shape}, got {len(override)}"
         )
-    coeffs = np.asarray(override, dtype=np.float64).reshape(shape)
-    if law == neural.CONSTANT:
-        return neural.FilterBank(coeffs)
-    return neural.FilterBank(coeffs, time_law=law, modes=modes, horizon=horizon)
+    return neural.FilterBank(np.asarray(override, dtype=np.float64).reshape(shape),
+                             horizon=horizon)
 
 
 def _activation_from_config(cfg) -> neural.Activation:

@@ -371,9 +371,6 @@ def _dp5(Z, bank, T, cfg):
             rejected += 1
             h *= max(MIN_FACTOR, SAFETY * norm**-0.2)
 
-    while next_out < times.size:  # T reached; flush any boundary stragglers
-        states[next_out] = y
-        next_out += 1
     meta = {
         "method": "dp5",
         "atol": cfg.atol,

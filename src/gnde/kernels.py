@@ -99,14 +99,9 @@ def _split(a, beta: int, axis: int, out):
         a = np.where(bad, 0.0, a)
         peak = np.where(bad, 0.0, peak)
     e = np.frexp(peak)[1]
-    shift = beta - e
     y = out[-1]  # the working remainder, rounded in place last
-    if shift.max() > 1023:  # a line below 2**(beta - 1024): 2**shift > DBL_MAX
-        np.ldexp(a, shift, out=y)
-    elif shift.min() == shift.max():  # one exact multiply by a scalar (fast)
-        np.multiply(a, np.ldexp(1.0, int(shift.flat[0])), out=y)
-    else:  # one exact multiply per line
-        np.multiply(a, np.ldexp(1.0, shift), out=y)
+    # exact, also for a line below 2**(beta - 1024), where 2**(beta - e) overflows
+    np.ldexp(a, beta - e, out=y)
     for p in range(SLICES - 1):
         np.rint(y, out=out[p])
         y -= out[p]  # exact: |y - rint(y)| <= 1/2, Sterbenz

@@ -59,17 +59,17 @@ class Activation:
 
 @dataclass(frozen=True, eq=False)
 class FilterBank:
-    """Immutable filter-coefficient bank.
+    """Immutable filter-coefficient bank; the coefficient shape sets the law.
 
     ``constant`` law: coeffs has shape (L, F, F, K) and is returned as-is
-    at every t.  ``fourier`` law: coeffs has shape (L, F, F, K, 2M+1)
-    holding (c0, a_1..a_M, b_1..b_M) per filter; evaluation at t is
-    c0 + sum_m a_m cos(2 pi m t / T) + b_m sin(2 pi m t / T).
+    at every t.  ``fourier`` law: coeffs has shape (L, F, F, K, 2M+1), M >= 1,
+    holding (c0, a_1..a_M, b_1..b_M) per filter; evaluation at t in
+    [0, horizon] is c0 + sum_m a_m cos(2 pi m t / T) + b_m sin(2 pi m t / T)
+    with T = horizon.  ``time_law`` and ``modes`` (M, 0 for the constant
+    law) are read-only properties of the shape.
     """
 
     coeffs: np.ndarray
-    time_law: str = CONSTANT
-    modes: int = 0
     horizon: float = 1.0
 
     def __post_init__(self):
@@ -77,22 +77,23 @@ class FilterBank:
         object.__setattr__(self, "coeffs", arr)
         if not np.isfinite(arr).all():
             raise InvalidParameterError("filter coefficients must be finite")
-        if self.time_law == CONSTANT:
-            if arr.ndim != 4:
-                raise InvalidParameterError("constant law needs a (L,F,F,K) array")
-        elif self.time_law == FOURIER:
-            if self.modes < 1:
-                raise InvalidParameterError("fourier law needs modes >= 1")
-            if arr.ndim != 5 or arr.shape[4] != 2 * self.modes + 1:
-                raise InvalidParameterError(
-                    "fourier law needs a (L,F,F,K,2M+1) coefficient array"
-                )
+        if arr.ndim == 5:
+            if arr.shape[4] < 3 or arr.shape[4] % 2 == 0:
+                raise InvalidParameterError("fourier law needs a (L,F,F,K,2M+1) array, M >= 1")
             if not self.horizon > 0.0:
                 raise InvalidParameterError("fourier law needs a positive horizon")
-        else:
-            raise InvalidParameterError(f"unknown time law {self.time_law!r}")
+        elif arr.ndim != 4:
+            raise InvalidParameterError("coefficients must be a (L,F,F,K) or (L,F,F,K,2M+1) array")
         if arr.shape[1] != arr.shape[2] or min(arr.shape[:4]) < 1:
             raise InvalidParameterError("coefficient array must be (L,F,F,K) shaped")
+
+    @property
+    def time_law(self) -> str:
+        return FOURIER if self.coeffs.ndim == 5 else CONSTANT
+
+    @property
+    def modes(self) -> int:
+        return (self.coeffs.shape[4] - 1) // 2 if self.coeffs.ndim == 5 else 0
 
     @property
     def L(self) -> int:
@@ -156,15 +157,11 @@ def random_filter_bank(
     modes: int = 0,
     horizon: float = 1.0,
 ) -> FilterBank:
-    """Coefficients drawn uniformly from [-1, 1] (the replication preset)."""
-    if time_law == CONSTANT:
-        return FilterBank(rng.uniform(-1.0, 1.0, size=(L, F, F, K)))
-    return FilterBank(
-        rng.uniform(-1.0, 1.0, size=(L, F, F, K, 2 * modes + 1)),
-        time_law=FOURIER,
-        modes=modes,
-        horizon=horizon,
-    )
+    """Coefficients drawn uniformly from [-1, 1] (the replication preset):
+    an (L, F, F, K) array for the constant law, (L, F, F, K, 2 modes + 1)
+    for the fourier law."""
+    size = (L, F, F, K) if time_law == CONSTANT else (L, F, F, K, 2 * modes + 1)
+    return FilterBank(rng.uniform(-1.0, 1.0, size=size), horizon=horizon)
 
 
 def gnn_forward(S, X, coeffs, act: Activation):

@@ -139,30 +139,37 @@ class FeatureFunctionSpec:
     (a + b*u per channel), ``fourier_polynomial``
     (sum_k a[f,k] cos(2 pi k u) + b[f,k] sin(2 pi k u)), and
     ``holder_cosine`` (sum_k a[f,k] cos(2 pi b[f,k] u), a lacunary series
-    that is Hoelder-1/2 when a_k = b_k^{-1/2}).
+    that is Hoelder-1/2 when a_k = b_k^{-1/2}).  ``a`` and ``b`` are (F, D):
+    one column per term k = 1..D (the read-only ``degree``) for the
+    trigonometric kinds, D = 1 and ``degree`` 0 for the others.
     """
 
     kind: str
     a: np.ndarray
     b: np.ndarray
-    degree: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "a", catalog.locked_array(np.atleast_2d(self.a)))
         object.__setattr__(self, "b", catalog.locked_array(np.atleast_2d(self.b)))
         if self.kind not in (FOURIER, HOLDER, CONSTANT, LINEAR):
             raise InvalidParameterError(f"unknown feature kind {self.kind!r}")
-        if self.a.shape != self.b.shape:
-            raise InvalidParameterError("coefficient arrays a and b must share a shape")
+        if self.a.shape != self.b.shape or self.a.ndim != 2:
+            raise InvalidParameterError("coefficient arrays a and b must share an (F, D) shape")
         if not (np.isfinite(self.a).all() and np.isfinite(self.b).all()):
             raise InvalidParameterError("feature coefficients must be finite")
         if self.kind in (FOURIER, HOLDER):
-            if self.degree < 1 or self.a.shape[1] != self.degree:
-                raise InvalidParameterError("need one coefficient per degree 1..D")
+            if self.a.shape[1] < 1:
+                raise InvalidParameterError("need one coefficient per degree 1..D, D >= 1")
+        elif self.a.shape[1] != 1:
+            raise InvalidParameterError(f"{self.kind} features take one coefficient column")
 
     @property
     def F(self) -> int:
         return self.a.shape[0]
+
+    @property
+    def degree(self) -> int:
+        return self.a.shape[1] if self.kind in (FOURIER, HOLDER) else 0
 
     def evaluate(self, u) -> np.ndarray:
         """Z(u) for an array of points in [0,1], shape (len(u), F)."""
@@ -226,7 +233,7 @@ def random_fourier_features(channels: int, degree: int, rng) -> FeatureFunctionS
     """Random trigonometric polynomial, coefficients uniform in [-1, 1]."""
     a = rng.uniform(-1.0, 1.0, size=(channels, degree))
     b = rng.uniform(-1.0, 1.0, size=(channels, degree))
-    return FeatureFunctionSpec(FOURIER, a, b, degree=degree)
+    return FeatureFunctionSpec(FOURIER, a, b)
 
 
 def random_holder_features(channels: int, degree: int, rng) -> FeatureFunctionSpec:
@@ -239,7 +246,7 @@ def random_holder_features(channels: int, degree: int, rng) -> FeatureFunctionSp
     k = np.arange(1, degree + 1, dtype=np.float64)
     freqs = base[:, None] ** k[None, :]
     amps = base[:, None] ** (-k[None, :] / 2.0)
-    return FeatureFunctionSpec(HOLDER, amps, freqs, degree=degree)
+    return FeatureFunctionSpec(HOLDER, amps, freqs)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +479,7 @@ def write_csv(path, header, rows):
             fh.write(",".join(map(format_cell, row)) + "\n")
 
 
-_WRITE_ROWS = 16384  # rows per write: larger chunks only raise the peak memory
+_WRITE_ROWS = 16384  # adjacency entries per block: larger blocks only raise the peak memory
 
 
 def write_edge_list(graph: SampledGraph, path):
@@ -480,29 +487,28 @@ def write_edge_list(graph: SampledGraph, path):
     upper-triangle entries (diagonal included) as `i,j,weight` rows, the
     weight as its :func:`format_cell` text.
 
-    Each ``_WRITE_ROWS``-row chunk formats each distinct weight once
-    (``np.unique``) and each node id once per call, then joins the rows from
-    those tables.  The bytes are those of one cell per row: the text is a
+    The adjacency is walked in blocks of about ``_WRITE_ROWS // n`` rows:
+    each block's upper triangle (``np.triu``) gives its nonzero entries in
+    row-major order, each distinct weight is formatted once (``np.unique``)
+    and each node id once per call, and the rows are joined from those
+    tables.  The bytes are those of one cell per row: the text is a
     function of the float's bits, and the only distinct bits that
     ``np.unique`` merges, +0.0 with -0.0 and NaN with NaN, are never written
     (zeros are dropped, and a ``SampledGraph`` holds no NaN).
     """
     n = graph.n
-    iu, ju = np.triu_indices(n)
-    w = graph.adjacency[iu, ju]
-    keep = w != 0.0
-    iu, ju, w = iu[keep], ju[keep], w[keep]
+    step = max(1, _WRITE_ROWS // n)
     ids = [str(i) for i in range(n)]
     with open(path, "w", newline="") as fh:
         fh.write(f"n={n},class={graph.value_class}\n")
         fh.write("i,j,weight\n")
-        for lo in range(0, w.size, _WRITE_ROWS):
-            rows = slice(lo, lo + _WRITE_ROWS)
-            # per chunk: one np.unique over all rows raises the peak memory
-            values, which = np.unique(w[rows], return_inverse=True)
+        for lo in range(0, n, step):
+            block = np.triu(graph.adjacency[lo : lo + step], lo)
+            iu, ju = np.nonzero(block)
+            values, which = np.unique(block[iu, ju], return_inverse=True)
             texts = [format_cell(x) for x in values.tolist()]
             fh.write("".join([f"{ids[i]},{ids[j]},{texts[k]}\n" for i, j, k in zip(
-                iu[rows].tolist(), ju[rows].tolist(), which.tolist())]))
+                (iu + lo).tolist(), ju.tolist(), which.tolist())]))
 
 
 _TEXT_BYTES = bytes(range(0x20, 0x7F)) + b"\t\r\n"  # all an edge list may hold

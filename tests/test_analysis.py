@@ -101,6 +101,21 @@ def test_rate_constants():
         an.rate_form(cat.checkerboard(), None)
 
 
+def test_rate_form_follows_the_kernel_not_its_factory():
+    # the certificate is derived from kind and alpha: a hand-built spec
+    # gets the factory's rate, and none can be given another kernel's pair
+    for alpha in (0.5, 1):
+        hand = cat.GraphonSpec(kind=cat.KIND_TENT, alpha=alpha)
+        assert an.rate_form(hand, 0.1) == an.rate_form(cat.tent(alpha), 0.1)
+        assert an.rate_form(hand, 0.1) == (float(alpha), float(alpha),
+                                           an.holder_kernel_radical(alpha))
+    hand = cat.GraphonSpec(kind=cat.KIND_OSCILLATORY, frequency=4)
+    assert an.rate_form(hand, None) == an.rate_form(cat.oscillatory(4), None)
+    with pytest.raises(TypeError):
+        cat.GraphonSpec(kind=cat.KIND_TENT, value_class="weighted", alpha=0.5,
+                        holder_meta=(1.0, 1.0))
+
+
 def test_bound_inputs_validation():
     ok = dict(F=1, K=1, L=1, T=1.0, h_T=1.0, X_sup_norm=1.0)
     with pytest.raises(InvalidParameterError):

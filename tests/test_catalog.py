@@ -179,8 +179,7 @@ def test_pattern_entries_checked_before_the_cast(pattern):
     with pytest.raises(InvalidParameterError, match="entries must be 0 or 1"):
         cat.block_pattern(pattern)
     with pytest.raises(InvalidParameterError, match="entries must be 0 or 1"):
-        cat.GraphonSpec(kind=cat.KIND_BLOCK, value_class=cat.BINARY,
-                        pattern=np.asarray(pattern))
+        cat.GraphonSpec(kind=cat.KIND_BLOCK, pattern=np.asarray(pattern))
 
 
 def test_pattern_entries_of_any_dtype_accepted_when_binary():
@@ -311,10 +310,6 @@ def test_cell_intersects_support_exact():
     assert not cat.cell_intersects_support(cb, (0.0, 0.49, 0.51, 0.99))
     with pytest.raises(UnsupportedOperationError):
         cat.cell_intersects_support(cat.tent(), (0.0, 0.5, 0.0, 0.5))
-    # binary value class but no support grid: refused, as sample_unweighted does
-    binary_tent = cat.GraphonSpec(kind="tent", value_class="binary", alpha=1.0)
-    with pytest.raises(UnsupportedOperationError):
-        cat.cell_intersects_support(binary_tent, (0.0, 0.5, 0.0, 0.5))
     with pytest.raises(InvalidParameterError):
         cat.cell_intersects_support(cb, (0.5, 0.5, 0.0, 1.0))
 
@@ -554,6 +549,31 @@ def test_nominal_box_dims():
     assert cat.tent().nominal_box_dim is None
     # all-kept and degenerate masks have no fractal boundary to speak of
     assert cat.triadic_carpet(np.ones((3, 3), dtype=np.int8), 2).nominal_box_dim is None
+
+
+def test_spec_derives_its_dependent_attributes():
+    hand = cat.GraphonSpec(kind=cat.KIND_TENT, alpha=0.5)
+    assert (hand.value_class, hand.holder_meta) == ("weighted", (1.0, 0.5))
+    assert hand.nominal_box_dim is None
+    assert cat.GraphonSpec(kind=cat.KIND_OSCILLATORY, frequency=2).holder_meta == (math.pi, 1.0)
+    for spec in (cat.hsbm(), cat.checkerboard(), cat.sierpinski(), cat.hexaflake()):
+        assert (spec.value_class, spec.holder_meta) == ("binary", None)
+    carpet = cat.GraphonSpec(kind=cat.KIND_CARPET, mask=np.ones((3, 3)), depth=2.0)
+    assert carpet.depth == 2 and type(carpet.depth) is int
+    for name in ("value_class", "holder_meta", "nominal_box_dim"):
+        with pytest.raises(AttributeError):
+            setattr(hand, name, None)
+
+
+@pytest.mark.parametrize("kind, params, foreign", [
+    (cat.KIND_TENT, {"alpha": 0.5, "depth": 3}, "depth"),
+    (cat.KIND_OSCILLATORY, {"frequency": 2, "alpha": 0.5}, "alpha"),
+    (cat.KIND_BLOCK, {"pattern": np.eye(2), "mask": np.eye(3)}, "mask"),
+    (cat.KIND_CARPET, {"mask": np.eye(3), "depth": 2, "frequency": 3}, "frequency"),
+])
+def test_spec_refuses_a_parameter_of_another_kind(kind, params, foreign):
+    with pytest.raises(InvalidParameterError, match=foreign):
+        cat.GraphonSpec(kind=kind, **params)
 
 
 def test_motif_normalization_and_validation():

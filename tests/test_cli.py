@@ -532,6 +532,36 @@ def test_transfer_audit_determinism(tmp_path):
     assert (tmp_path / "a1.csv").read_bytes() == (tmp_path / "a2.csv").read_bytes()
 
 
+def test_transfer_audit_empty_subgraph_rows(tmp_path):
+    # k = round(0.1 * 4) = 0: each trial is a row with no error, and the
+    # proportion's mean and std are null
+    edges = tmp_path / "g.csv"
+    edges.write_text("n=4,class=weighted\ni,j,weight\n0,1,0.5\n2,3,0.25\n")
+    audit_cfg = _cfg(tmp_path, "a.cfg", edge_list=str(edges), proportions="0.1,1.0",
+                     audit_trials="2")
+    out = str(tmp_path / "audit.csv")
+    assert entry(["transfer-audit", "--config", audit_cfg, "--out", out]) == 0
+    rows = _read_csv(out)[1:]
+    assert [(r[0], r[1], r[3], r[4], r[5], r[6]) for r in rows[:2]] == [
+        ("0.1", str(trial), "0", "", "", "empty subgraph") for trial in (0, 1)]
+    assert [(r[3], r[4], r[5], r[6]) for r in rows[2:]] == [("4", "0.0", "0;1;2;3", "")] * 2
+    summary = json.loads((tmp_path / "audit.csv.summary.json").read_text())
+    assert summary["mean_rel_err"] == [None, 0.0]
+    assert summary["std_rel_err"] == [None, 0.0]
+
+
+def test_transfer_audit_edgeless_graph_exits_3(tmp_path, capsys):
+    # a graph with no edges has kernel norm 0: no relative error is defined
+    edges = tmp_path / "g.csv"
+    edges.write_text("n=5,class=unweighted\ni,j,weight\n")
+    audit_cfg = _cfg(tmp_path, "a.cfg", edge_list=str(edges))
+    out = tmp_path / "audit.csv"
+    capsys.readouterr()
+    assert entry(["transfer-audit", "--config", audit_cfg, "--out", str(out)]) == 3
+    assert "graph kernel norm below 1e-12" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_transfer_audit_config_errors(tmp_path, capsys):
     no_list = _cfg(tmp_path, "n.cfg")
     assert entry(["transfer-audit", "--config", no_list, "--out", str(tmp_path / "o.csv")]) == 2

@@ -59,7 +59,7 @@ def test_time_varying_bank_analytic():
     s = np.array([[1.0]])
     z = np.array([[1.0]])
     coeffs = np.array([0.0, 1.0, 0.0]).reshape(1, 1, 1, 1, 3)
-    bank = FilterBank(coeffs, time_law="fourier", modes=1, horizon=2.0)
+    bank = FilterBank(coeffs, horizon=2.0)
     cfg = dyn.SolverConfig(method="dp5", atol=1e-11, rtol=1e-11, eval_grid=2)
     traj = dyn.integrate(s, z, bank, IDENT, 1.0, cfg)
     assert traj.states[1, 0, 0] == pytest.approx(math.exp(1.0 / math.pi), abs=1e-8)
@@ -330,8 +330,8 @@ def test_batch_is_bitwise_solo(method, n, channels, scales, tiny, identity, max_
     # B systems on one operator, integrated in lockstep, each equal to its
     # solo run: systems leave after different numbers of dp5 attempts or
     # picard windows, fail (diverge, exceed max_steps, or miss the picard
-    # fixpoint) beside healthy ones, or sit near 1e-306, which sends every
-    # column of the batch down _split's ldexp branch
+    # fixpoint) beside healthy ones, or sit near 1e-306, where _split's
+    # scale 2**(beta - e) of a column exceeds the largest float
     if method == "rk4":
         max_steps = 40  # 10 steps of 0.05; fewer is refused up front
     if method == "picard":

@@ -67,14 +67,20 @@ def test_filter_bank_validation():
         neural.FilterBank(np.ones((1, 2, 3, 2)))
     with pytest.raises(InvalidParameterError):
         neural.FilterBank(np.full((1, 1, 1, 1), np.nan))
-    with pytest.raises(InvalidParameterError):
-        neural.FilterBank(np.ones((1, 1, 1, 1, 3)), time_law="fourier", modes=0)
-    with pytest.raises(InvalidParameterError):
-        neural.FilterBank(np.ones((1, 1, 1, 1, 4)), time_law="fourier", modes=1)
-    with pytest.raises(InvalidParameterError):
-        neural.FilterBank(np.ones((1, 1, 1, 1)), time_law="periodic")
+    # a fourier bank needs 2M + 1 coefficients per filter, M >= 1, and a
+    # positive horizon
+    for last in (1, 2, 4):
+        with pytest.raises(InvalidParameterError, match="2M\\+1"):
+            neural.FilterBank(np.ones((1, 1, 1, 1, last)))
+    with pytest.raises(InvalidParameterError, match="horizon"):
+        neural.FilterBank(np.ones((1, 1, 1, 1, 3)), horizon=0.0)
     bank = neural.FilterBank(np.ones((3, 2, 2, 4)))
     assert (bank.L, bank.F, bank.K) == (3, 2, 4)
+    assert (bank.time_law, bank.modes) == ("constant", 0)
+    four = neural.FilterBank(np.ones((3, 2, 2, 4, 5)), horizon=2.0)
+    assert (four.L, four.F, four.K, four.time_law, four.modes) == (3, 2, 4, "fourier", 2)
+    with pytest.raises(AttributeError):
+        four.modes = 1
 
 
 def test_filters_at_time_laws():
@@ -82,7 +88,7 @@ def test_filters_at_time_laws():
     assert np.array_equal(neural.filters_at(const, 0.7), const.coeffs)
     # c0 + a1 cos + b1 sin with c0=1, a1=2, b1=0.5 over horizon 2
     coeffs = np.array([1.0, 2.0, 0.5]).reshape(1, 1, 1, 1, 3)
-    bank = neural.FilterBank(coeffs, time_law="fourier", modes=1, horizon=2.0)
+    bank = neural.FilterBank(coeffs, horizon=2.0)
     assert neural.filters_at(bank, 0.0)[0, 0, 0, 0] == pytest.approx(3.0, abs=1e-15)
     assert neural.filters_at(bank, 0.5)[0, 0, 0, 0] == pytest.approx(1.5, abs=1e-15)
     assert neural.filters_at(bank, 1.0)[0, 0, 0, 0] == pytest.approx(-1.0, abs=1e-15)

@@ -193,7 +193,8 @@ def test_cell_average_polynomial_exact():
 
 def test_cell_average_fourier_analytic():
     # one cosine mode: cell mean has the closed form n*(sin b - sin a)/(2 pi)
-    z = smp.FeatureFunctionSpec("fourier_polynomial", [[1.0]], [[0.0]], degree=1)
+    z = smp.FeatureFunctionSpec("fourier_polynomial", [[1.0]], [[0.0]])
+    assert z.degree == 1
     n = 8
     fm = smp.sample_features_cell_average(z, n)
     i = np.arange(n)
@@ -206,8 +207,18 @@ def test_feature_spec_validation():
         smp.FeatureFunctionSpec("poly", [[1.0]], [[0.0]])
     with pytest.raises(InvalidParameterError):
         smp.FeatureFunctionSpec("linear", [[1.0, 2.0]], [[0.0]])
+    # a trigonometric spec needs at least one term; its degree is its column count
+    for kind in ("fourier_polynomial", "holder_cosine"):
+        with pytest.raises(InvalidParameterError):
+            smp.FeatureFunctionSpec(kind, np.zeros((1, 0)), np.zeros((1, 0)))
+    assert smp.FeatureFunctionSpec("fourier_polynomial", [[1.0, 2.0]], [[0.0, 0.0]]).degree == 2
+    # constant and linear kinds take exactly one coefficient column
+    for kind in ("constant", "linear"):
+        with pytest.raises(InvalidParameterError, match="one coefficient column"):
+            smp.FeatureFunctionSpec(kind, [[0.0, 5.0]], [[1.0, 7.0]])
+    assert smp.linear_feature([0.0], [1.0]).degree == 0
     with pytest.raises(InvalidParameterError):
-        smp.FeatureFunctionSpec("fourier_polynomial", [[1.0, 2.0]], [[0.0, 0.0]], degree=3)
+        smp.FeatureFunctionSpec("linear", np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))
     with pytest.raises(InvalidParameterError):
         smp.constant_feature([np.inf])
     z = smp.constant_feature([1.0])
