@@ -149,59 +149,95 @@ def _check_compatible(traj_a, traj_b):
         raise InvalidParameterError("feature values must be finite")
 
 
-def _overlay_distances(traj_n, traj_ref):
-    """The overlay L2 distance between the induced states at each eval time.
-
-    The merged partition of the two uniform partitions is built once, and
-    each block of eval times gathers its cell differences at once.  The
-    gather ``states[lo:hi, ia]`` is not C-ordered (numpy lays it out cell
-    by cell, each cell's times together); ``sampling.l2_per_row`` makes its
-    channel sums contiguous, so each time's bits are its own state's.
-    """
+def _overlay_distances(traj_n, traj_ref, partition):
+    """The overlay L2 distance between the induced states at each eval time,
+    ``partition`` being ``catalog.overlay_partition`` of the two uniform
+    partitions.  Each block of eval times gathers its cell values with
+    ``take``, which lays the block out C-ordered, time by time and cell by
+    cell, so each time's sums run over its own contiguous cells as the
+    per-state sum does."""
     _check_compatible(traj_n, traj_ref)
-    ia, ib, widths = catalog.overlay_partition(
-        sampling.uniform_breakpoints(traj_n.n), sampling.uniform_breakpoints(traj_ref.n)
-    )
+    ia, ib, widths = partition
     states_n, states_ref = traj_n.states, traj_ref.states
-    return sampling.l2_per_row(lambda lo, hi: states_n[lo:hi, ia] - states_ref[lo:hi, ib],
-                               len(states_n), traj_n.F, widths)
+
+    def differences(lo, hi):
+        diff = states_n[lo:hi].take(ia, axis=1)
+        diff -= states_ref[lo:hi].take(ib, axis=1)
+        return diff
+
+    return sampling.l2_per_row(differences, len(states_n), traj_n.F, widths)
 
 
-def trajectory_norms(traj) -> list[float]:
+def _partition(n, n_ref):
+    return catalog.overlay_partition(sampling.uniform_breakpoints(n),
+                                     sampling.uniform_breakpoints(n_ref))
+
+
+def trajectory_norms(traj) -> np.ndarray:
     """L2 norm of the induced state at each eval time."""
     widths = np.diff(sampling.uniform_breakpoints(traj.n))
     states = traj.states
-    return list(sampling.l2_per_row(lambda lo, hi: states[lo:hi].copy(),
-                                    len(states), traj.F, widths))
+    return sampling.l2_per_row(lambda lo, hi: states[lo:hi].copy(),
+                               len(states), traj.F, widths)
 
 
 def trajectory_sup_absolute_error(traj_n, traj_ref) -> float:
     """max_t of the exact overlay L2 distance between induced states."""
-    return max(_overlay_distances(traj_n, traj_ref), default=0.0)
+    dists = _overlay_distances(traj_n, traj_ref, _partition(traj_n.n, traj_ref.n))
+    return float(dists.max(initial=0.0))
+
+
+def _sup_errors(dists, times, ref_norms):
+    """(absolute, relative) sup of one pair's distances, or the
+    DegenerateReferenceError of its first degenerate time."""
+    worst_abs = float(dists.max(initial=0.0))
+    moved = dists != 0.0
+    degenerate = moved & (ref_norms < 1e-12)
+    if degenerate.any():
+        t = times[degenerate.argmax()]
+        return DegenerateReferenceError(f"reference trajectory norm below 1e-12 at t={t!r}",
+                                        time=float(t))
+    return worst_abs, float((dists[moved] / ref_norms[moved]).max(initial=0.0))
+
+
+def trajectory_sup_errors_batch(pairs) -> list:
+    """(absolute, relative) sup errors of several (traj_n, traj_ref,
+    ref_norms) triples from one overlay partition.
+
+    Every ``traj_n`` has one node count and every ``traj_ref`` another, so
+    the merged partition is built once for the batch.  Returns one entry
+    per triple, in order: its errors, or the DegenerateReferenceError it
+    failed with.  The relative error divides each distance by the
+    reference norm at the same t, ``ref_norms`` being
+    :func:`trajectory_norms` of ``traj_ref``.  An exactly-zero distance
+    contributes ratio 0 whatever the reference norm (identical
+    trajectories have zero error even at an equilibrium); the
+    degenerate-reference guard fires only for a genuine 0-divide, at the
+    first such time.
+    """
+    pairs = list(pairs)
+    sizes = {(traj_n.n, traj_ref.n) for traj_n, traj_ref, _ in pairs}
+    if len(sizes) > 1:
+        raise InvalidParameterError("the pairs of a batch need one (n, n_ref)")
+    partition = _partition(*sizes.pop()) if sizes else None
+    results = []
+    for traj_n, traj_ref, ref_norms in pairs:
+        if len(ref_norms) != traj_ref.eval_times.size:
+            raise InvalidParameterError("ref_norms must hold one norm per reference eval time")
+        dists = _overlay_distances(traj_n, traj_ref, partition)
+        results.append(_sup_errors(dists, traj_ref.eval_times,
+                                   np.asarray(ref_norms, dtype=np.float64)))
+    return results
 
 
 def trajectory_sup_errors(traj_n, traj_ref, ref_norms) -> tuple[float, float]:
-    """(absolute, relative) sup error from one overlay pass.
-
-    The relative error divides each distance by the reference norm at the
-    same t, ``ref_norms`` being :func:`trajectory_norms` of ``traj_ref``.
-    An exactly-zero distance contributes ratio 0 whatever the reference
-    norm (identical trajectories have zero error even at an equilibrium);
-    the degenerate-reference guard fires only for a genuine 0-divide.
-    """
-    if len(ref_norms) != traj_ref.eval_times.size:
-        raise InvalidParameterError("ref_norms must hold one norm per reference eval time")
-    worst_abs = worst_rel = 0.0
-    for dist, t, norm in zip(_overlay_distances(traj_n, traj_ref), traj_ref.eval_times,
-                             ref_norms):
-        worst_abs = max(worst_abs, dist)
-        if dist == 0.0:
-            continue
-        if norm < 1e-12:
-            raise DegenerateReferenceError(f"reference trajectory norm below 1e-12 at t={t!r}",
-                                           time=float(t))
-        worst_rel = max(worst_rel, dist / norm)
-    return worst_abs, worst_rel
+    """(absolute, relative) sup error from one overlay pass: the batch of
+    one of :func:`trajectory_sup_errors_batch`, raising the failure it
+    reports."""
+    (result,) = trajectory_sup_errors_batch([(traj_n, traj_ref, ref_norms)])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def stability_bound_check(

@@ -59,6 +59,18 @@ _KIND_OF_PARAM = {"alpha": KIND_TENT, "frequency": KIND_OSCILLATORY, "pattern": 
                   "mask": KIND_CARPET, "depth": KIND_CARPET}
 
 
+def _positive_int(value, message):
+    """``value`` as an int when it is a whole number >= 1: 2.0 becomes 2,
+    while 2.5, NaN, a string or None is refused, not truncated."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameterError(message) from None
+    if whole != value or whole < 1:
+        raise InvalidParameterError(message)
+    return whole
+
+
 @dataclass(frozen=True, eq=False)
 class GraphonSpec:
     """Immutable description of one analytic kernel.
@@ -90,18 +102,16 @@ class GraphonSpec:
                 raise InvalidParameterError("tent exponent alpha must be in (0, 1]")
             object.__setattr__(self, "alpha", float(self.alpha))
         elif self.kind == KIND_OSCILLATORY:
-            if self.frequency is None or int(self.frequency) < 1:
-                raise InvalidParameterError("oscillation frequency must be a positive integer")
-            object.__setattr__(self, "frequency", int(self.frequency))
+            object.__setattr__(self, "frequency", _positive_int(
+                self.frequency, "oscillation frequency must be a positive integer"))
         elif self.kind == KIND_BLOCK:
             object.__setattr__(self, "pattern", _binary_locked(self.pattern, "pattern"))
         else:  # KIND_CARPET
             object.__setattr__(self, "mask", _binary_locked(self.mask, "mask"))
             if self.mask.shape != (3, 3):
                 raise InvalidParameterError("carpet mask must be 3x3")
-            if self.depth is None or int(self.depth) < 1:
-                raise InvalidParameterError("carpet depth must be >= 1")
-            object.__setattr__(self, "depth", int(self.depth))
+            object.__setattr__(self, "depth", _positive_int(
+                self.depth, "carpet depth must be a positive integer"))
 
     @property
     def value_class(self) -> str:

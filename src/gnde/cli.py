@@ -261,10 +261,11 @@ def cmd_converge(args, cfg) -> int:
     features = [feature for _, _, feature in draws]
 
     def _run_size(n, trial_ids, measure):
-        """Integrate the listed trials at size n in one batch: {trial:
-        (measure(trial, traj) or None, failure message or None, wall ms)},
-        the wall time being an even share of the batch's solve plus the
-        trial's own measure."""
+        """Integrate the listed trials at size n in one batch and measure the
+        solved ones in one call: {trial: (result or None, failure message or
+        None, wall ms)}.  ``measure`` maps a list of (trial, trajectory)
+        pairs to one result or numerical failure each; the wall time is an
+        even share of the size's solve and measure."""
         # Sampling is deterministic, so each graph is sampled once, with every
         # trial's features.  The graph, symmetric by its own validation, is
         # split straight into the operator (S = A / n is never formed, and
@@ -273,38 +274,36 @@ def cmd_converge(args, cfg) -> int:
         op = kernels.ShiftOperator(graph)
         del graph
         start = time.perf_counter()
-        solved = dynamics.integrate_batch(
-            op, [(feats[trial], draws[trial][1]) for trial in trial_ids], act, T, solver)
+        outcomes = dict(zip(trial_ids, dynamics.integrate_batch(
+            op, [(feats[trial], draws[trial][1]) for trial in trial_ids], act, T, solver)))
+        solved = [(trial, traj) for trial, traj in outcomes.items()
+                  if not isinstance(traj, Exception)]
+        outcomes.update(zip([trial for trial, _ in solved], measure(solved)))
         share_ms = (time.perf_counter() - start) * 1e3 / max(1, len(trial_ids))
+        return {trial: (None, f"{type(outcome).__name__}: {outcome}", share_ms)
+                if isinstance(outcome, Exception) else (outcome, None, share_ms)
+                for trial, outcome in outcomes.items()}
 
-        results = {}
-        for trial, traj in zip(trial_ids, solved):
-            start = time.perf_counter()
-            try:
-                if isinstance(traj, Exception):
-                    raise traj
-                result, failure = measure(trial, traj), None
-            except NUMERICAL_EXIT_ERRORS as exc:
-                result, failure = None, f"{type(exc).__name__}: {exc}"
-            results[trial] = (result, failure,
-                              share_ms + (time.perf_counter() - start) * 1e3)
-        return results
+    def _references(solved):
+        # what every other size compares against, and each trial's rate constant
+        made = []
+        for trial, traj in solved:
+            _, bank, feature = draws[trial]
+            inputs = analysis.BoundInputs(
+                F=bank.F, K=bank.K, L=bank.L, T=T, h_T=neural.h_sup_certified(bank),
+                X_sup_norm=float(dynamics.scaled_norm(traj.states).max()),
+                A2=feature.lipschitz_bound())
+            made.append((traj, analysis.trajectory_norms(traj),
+                         analysis.rate_constant(inputs, kernel_term)))
+        return made
 
-    def _reference(trial, traj):
-        # what every other size compares against, and the trial's rate constant
-        _, bank, feature = draws[trial]
-        inputs = analysis.BoundInputs(
-            F=bank.F, K=bank.K, L=bank.L, T=T, h_T=neural.h_sup_certified(bank),
-            X_sup_norm=max(dynamics.scaled_norm(x) for x in traj.states),
-            A2=feature.lipschitz_bound())
-        return traj, analysis.trajectory_norms(traj), analysis.rate_constant(inputs, kernel_term)
-
-    def _errors(trial, traj):
-        ref_traj, ref_norms, _ = refs[trial][0]
-        return analysis.trajectory_sup_errors(traj, ref_traj, ref_norms)
+    def _errors(solved):
+        # every live trial of the size against its reference, in one pass
+        return analysis.trajectory_sup_errors_batch(
+            (traj, *refs[trial][0][:2]) for trial, traj in solved)
 
     # Size-major: the reference first, then each n with every live trial.
-    refs = _run_size(n_ref, range(trials), _reference)
+    refs = _run_size(n_ref, range(trials), _references)
     live = [trial for trial, (ref, _, _) in refs.items() if ref is not None]
     by_size = [_run_size(n, live, _errors) for n in n_list]
 

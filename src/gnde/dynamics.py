@@ -170,10 +170,17 @@ class TrajectoryRecord:
         return FeatureMatrix(self.states[j])
 
 
-def scaled_norm(v: np.ndarray) -> float:
-    """L2 norm of the induced step function: Frobenius norm over sqrt(n)."""
+def scaled_norm(v: np.ndarray):
+    """L2 norm of the induced step function: Frobenius norm over sqrt(n).
+
+    ``v`` is one (n, F) state, giving a float, or a (J, n, F) stack of
+    states, giving the array of their J norms.  Each state's sum runs over
+    its own contiguous n F entries, so a norm in a stack is the state's own
+    norm bit for bit.
+    """
     v = np.asarray(v)
-    return float(np.sqrt(np.sum(v * v) / v.shape[0]))
+    norms = np.sqrt(np.sum(v * v, axis=(-2, -1)) / v.shape[-2])
+    return float(norms) if v.ndim == 2 else norms
 
 
 def rhs(S, X, bank: FilterBank, act: Activation, t: float) -> np.ndarray:
@@ -434,7 +441,7 @@ def _picard(Z, bank, T, cfg):
             dts = np.diff(fine[start : stop + 1])
             increments = 0.5 * dts[:, None, None] * (vel[:-1] + vel[1:])
             new = np.cumsum(increments, axis=0) + X[0]
-            change = max(scaled_norm(new[m] - X[m + 1]) for m in range(len(X) - 1))
+            change = float(scaled_norm(new - X[1:]).max())
             X[1:] = new
             iterations += 1
             if prev_change is not None and prev_change > 0.0:

@@ -160,6 +160,8 @@ def random_filter_bank(
     """Coefficients drawn uniformly from [-1, 1] (the replication preset):
     an (L, F, F, K) array for the constant law, (L, F, F, K, 2 modes + 1)
     for the fourier law."""
+    if time_law not in (CONSTANT, FOURIER):
+        raise InvalidParameterError(f"unknown time law {time_law!r}")
     size = (L, F, F, K) if time_law == CONSTANT else (L, F, F, K, 2 * modes + 1)
     return FilterBank(rng.uniform(-1.0, 1.0, size=size), horizon=horizon)
 

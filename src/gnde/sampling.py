@@ -397,28 +397,40 @@ def induce_features(features: FeatureMatrix) -> PiecewiseConstantFunction:
     )
 
 
-#: Entries (rows x cells x F) of one block of :func:`l2_per_row`; bounds
-#: the transient arrays below the allocator's mmap threshold.
-L2_BLOCK_ENTRIES = 1 << 12
+#: Entries (rows x cells x F) of one block of :func:`l2_per_row`: 128 KiB
+#: blocks ran the convergence report's error pass about a quarter faster
+#: than 32 KiB ones, and 256 KiB ones were little faster but raised the
+#: peak RSS by 0.5 MB (``BENCH_eval_pass.json``).
+L2_BLOCK_ENTRIES = 1 << 14
 
 
-def l2_per_row(block, count, F, widths):
+def _weighted_square_sums(sq, widths):
+    """sum_c widths[c] * sum_f sq[j, c, f]**2 for each row j, squaring the
+    block ``sq`` in place; a block passed straight in is freed on return."""
+    sq *= sq
+    inner = np.sum(sq, axis=2)
+    inner *= widths
+    return np.sum(inner, axis=1)
+
+
+def l2_per_row(block, count, F, widths) -> np.ndarray:
     """sqrt(sum_c widths[c] * sum_f D[j, c, f]**2) for each row j < count:
-    the L2 norms of step functions on cells of widths ``widths``.
+    the L2 norms of step functions on cells of widths ``widths``, as a
+    float64 array.
 
-    ``block(lo, hi)`` returns D[lo:hi] as a new (hi - lo, widths.size, F)
-    array, which is squared in place; a block holds about
-    ``L2_BLOCK_ENTRIES`` entries.  The channel sums are made C-contiguous
-    before the cell sums, so each row's cell sum runs over contiguous
-    memory, as a 1-D sum does, whatever the block's layout and size.
+    ``block(lo, hi)`` returns D[lo:hi] as a new C-contiguous
+    (hi - lo, widths.size, F) array, which is squared in place; a block
+    holds about ``L2_BLOCK_ENTRIES`` entries, and one block's arrays are
+    freed before the next is made.  Each row's channel and cell sums run
+    over its own contiguous memory, as a 1-D sum does, so a row's bits do
+    not depend on the block size.
     """
     step = max(1, L2_BLOCK_ENTRIES // max(1, widths.size * F))
+    norms = np.empty(count)
     for lo in range(0, count, step):
-        sq = block(lo, min(count, lo + step))
-        sq *= sq
-        inner = np.ascontiguousarray(np.sum(sq, axis=2))
-        inner *= widths
-        yield from map(math.sqrt, np.sum(inner, axis=1).tolist())
+        hi = min(count, lo + step)
+        np.sqrt(_weighted_square_sums(block(lo, hi), widths), out=norms[lo:hi])
+    return norms
 
 
 def overlay_l2_distance(
@@ -437,8 +449,7 @@ def overlay_l2_distance(
         )
     ia, ib, widths = catalog.overlay_partition(f_a.breakpoints, f_b.breakpoints)
     diff = f_a.values[ia] - f_b.values[ib]
-    (dist,) = l2_per_row(lambda lo, hi: diff[None], 1, f_a.F, widths)
-    return dist
+    return float(l2_per_row(lambda lo, hi: diff[None], 1, f_a.F, widths)[0])
 
 
 def pwc_l2_norm(f: PiecewiseConstantFunction) -> float:
@@ -449,8 +460,8 @@ def pwc_l2_norm(f: PiecewiseConstantFunction) -> float:
     if f.kernel:
         zero = PiecewiseConstantFunction(np.array([0.0, 1.0]), np.zeros((1, 1)), kernel=True)
         return catalog.kernel_distance(f, zero)
-    (norm,) = l2_per_row(lambda lo, hi: f.values[None].copy(), 1, f.F, np.diff(f.breakpoints))
-    return norm
+    return float(l2_per_row(lambda lo, hi: f.values[None].copy(), 1, f.F,
+                            np.diff(f.breakpoints))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -159,20 +159,24 @@ def test_relative_error_zero_cases():
     assert err.value.time == 0.0
 
 
+_NODE_COUNTS = st.one_of(
+    st.sampled_from([(24, 256), (256, 24), (7, 3), (3, 7), (16, 16)]),
+    st.tuples(st.integers(1, 40), st.integers(1, 40)),
+)
+
+
 @st.composite
-def _trajectory_pairs(draw):
+def _trajectory_pairs(draw, sizes=None):
     """An (n-node, reference) trajectory pair on a shared eval grid.
 
-    Node counts are nested (24 in 256), non-nested (7 vs 3) or arbitrary.
+    Node counts (``sizes`` = (n, n_ref) when given) are nested (24 in 256),
+    non-nested (7 vs 3) or arbitrary.
     Each eval time is free, has an all-zero reference, is all zero on both
     sides, or has equal induced step functions (zero distance, nonzero
     reference); the reference may also be zero at every eval time, or
     scaled to a norm below the 1e-12 guard.
     """
-    n, n_ref = draw(st.one_of(
-        st.sampled_from([(24, 256), (256, 24), (7, 3), (3, 7), (16, 16)]),
-        st.tuples(st.integers(1, 40), st.integers(1, 40)),
-    ))
+    n, n_ref = draw(_NODE_COUNTS) if sizes is None else sizes
     F = draw(st.integers(1, 3))
     J = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -236,10 +240,56 @@ def test_blocked_distances_equal_per_state_overlay(pair, block):
         norms.append(smp.pwc_l2_norm(ref))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(smp, "L2_BLOCK_ENTRIES", 1 if block == "time" else 1 << 40)
-        got_dists = list(an._overlay_distances(traj_n, traj_ref))
-        got_norms = an.trajectory_norms(traj_ref)
+        got_dists = an._overlay_distances(traj_n, traj_ref,
+                                          an._partition(traj_n.n, traj_ref.n)).tolist()
+        got_norms = an.trajectory_norms(traj_ref).tolist()
     assert [d.hex() for d in got_dists] == [d.hex() for d in dists]
     assert [v.hex() for v in got_norms] == [v.hex() for v in norms]
+
+
+def _scored_alone(traj_n, traj_ref, ref_norms):
+    try:
+        return an.trajectory_sup_errors(traj_n, traj_ref, ref_norms)
+    except DegenerateReferenceError as exc:
+        return exc
+
+
+@st.composite
+def _trajectory_batches(draw):
+    """Pairs sharing one (n, n_ref), each with its own channels and eval
+    grid; optionally a lively trajectory against an all-zero reference in
+    the middle of the batch."""
+    sizes = draw(_NODE_COUNTS)
+    pairs = draw(st.lists(_trajectory_pairs(sizes), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        times = np.linspace(0.0, 1.0, draw(st.integers(1, 5)))
+        lively = 1.0 + rng.random((times.size, sizes[0], 1))
+        pairs.insert(len(pairs) // 2, (TrajectoryRecord(times, lively, {}),
+                                       TrajectoryRecord(times, np.zeros_like(lively[:, :1])
+                                                        .repeat(sizes[1], axis=1), {})))
+    return pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trajectory_batches(), st.sampled_from([1, 1 << 40]))
+def test_size_batch_equals_each_pair_alone(pairs, block):
+    # one partition and one pass for the batch, at one eval time per block
+    # or all times in one, scores each pair as it alone is scored, bit for
+    # bit; a degenerate reference fails its own entry only
+    triples = [(traj_n, traj_ref, an.trajectory_norms(traj_ref)) for traj_n, traj_ref in pairs]
+    alone = [_scored_alone(*triple) for triple in triples]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smp, "L2_BLOCK_ENTRIES", block)
+        batch = an.trajectory_sup_errors_batch(triples)
+    assert len(batch) == len(alone)
+    for got, want in zip(batch, alone):
+        if isinstance(want, DegenerateReferenceError):
+            assert type(got) is DegenerateReferenceError
+            assert (str(got), got.time) == (str(want), want.time)
+        else:
+            assert [type(v) for v in got] == [float, float]
+            assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_trajectory_compat_guards():
@@ -255,6 +305,11 @@ def test_trajectory_compat_guards():
             an.trajectory_sup_errors(a, other, an.trajectory_norms(other))
     with pytest.raises(InvalidParameterError):  # norms of another eval grid
         an.trajectory_sup_errors(a, a, an.trajectory_norms(a)[:1])
+    d = _record(np.zeros((2, 3, 1)))
+    with pytest.raises(InvalidParameterError, match="one \\(n, n_ref\\)"):  # mixed sizes
+        an.trajectory_sup_errors_batch([(a, a, an.trajectory_norms(a)),
+                                        (a, d, an.trajectory_norms(d))])
+    assert an.trajectory_sup_errors_batch([]) == []
 
 
 def test_stability_bound_check():

@@ -165,6 +165,14 @@ def test_spec_validation():
         cat.block_pattern(np.array([[0, 1], [0, 0]]))  # not symmetric
     with pytest.raises(InvalidParameterError):
         cat.triadic_carpet(np.ones((2, 2), dtype=np.int8), depth=2)
+    # a non-integral frequency or depth is refused, not truncated
+    for bad in (2.5, 0.5, math.nan, math.inf, "3", None):
+        with pytest.raises(InvalidParameterError, match="frequency must be a positive integer"):
+            cat.oscillatory(frequency=bad)
+        with pytest.raises(InvalidParameterError, match="depth must be a positive integer"):
+            cat.sierpinski(depth=bad)
+    assert cat.oscillatory(frequency=np.int64(3)).frequency == 3
+    assert type(cat.sierpinski(depth=np.float64(2.0)).depth) is int
 
 
 @pytest.mark.parametrize("pattern", [

@@ -283,7 +283,7 @@ def test_converge_fits_each_trial_once_per_row(tmp_path, monkeypatch):
 
 
 def test_converge_computes_each_quantity_once(tmp_path, monkeypatch):
-    # one overlay partition per (trial, n), one norm pass per reference, one
+    # one overlay partition per size, one norm pass per reference, one
     # shift operator per size split straight from the sampled graph (no dense
     # shift), one batched solve per size, exactly that operator and no
     # sampled graph or adjacency alive during a solve, and every solve on the
@@ -341,7 +341,8 @@ def test_converge_computes_each_quantity_once(tmp_path, monkeypatch):
     )
     assert entry(["converge", "--config", cfg, "--out", str(tmp_path / "c.csv"),
                   "--threads", "2"]) == 0
-    assert calls == {"partition": 2 * 3, "norms": 2, "graph_shift": 0}
+    # one overlay partition per size, shared by the size's trials
+    assert calls == {"partition": 3, "norms": 2, "graph_shift": 0}
     # one operator per size, in size order, from the sampled graph itself
     assert built == [(True, (n, n), True) for n in (32, 8, 12, 16)]
     assert len(graphs) == len(adjacencies) == len(operators) == 4

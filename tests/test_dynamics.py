@@ -534,6 +534,24 @@ def test_scaled_norm_definition():
     assert dyn.scaled_norm(v) == pytest.approx(5.0 / math.sqrt(2.0), abs=1e-15)
 
 
+@settings(max_examples=200, deadline=None)
+@given(J=st.integers(1, 6), n=st.one_of(st.integers(1, 300), st.sampled_from([256, 2048])),
+       F=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       exps=st.lists(st.integers(-500, 500), min_size=6, max_size=6),
+       zeros=st.sampled_from([0.0, 0.3, 1.0]))
+def test_stacked_scaled_norm_equals_per_state(J, n, F, seed, exps, zeros):
+    # the stacked norms are each state's own Frobenius-over-sqrt(n) sum, bit
+    # for bit, across magnitudes whose squares overflow or underflow
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((J, n, F)) * np.ldexp(1.0, exps[:J])[:, None, None]
+    states[rng.random(states.shape) < zeros] = 0.0
+    stacked = dyn.scaled_norm(states)
+    assert stacked.shape == (J,)
+    per_state = [float(np.sqrt(np.sum(x * x) / x.shape[0])) for x in states]
+    assert [v.hex() for v in stacked.tolist()] == [v.hex() for v in per_state]
+    assert [dyn.scaled_norm(x).hex() for x in states] == [v.hex() for v in per_state]
+
+
 def test_write_trajectory(tmp_path):
     s, z, bank = _tent_system(n=3, channels=2)
     cfg = dyn.SolverConfig(method="rk4", eval_grid=4)

@@ -341,6 +341,10 @@ def test_random_filter_bank_reproducible():
     assert a.coeffs.shape == (2, 3, 3, 2)
     four = neural.random_filter_bank(1, 1, 2, np.random.default_rng(0), time_law="fourier", modes=3)
     assert four.coeffs.shape == (1, 1, 1, 2, 7)
+    # only the two laws a FilterBank can hold are drawn; any other is refused
+    for law in ("periodic", "Fourier", ""):
+        with pytest.raises(InvalidParameterError, match="unknown time law"):
+            neural.random_filter_bank(1, 1, 1, np.random.default_rng(0), time_law=law, modes=1)
 
 
 def _fresh_split_product(s, x):
