@@ -47,7 +47,7 @@ from .errors import (
     UnsupportedOperationError,
     WrongRegimeError,
 )
-from .neural import Activation, FilterBank, gnn_forward, random_filter_bank
+from .neural import Activation, FilterBank, random_filter_bank
 from .sampling import (
     FeatureFunctionSpec,
     FeatureMatrix,

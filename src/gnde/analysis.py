@@ -194,9 +194,9 @@ def _sup_errors(dists, times, ref_norms):
     moved = dists != 0.0
     degenerate = moved & (ref_norms < 1e-12)
     if degenerate.any():
-        t = times[degenerate.argmax()]
+        t = float(times[degenerate.argmax()])
         return DegenerateReferenceError(f"reference trajectory norm below 1e-12 at t={t!r}",
-                                        time=float(t))
+                                        time=t)
     return worst_abs, float((dists[moved] / ref_norms[moved]).max(initial=0.0))
 
 

@@ -12,6 +12,7 @@ the point 1.0 is folded into the last cell so the square is covered.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -98,7 +99,7 @@ class GraphonSpec:
             if getattr(self, name) is not None and kind != self.kind:
                 raise InvalidParameterError(f"{name} does not apply to kernel kind {self.kind!r}")
         if self.kind == KIND_TENT:
-            if self.alpha is None or not (0.0 < self.alpha <= 1.0):
+            if not isinstance(self.alpha, numbers.Real) or not (0.0 < self.alpha <= 1.0):
                 raise InvalidParameterError("tent exponent alpha must be in (0, 1]")
             object.__setattr__(self, "alpha", float(self.alpha))
         elif self.kind == KIND_OSCILLATORY:
@@ -227,9 +228,7 @@ def block_pattern(pattern) -> GraphonSpec:
 
 def hsbm(levels: int = 3) -> GraphonSpec:
     """Hierarchical block pattern: ``levels`` Kronecker refinements of the 2x2 identity."""
-    levels = int(levels)
-    if levels < 1:
-        raise InvalidParameterError("levels must be >= 1")
+    levels = _positive_int(levels, "hsbm levels must be a positive integer")
     if levels > math.log2(_MAX_PATTERN_SIDE):
         _refuse_wide_pattern("hsbm", f"2^{levels}")
     base = np.eye(2, dtype=np.int8)
@@ -241,9 +240,7 @@ def hsbm(levels: int = 3) -> GraphonSpec:
 
 def checkerboard(cells: int = 10) -> GraphonSpec:
     """Binary parity pattern: W(u,v) = 1 iff floor(ku) + floor(kv) is even."""
-    k = int(cells)
-    if k < 1:
-        raise InvalidParameterError("cells must be >= 1")
+    k = _positive_int(cells, "checkerboard cells must be a positive integer")
     if k > _MAX_PATTERN_SIDE:
         _refuse_wide_pattern("checkerboard", str(k))
     parity = (np.arange(k) % 2).astype(np.int8)
@@ -283,13 +280,13 @@ def from_name(name: str, **overrides) -> GraphonSpec:
     ``levels`` (hsbm), ``cells`` (checkerboard), ``depth`` (carpets).
     """
     builders = {
-        "tent": lambda: tent(alpha=float(overrides.pop("alpha", 1.0))),
-        "holder-tent": lambda: tent(alpha=float(overrides.pop("alpha", 0.5))),
-        "oscillatory": lambda: oscillatory(frequency=int(overrides.pop("frequency", 20))),
-        "hsbm": lambda: hsbm(levels=int(overrides.pop("levels", 3))),
-        "checkerboard": lambda: checkerboard(cells=int(overrides.pop("cells", 10))),
-        "hexaflake": lambda: hexaflake(depth=int(overrides.pop("depth", HEXAFLAKE_DEFAULT_DEPTH))),
-        "sierpinski": lambda: sierpinski(depth=int(overrides.pop("depth", SIERPINSKI_DEFAULT_DEPTH))),
+        "tent": lambda: tent(alpha=overrides.pop("alpha", 1.0)),
+        "holder-tent": lambda: tent(alpha=overrides.pop("alpha", 0.5)),
+        "oscillatory": lambda: oscillatory(frequency=overrides.pop("frequency", 20)),
+        "hsbm": lambda: hsbm(levels=overrides.pop("levels", 3)),
+        "checkerboard": lambda: checkerboard(cells=overrides.pop("cells", 10)),
+        "hexaflake": lambda: hexaflake(depth=overrides.pop("depth", HEXAFLAKE_DEFAULT_DEPTH)),
+        "sierpinski": lambda: sierpinski(depth=overrides.pop("depth", SIERPINSKI_DEFAULT_DEPTH)),
     }
     if name not in builders:
         raise InvalidParameterError(

@@ -7,10 +7,10 @@ Exit codes: 0 success, 2 config error, 3 numerical failure.
 
 Determinism contract: identical config + seed produce byte-identical CSV
 output, except the wall-clock ``runtime_ms`` column of the convergence
-report: an even share of the wall time of the batched solve of the row's
-size (every trial of a size is integrated in one batch), plus the wall
-time of the row's own error evaluation.  Every row carries the derived
-seed that reproduces its random draws via
+report: the wall time of the batched solve and the error pass of the
+row's size (every trial of a size is integrated in one batch and scored
+in one pass), divided evenly over that size's trials.  Every row carries
+the derived seed that reproduces its random draws via
 ``numpy.random.default_rng(seed)``.
 """
 

@@ -19,9 +19,9 @@ lockstep driver puts every point of every live system side by side into
 one (n, P*F) forward pass per round.  Each system keeps its own t, h,
 stages, windows, dense output, counters and failure, and leaves the batch
 when it reaches T or fails.  Its trajectory is bit-identical to a solo
-run: every column of the batched forward pass equals the solo ``rhs`` of
-its own point (see ``kernels``), and everything else a system computes
-reads only its own arrays.
+run: every column of the batched forward pass equals the one-system
+``kernels.layer_stack_forward`` of its own point, and everything else a
+system computes reads only its own arrays.
 """
 
 from __future__ import annotations
@@ -183,15 +183,6 @@ def scaled_norm(v: np.ndarray):
     return float(norms) if v.ndim == 2 else norms
 
 
-def rhs(S, X, bank: FilterBank, act: Activation, t: float) -> np.ndarray:
-    """Velocity field Phi(S; X; H(t)); S is a ``kernels.ShiftOperator`` or
-    an array."""
-    vals = X.values if isinstance(X, FeatureMatrix) else X
-    return kernels.layer_stack_forward(
-        S, vals, filters_at(bank, t), act.act_id, act.slope
-    )
-
-
 def _eval_times(T: float, M: int) -> np.ndarray:
     times = np.arange(M + 1, dtype=np.float64) * (T / M)
     times[-1] = T  # guard the last grid point against rounding drift
@@ -210,14 +201,12 @@ def _prepare_shift(S, T):
     return op
 
 
-def _prepare_system(op, Z, bank):
+def _prepare_system(op, Z):
+    # rows only: _lockstep joins the points' columns before the forward
+    # map sees them, and the forward map checks the channels
     Z = Z.values if isinstance(Z, FeatureMatrix) else np.ascontiguousarray(Z, np.float64)
     if Z.ndim != 2 or Z.shape[0] != op.shape[0]:
         raise InvalidParameterError("initial features must be (n, F) for the shift array")
-    if bank.F != Z.shape[1]:
-        raise InvalidParameterError(
-            f"bank has {bank.F} channels but initial features have {Z.shape[1]}"
-        )
     return Z
 
 
@@ -532,7 +521,7 @@ def integrate_batch(S, systems, act: Activation, T: float, cfg: SolverConfig) ->
     op = _prepare_shift(S, T)
     if not isinstance(act, Activation):
         raise InvalidParameterError("act must be an Activation")
-    Zs = [_prepare_system(op, Z, bank) for Z, bank in systems]
+    Zs = [_prepare_system(op, Z) for Z, _ in systems]
     banks = [bank for _, bank in systems]
     if len({bank.coeffs.shape[:4] for bank in banks}) > 1:
         raise InvalidParameterError("the systems of a batch need one (L, F, K) shape")

@@ -53,6 +53,7 @@ from __future__ import annotations
 import numpy as np
 
 from .catalog import is_symmetric
+from .errors import DimensionMismatchError
 from .sampling import SampledGraph
 
 ACT_IDENTITY = 0
@@ -126,7 +127,9 @@ class ShiftOperator:
     ``shift_matvec(S, X)`` bit for bit.  ``symmetric`` is S == S.T, set
     at construction: a graph is symmetric by its own validation (entries
     equal in the adjacency stay equal divided by n), and an array is
-    checked here.  The operator keeps no reference to S.
+    checked here.  The operator keeps no reference to S.  An S that is
+    not 2-D, or an X that is not 2-D with n rows, raises
+    DimensionMismatchError.
     """
 
     def __init__(self, S):
@@ -136,7 +139,8 @@ class ShiftOperator:
         else:
             A, divisor = np.ascontiguousarray(S, dtype=np.float64), 1.0
             if A.ndim != 2:
-                raise ValueError("a shift operator needs a 2-D array")
+                raise DimensionMismatchError(
+                    f"a shift operator needs a 2-D array, got shape {A.shape}")
             self.symmetric = A.shape[0] == A.shape[1] and is_symmetric(A)
         m, n = self.shape = A.shape
         self.beta = slice_bits(n)
@@ -164,7 +168,11 @@ class ShiftOperator:
                 self.slices[:, lo:hi] = ss[: len(self.slices)]
 
     def __matmul__(self, X) -> np.ndarray:
-        return _shift_product(self, np.ascontiguousarray(X, dtype=np.float64))
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[0] != self.shape[1]:
+            raise DimensionMismatchError(f"the {self.shape[0]}x{self.shape[1]} shift needs "
+                                         f"features of {self.shape[1]} rows, got shape {X.shape}")
+        return _shift_product(self, X)
 
 
 def as_operator(S) -> ShiftOperator:
@@ -216,6 +224,8 @@ def shift_matvec(S, X) -> np.ndarray:
     no bits.  A row of S or a column of X holding inf or NaN gives a NaN
     row or column.  ``S`` may be a ShiftOperator; an array is split here,
     so a caller with several products on one S builds the operator once.
+    An S or X that is not 2-D, or an X without n rows, raises
+    DimensionMismatchError.
     """
     return as_operator(S) @ X
 
@@ -226,7 +236,10 @@ def layer_stack_forward(S, X, coeffs, act_id: int, slope: float = 0.0) -> np.nda
     ``coeffs`` has shape (L, F, F, K); tap k applies S^k with S^0 = I,
     powers built by repeated shift products (S^k is never materialized).
     An array S is split once for the whole pass.  This is the one-system
-    call of ``layer_stack_forward_batch``.
+    call of ``layer_stack_forward_batch``, the one implementation of the
+    vector field Phi(S; X; H(t)) = rho(sum_k H_k(t) S^k X): pass
+    ``neural.filters_at(bank, t)`` as ``coeffs`` and an activation's
+    ``act_id`` and ``slope``.
     """
     return layer_stack_forward_batch(S, X, np.asarray(coeffs)[None], act_id, slope)
 
@@ -239,13 +252,25 @@ def layer_stack_forward_batch(S, X, coeffs, act_id: int, slope: float = 0.0) -> 
     Each tap is one (n, B*F) shift product for all systems.  Every output
     column is bit-identical to the one-system pass of its own system: the
     product treats each column alone, and each system mixes its own taps
-    in the same (g ascending, then k ascending) order.
+    in the same (g ascending, then k ascending) order.  A non-square S, an
+    X that is not 2-D with n rows, or coeffs that do not match X's columns
+    raise DimensionMismatchError before any product.
     """
     op = as_operator(S)
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    B, L, F, _, K = coeffs.shape
+    m, n = op.shape
+    if m != n:
+        raise DimensionMismatchError(f"the forward map needs a square shift, got {m}x{n}")
     cur = np.array(X, dtype=np.float64)
-    n = cur.shape[0]
+    if cur.ndim != 2 or cur.shape[0] != n:
+        raise DimensionMismatchError(
+            f"the {n}x{n} shift needs features of {n} rows, got shape {cur.shape}")
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    if coeffs.ndim != 5 or coeffs.shape[2] != coeffs.shape[3] or (
+            coeffs.shape[0] * coeffs.shape[2] != cur.shape[1]):
+        raise DimensionMismatchError(
+            f"coefficients must be (B, L, F, F, K) with B*F = {cur.shape[1]} feature "
+            f"columns, got shape {coeffs.shape}")
+    B, L, F, _, K = coeffs.shape
     for layer in range(L):
         powers = [cur.reshape(n, B, F)]
         for _ in range(1, K):

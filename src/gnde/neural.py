@@ -1,11 +1,14 @@
-"""Spectral GNN forward map with time-varying filter banks.
+"""Filter banks, activations and the certificates read from them.
 
-A bank holds coefficients h[l, f, g, k] applying tap S^k from input
-channel g to output channel f at layer l.  The time law is either
-``constant`` or ``fourier`` (a trigonometric polynomial in t over a fixed
-horizon).  ``h_sup`` exposes both a grid estimate and a certified upper
-bound of sup_{t, indices} |h|; every theoretical constant downstream uses
-the certified value so the checked inequalities stay valid.
+These are the operands of the forward map ``kernels.layer_stack_forward``,
+which is called with ``filters_at(bank, t)`` and an activation's ``act_id``
+and ``slope``.  A bank holds coefficients h[l, f, g, k] applying tap S^k
+from input channel g to output channel f at layer l.  The time law is
+either ``constant`` or ``fourier`` (a trigonometric polynomial in t over a
+fixed horizon).  ``h_sup`` exposes both a grid estimate and a certified
+upper bound of sup_{t, indices} |h|; every theoretical constant downstream
+uses the certified value so the checked inequalities stay valid, and
+``field_lipschitz`` turns it into the vector field's Lipschitz bound.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ import numpy as np
 
 from . import kernels
 from .catalog import locked_array
-from .errors import DimensionMismatchError, InvalidParameterError
-from .sampling import FeatureMatrix
+from .errors import InvalidParameterError
 
 CONSTANT = "constant"
 FOURIER = "fourier"
@@ -164,31 +166,3 @@ def random_filter_bank(
         raise InvalidParameterError(f"unknown time law {time_law!r}")
     size = (L, F, F, K) if time_law == CONSTANT else (L, F, F, K, 2 * modes + 1)
     return FilterBank(rng.uniform(-1.0, 1.0, size=size), horizon=horizon)
-
-
-def gnn_forward(S, X, coeffs, act: Activation):
-    """One multi-layer forward pass X -> rho(sum_{g,k} h_fgk S^k X_g).
-
-    S must be the symmetric shift array (checked for shape here; symmetry
-    is the caller's contract, validated once per integration).  Accepts a
-    FeatureMatrix or a raw (n, F) array and returns the same flavor.
-    """
-    wrapped = isinstance(X, FeatureMatrix)
-    vals = X.values if wrapped else np.asarray(X, dtype=np.float64)
-    S = np.asarray(S, dtype=np.float64)
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise DimensionMismatchError("shift array must be square")
-    if vals.ndim != 2 or vals.shape[0] != S.shape[0]:
-        raise DimensionMismatchError(
-            f"features have {vals.shape[0] if vals.ndim == 2 else '?'} rows "
-            f"but the shift array is {S.shape[0]}x{S.shape[0]}"
-        )
-    if coeffs.ndim != 4 or coeffs.shape[1] != coeffs.shape[2]:
-        raise DimensionMismatchError("coefficients must be (L,F,F,K) shaped")
-    if coeffs.shape[1] != vals.shape[1]:
-        raise DimensionMismatchError(
-            f"bank has {coeffs.shape[1]} channels but features have {vals.shape[1]}"
-        )
-    out = kernels.layer_stack_forward(S, vals, coeffs, act.act_id, act.slope)
-    return FeatureMatrix(out) if wrapped else out

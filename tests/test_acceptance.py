@@ -215,8 +215,8 @@ def test_criterion_09_invariant_suites(tmp_path):
         xa = rng.normal(size=(10, 2))
         xb = rng.normal(size=(10, 2))
         gap = np.linalg.norm(
-            neural.gnn_forward(s, xa, bank.coeffs, TANH)
-            - neural.gnn_forward(s, xb, bank.coeffs, TANH)
+            kernels.layer_stack_forward(s, xa, bank.coeffs, TANH.act_id, TANH.slope)
+            - kernels.layer_stack_forward(s, xb, bank.coeffs, TANH.act_id, TANH.slope)
         )
         assert gap <= lip * np.linalg.norm(xa - xb) * (1 + 1e-12)
 
@@ -224,8 +224,9 @@ def test_criterion_09_invariant_suites(tmp_path):
     perm = rng.permutation(10)
     coeffs = rng.uniform(-1.0, 1.0, size=(2, 2, 2, 2))
     xa = rng.normal(size=(10, 2))
-    base = neural.gnn_forward(s, xa, coeffs, TANH)
-    moved = neural.gnn_forward(s[np.ix_(perm, perm)], xa[perm], coeffs, TANH)
+    base = kernels.layer_stack_forward(s, xa, coeffs, TANH.act_id, TANH.slope)
+    moved = kernels.layer_stack_forward(s[np.ix_(perm, perm)], xa[perm], coeffs,
+                                        TANH.act_id, TANH.slope)
     assert np.array_equal(base[perm], moved)
 
     # RK4 order: halving the step cuts the error by ~2^4

@@ -122,6 +122,8 @@ def test_bound_inputs_validation():
         an.BoundInputs(**{**ok, "F": 0})
     with pytest.raises(InvalidParameterError):
         an.BoundInputs(**{**ok, "h_T": -0.1})
+    with pytest.raises(InvalidParameterError, match="X_sup_norm"):
+        an.BoundInputs(**{**ok, "X_sup_norm": -1.0})
     # b and eps are checked where the binary rate is formed
     with pytest.raises(InvalidParameterError):
         an.unweighted_exponent(2.0, 0.1)
@@ -157,6 +159,7 @@ def test_relative_error_zero_cases():
     with pytest.raises(DegenerateReferenceError) as err:
         an.trajectory_sup_errors(lively, zero4, an.trajectory_norms(zero4))
     assert err.value.time == 0.0
+    assert str(err.value) == "reference trajectory norm below 1e-12 at t=0.0"
 
 
 _NODE_COUNTS = st.one_of(
@@ -219,7 +222,7 @@ def test_sup_errors_equal_per_state_overlay(pair):
             with pytest.raises(DegenerateReferenceError) as err:
                 an.trajectory_sup_errors(traj_n, traj_ref, ref_norms)
             assert err.value.time == t
-            assert str(err.value) == f"reference trajectory norm below 1e-12 at t={t!r}"
+            assert str(err.value) == f"reference trajectory norm below 1e-12 at t={float(t)!r}"
             return
         ratios.append(dist / norm)
     abs_err, rel_err = an.trajectory_sup_errors(traj_n, traj_ref, ref_norms)
@@ -310,6 +313,10 @@ def test_trajectory_compat_guards():
         an.trajectory_sup_errors_batch([(a, a, an.trajectory_norms(a)),
                                         (a, d, an.trajectory_norms(d))])
     assert an.trajectory_sup_errors_batch([]) == []
+    e = _record([[[0.0], [np.nan]], [[0.0], [0.0]]])
+    for traj_n, traj_ref in ((a, e), (e, a)):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            an.trajectory_sup_errors(traj_n, traj_ref, an.trajectory_norms(a))
 
 
 def test_stability_bound_check():

@@ -20,8 +20,10 @@ from gnde.errors import (
     UnsupportedOperationError,
 )
 from gnde.sampling import (
+    FeatureMatrix,
     PiecewiseConstantFunction,
     SampledGraph,
+    induce_features,
     induce_kernel,
     sample_unweighted,
     sample_weighted,
@@ -173,6 +175,25 @@ def test_spec_validation():
             cat.sierpinski(depth=bad)
     assert cat.oscillatory(frequency=np.int64(3)).frequency == 3
     assert type(cat.sierpinski(depth=np.float64(2.0)).depth) is int
+    # the factories and from_name pass their parameters to the same checks,
+    # uncast, so nothing is truncated or cast on the way
+    refused = [
+        (lambda: cat.from_name("oscillatory", frequency=2.5), "frequency must be a positive"),
+        (lambda: cat.from_name("sierpinski", depth=2.7), "depth must be a positive"),
+        (lambda: cat.from_name("hsbm", levels=2.5), "levels must be a positive"),
+        (lambda: cat.hsbm("3"), "levels must be a positive"),
+        (lambda: cat.hsbm(0), "levels must be a positive"),
+        (lambda: cat.checkerboard(math.nan), "cells must be a positive"),
+        (lambda: cat.tent("x"), "alpha must be in"),
+        (lambda: cat.GraphonSpec("moebius"), "unknown kernel kind"),
+        (lambda: cat.block_pattern(None), "pattern matrix is required"),
+        (lambda: cat.block_pattern(np.ones((2, 3))), "pattern must be a square matrix"),
+    ]
+    for build, message in refused:
+        with pytest.raises(InvalidParameterError, match=message):
+            build()
+    assert cat.from_name("hsbm", levels=2.0).pattern.shape == (4, 4)
+    assert cat.from_name("checkerboard", cells=4.0).pattern.shape == (4, 4)
 
 
 @pytest.mark.parametrize("pattern", [
@@ -539,6 +560,21 @@ def test_box_counters_refuse_meshes_below_one(m):
             point_set.count(m)
 
 
+def test_box_counters_refuse_bad_sets_and_meshes():
+    with pytest.raises(InvalidParameterError, match="needs a block_pattern kernel"):
+        cat.BlockBoundarySet(cat.sierpinski())
+    with pytest.raises(InvalidParameterError, match="empty support"):
+        cat.BlockBoundarySet(cat.block_pattern(np.zeros((2, 2))))
+    with pytest.raises(InvalidParameterError, match="mask must be 3x3"):
+        cat.CarpetSet(np.eye(2))
+    with pytest.raises(InvalidParameterError, match="empty support"):
+        cat.CarpetSet(np.zeros((3, 3)))
+    with pytest.raises(InvalidParameterError, match="finer than 1/4096"):
+        cat.support_boundary(cat.checkerboard(4)).count(4097)
+    with pytest.raises(InvalidParameterError, match="m <= 729"):
+        cat.support_boundary(cat.sierpinski()).count(730)
+
+
 def test_box_dimension_schedule_validation():
     seg = cat.SegmentSet()
     with pytest.raises(InsufficientDataError):
@@ -593,6 +629,12 @@ def test_motif_normalization_and_validation():
         cat.Motif(2, [(0, 2)])
     with pytest.raises(InvalidParameterError):
         cat.Motif(0, [])
+    with pytest.raises(InvalidParameterError, match="grid must be a positive integer"):
+        cat.hom_density_graphon(cat.EDGE, cat.tent(), 0)
+    features = induce_features(FeatureMatrix(np.ones((2, 1))))  # not a kernel
+    for kernel in (np.eye(2), features):
+        with pytest.raises(InvalidParameterError, match="kernel must be a GraphonSpec"):
+            cat.hom_density_graphon(cat.EDGE, kernel, 4)
 
 
 def test_hom_density_complete_graph():
@@ -682,6 +724,8 @@ def test_kernel_distance_l1_le_l2():
         assert l1 <= l2 + 1e-12
     with pytest.raises(InvalidParameterError):
         cat.kernel_distance(cat.tent(), cat.tent(), norm="cut")
+    with pytest.raises(InvalidParameterError, match="grid must be a positive integer"):
+        cat.kernel_distance(cat.tent(), cat.tent(), grid=0)
 
 
 def _ix_kernel_distance(ka, kb, norm):

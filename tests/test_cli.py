@@ -684,6 +684,29 @@ def test_config_errors_exit_2(tmp_path, monkeypatch, capsys):
     binary = tmp_path / "bin.cfg"
     binary.write_bytes(b"\xffn=4\n")
     assert entry(["sample", "--config", str(binary), "--out", str(tmp_path / "b.csv")]) == 2
+    # a value that does not parse, or does not fit its key, is named with it
+    edges = tmp_path / "edges.csv"
+    edges.write_bytes(b"n=4,class=weighted\n0,1,0.5\n")
+    capsys.readouterr()
+    for command, values, named in [
+        ("integrate", {"T": "abc"}, "config key 'T': 'abc' is not a number"),
+        ("transfer-audit", {"edge_list": str(edges), "proportions": "0.1,x"},
+         "config key 'proportions'"),
+        ("converge", {"n_list": "16,2x"}, "config key 'n_list'"),
+        ("integrate", {"alpha": "x"}, "config key 'alpha': 'x' is not a number"),
+        ("integrate", {"feature": "constant", "feature_values": "1,2"},
+         "feature_values needs 1 values"),
+        ("integrate", {"feature": "linear", "feature_values": "1,2,3"},
+         "feature_values needs 1 intercepts then 1 slopes"),
+        ("integrate", {"feature": "wavelet"}, "unknown feature kind 'wavelet'"),
+        ("integrate", {"law": "periodic"}, "unknown filter law 'periodic'"),
+        ("integrate", {"filter_coeffs": "1,2,3"}, "filter_coeffs needs 4 values"),
+    ]:
+        out = tmp_path / "v.csv"
+        cfg = _cfg(tmp_path, "v.cfg", n="8", **values)
+        assert entry([command, "--config", cfg, "--out", str(out)]) == 2, values
+        assert capsys.readouterr().err.startswith(f"gnde: config error: {named}"), values
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("key, extra", [

@@ -14,8 +14,13 @@ from gnde import catalog as cat
 from gnde import dynamics as dyn
 from gnde import kernels
 from gnde import sampling as smp
-from gnde.errors import DivergenceError, InvalidParameterError, NonConvergenceError
-from gnde.neural import Activation, FilterBank, h_sup_certified, random_filter_bank
+from gnde.errors import (
+    DimensionMismatchError,
+    DivergenceError,
+    InvalidParameterError,
+    NonConvergenceError,
+)
+from gnde.neural import Activation, FilterBank, filters_at, h_sup_certified, random_filter_bank
 
 IDENT = Activation("identity")
 TANH = Activation("tanh")
@@ -79,7 +84,8 @@ def test_dp5_matches_scipy_rk45():
     n, F = z.shape
 
     def fun(t, y):
-        return dyn.rhs(s, y.reshape(n, F), bank, TANH, t).ravel()
+        return kernels.layer_stack_forward(s, y.reshape(n, F), filters_at(bank, t),
+                                           TANH.act_id, TANH.slope).ravel()
 
     ref = solve_ivp(
         fun, (0.0, 1.0), z.ravel(), method="RK45", atol=1e-11, rtol=1e-11
@@ -199,7 +205,7 @@ def test_input_validation():
         dyn.integrate(s[0], z, bank, TANH, 1.0, cfg)
     with pytest.raises(InvalidParameterError):
         dyn.integrate(s, z[:3], bank, TANH, 1.0, cfg)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(DimensionMismatchError, match="B\\*F = 1"):
         dyn.integrate(s, z[:, :1], bank, TANH, 1.0, cfg)
     with pytest.raises(InvalidParameterError):
         dyn.integrate(s, z, bank, np.tanh, 1.0, cfg)
@@ -342,7 +348,7 @@ def test_batch_is_bitwise_solo(method, n, channels, scales, tiny, identity, max_
 
 
 def _picard_per_point(s, z, bank, act, T, eval_grid):
-    """The Picard oracle with one ``dyn.rhs`` call per fine-grid point: the
+    """The Picard oracle with one forward pass per fine-grid point: the
     reference that the batched windows must match bit for bit."""
     times = dyn._eval_times(T, eval_grid)
     sub = max(1, math.ceil(dyn.PICARD_GRID_PER_UNIT * T / eval_grid))
@@ -364,7 +370,8 @@ def _picard_per_point(s, z, bank, act, T, eval_grid):
         X[idx[1:]] = X[start]
         prev_change = None
         for _ in range(dyn.PICARD_MAX_ITER):
-            vel = np.stack([dyn.rhs(s, X[i], bank, act, min(fine[i], T)) for i in idx])
+            vel = np.stack([kernels.layer_stack_forward(
+                s, X[i], filters_at(bank, min(fine[i], T)), act.act_id, act.slope) for i in idx])
             increments = 0.5 * np.diff(fine[idx])[:, None, None] * (vel[:-1] + vel[1:])
             new = np.cumsum(increments, axis=0) + X[start]
             change = max(dyn.scaled_norm(new[m] - X[idx[m + 1]]) for m in range(len(idx) - 1))

@@ -54,7 +54,8 @@ def test_forward_map_applies_the_activation_bit_for_bit(kind):
         rng.normal(size=200) * np.exp2(rng.integers(-60, 60, size=200)),
     ])[:, None]
     n = x.shape[0]
-    out = neural.gnn_forward(np.full((n, n), 1.0 / n), x, np.ones((1, 1, 1, 1)), act)
+    out = kernels.layer_stack_forward(np.full((n, n), 1.0 / n), x, np.ones((1, 1, 1, 1)),
+                                      act.act_id, act.slope)
     assert np.array_equal(out.view(np.int64), act.apply(0.0 + x).view(np.int64))
     plain = (x != 0.0) | ~np.signbit(x)
     assert np.array_equal(out[plain].view(np.int64), act.apply(x)[plain].view(np.int64))
@@ -110,7 +111,7 @@ def test_forward_two_node_hand_case():
     s = np.array([[0.0, 0.5], [0.5, 0.0]])
     x = np.array([[1.0], [2.0]])
     coeffs = np.array([1.0, 2.0]).reshape(1, 1, 1, 2)
-    out = neural.gnn_forward(s, x, coeffs, neural.Activation("identity"))
+    out = kernels.layer_stack_forward(s, x, coeffs, kernels.ACT_IDENTITY)
     # z = x + 2 Sx = [1 + 2*1, 2 + 2*0.5]
     assert np.array_equal(out, np.array([[3.0], [3.0]]))
 
@@ -137,34 +138,43 @@ def test_forward_matches_reference():
         act = neural.Activation(kind)
         coeffs = rng.uniform(-1.0, 1.0, size=(2, 3, 3, 2))
         x = rng.normal(size=(9, 3))
-        got = neural.gnn_forward(s, x, coeffs, act)
+        got = kernels.layer_stack_forward(s, x, coeffs, act.act_id, act.slope)
         want = _reference_forward(s, x, coeffs, act)
         assert np.allclose(got, want, atol=1e-13, rtol=0.0), kind
 
 
-def test_forward_wraps_feature_matrix():
-    rng = np.random.default_rng(1)
-    s = smp.graph_shift(smp.sample_weighted(cat.tent(), 5))
-    coeffs = rng.uniform(-1.0, 1.0, size=(1, 2, 2, 2))
-    fm = smp.FeatureMatrix(rng.normal(size=(5, 2)))
-    out = neural.gnn_forward(s, fm, coeffs, neural.Activation("tanh"))
-    assert isinstance(out, smp.FeatureMatrix)
-    raw = neural.gnn_forward(s, fm.values, coeffs, neural.Activation("tanh"))
-    assert isinstance(raw, np.ndarray)
-    assert np.array_equal(out.values, raw)
-
-
 def test_forward_shape_guards():
-    act = neural.Activation("identity")
-    good = np.ones((1, 1, 1, 1))
-    with pytest.raises(DimensionMismatchError):
-        neural.gnn_forward(np.ones((2, 3)), np.ones((2, 1)), good, act)
-    with pytest.raises(DimensionMismatchError):
-        neural.gnn_forward(np.eye(2), np.ones((3, 1)), good, act)
-    with pytest.raises(DimensionMismatchError):
-        neural.gnn_forward(np.eye(2), np.ones((2, 1)), np.ones((1, 1, 1)), act)
-    with pytest.raises(DimensionMismatchError):
-        neural.gnn_forward(np.eye(2), np.ones((2, 2)), good, act)
+    # the shift product and the forward map refuse mismatched operands
+    # before any product, with a message naming both sizes
+    def forward(S, X, coeffs):
+        return kernels.layer_stack_forward(S, X, coeffs, kernels.ACT_IDENTITY)
+
+    bank = np.ones((1, 1, 1, 1))
+    cases = [
+        (kernels.shift_matvec, (np.ones(3), np.ones((3, 1))), r"2-D array, got shape \(3,\)"),
+        (kernels.shift_matvec, (np.eye(3), np.ones(3)), r"3 rows, got shape \(3,\)"),
+        (kernels.shift_matvec, (np.eye(3), np.ones((4, 1))), r"3 rows, got shape \(4, 1\)"),
+        (forward, (np.ones(3), np.ones((3, 1)), bank), r"2-D array, got shape \(3,\)"),
+        (forward, (np.eye(3), np.ones(3), bank), r"3 rows, got shape \(3,\)"),
+        (forward, (np.eye(3), np.ones((4, 1)), bank), r"3 rows, got shape \(4, 1\)"),
+        (forward, (np.ones((2, 3)), np.ones((3, 1)), bank), r"square shift, got 2x3"),
+        # a 2-channel X against a 1-channel bank
+        (forward, (np.eye(2), np.ones((2, 2)), bank),
+         r"B\*F = 2 feature columns, got shape \(1, 1, 1, 1, 1\)"),
+        (forward, (np.eye(2), np.ones((2, 1)), np.ones((1, 1, 1))), r"got shape \(1, 1, 1, 1\)"),
+        # output and input channel counts that differ
+        (forward, (np.eye(2), np.ones((2, 2)), np.ones((1, 2, 1, 1))),
+         r"B\*F = 2 .* got shape \(1, 1, 2, 1, 1\)"),
+        (forward, (np.eye(2), np.ones((2, 1)), np.ones((1, 1, 2, 1))),
+         r"B\*F = 1 .* got shape \(1, 1, 1, 2, 1\)"),
+    ]
+    for call, args, message in cases:
+        with pytest.raises(DimensionMismatchError, match=message):
+            call(*args)
+    batch = np.ones((2, 1, 1, 1, 1))  # two 1-channel systems need 2 columns
+    with pytest.raises(DimensionMismatchError, match=r"B\*F = 3"):
+        kernels.layer_stack_forward_batch(np.eye(2), np.ones((2, 3)), batch,
+                                          kernels.ACT_IDENTITY)
 
 
 def test_stale_backend_setting_is_inert(monkeypatch):
@@ -176,10 +186,11 @@ def test_stale_backend_setting_is_inert(monkeypatch):
     x = rng.normal(size=(11, 2))
     act = neural.Activation("tanh")
     monkeypatch.delenv("GNDE_BACKEND", raising=False)
-    want = neural.gnn_forward(s, x, coeffs, act)
+    want = kernels.layer_stack_forward(s, x, coeffs, act.act_id, act.slope)
     for setting in ("numpy", "numba", "cuda"):
         monkeypatch.setenv("GNDE_BACKEND", setting)
-        assert np.array_equal(neural.gnn_forward(s, x, coeffs, act), want), setting
+        got = kernels.layer_stack_forward(s, x, coeffs, act.act_id, act.slope)
+        assert np.array_equal(got, want), setting
 
 
 def _exact_product(s, x):
@@ -228,7 +239,8 @@ def test_forward_matches_checked_shift_products():
                 for k in range(taps):
                     z += coeffs[layer, :, g, k] * powers[k][:, g : g + 1]
             cur = act.apply(z)
-        assert np.array_equal(neural.gnn_forward(s, x, coeffs, act), cur), kind
+        got = kernels.layer_stack_forward(s, x, coeffs, act.act_id, act.slope)
+        assert np.array_equal(got, cur), kind
 
 
 def test_shift_matvec_compensated_sum():
@@ -253,8 +265,9 @@ def test_forward_permutation_equivariance_bit_exact():
     x = rng.normal(size=(15, 2))
     perm = rng.permutation(15)
     act = neural.Activation("tanh")
-    base = neural.gnn_forward(s, x, coeffs, act)
-    permuted = neural.gnn_forward(s[np.ix_(perm, perm)], x[perm], coeffs, act)
+    base = kernels.layer_stack_forward(s, x, coeffs, act.act_id, act.slope)
+    permuted = kernels.layer_stack_forward(s[np.ix_(perm, perm)], x[perm], coeffs,
+                                           act.act_id, act.slope)
     assert np.array_equal(base[perm], permuted)
 
 
@@ -269,8 +282,9 @@ def test_wide_range_counterexample_is_order_independent():
     coeffs = np.array([0.0, 1.0]).reshape(1, 1, 1, 2)
     act = neural.Activation("identity")
     swap = [0, 1, 3, 2, 4]
-    base = neural.gnn_forward(s, x, coeffs, act)
-    moved = neural.gnn_forward(s[np.ix_(swap, swap)], x[swap], coeffs, act)
+    base = kernels.layer_stack_forward(s, x, coeffs, act.act_id, act.slope)
+    moved = kernels.layer_stack_forward(s[np.ix_(swap, swap)], x[swap], coeffs,
+                                        act.act_id, act.slope)
     assert np.array_equal(base[swap], moved)
     sums = {
         float(kernels.shift_matvec(row[list(order)][None, :], x)[0, 0])
@@ -328,8 +342,8 @@ def test_forward_lipschitz_growth_bound():
         x = rng.normal(size=(12, 2))
         y = rng.normal(size=(12, 2))
         dout = np.linalg.norm(
-            neural.gnn_forward(s, x, bank.coeffs, act)
-            - neural.gnn_forward(s, y, bank.coeffs, act)
+            kernels.layer_stack_forward(s, x, bank.coeffs, act.act_id, act.slope)
+            - kernels.layer_stack_forward(s, y, bank.coeffs, act.act_id, act.slope)
         )
         assert dout <= bound * np.linalg.norm(x - y) * (1.0 + 1e-12)
 

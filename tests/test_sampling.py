@@ -224,6 +224,10 @@ def test_feature_spec_validation():
     z = smp.constant_feature([1.0])
     with pytest.raises(InvalidParameterError):
         z.evaluate([0.5, 1.2])
+    with pytest.raises(InvalidParameterError, match="2-D n x F"):
+        smp.FeatureMatrix(np.ones(3))
+    with pytest.raises(InvalidParameterError, match="finite"):
+        smp.FeatureMatrix(np.array([[np.nan]]))
 
 
 def test_lipschitz_bound_certifies_derivative():
@@ -250,6 +254,10 @@ def test_holder_bound_certifies_increments():
     gap = np.linalg.norm(zu - zv, axis=1)
     allowed = a2 * math.sqrt(z.F) * np.abs(u - v) ** beta
     assert np.all(gap <= allowed + 1e-9)
+    # the other kinds are Lipschitz; a lacunary base must exceed 1
+    assert smp.linear_feature([0.0], [3.0]).holder_bound() == (3.0, 1.0)
+    with pytest.raises(InvalidParameterError, match="base > 1"):
+        smp.FeatureFunctionSpec(smp.HOLDER, [[1.0]], [[1.0]]).holder_bound()
 
 
 def test_graph_shift_operator_norm():
