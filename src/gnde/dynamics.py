@@ -35,6 +35,7 @@ import numpy as np
 from . import kernels
 from .catalog import locked_array
 from .errors import (
+    DimensionMismatchError,
     DivergenceError,
     InvalidParameterError,
     NonConvergenceError,
@@ -192,21 +193,23 @@ def _eval_times(T: float, M: int) -> np.ndarray:
 def _prepare_shift(S, T):
     if not 0.0 < T < math.inf:
         raise InvalidParameterError(f"horizon T must be positive and finite, got {T!r}")
-    shape = S.shape if isinstance(S, kernels.ShiftOperator) else np.shape(S)
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise InvalidParameterError("shift array must be square")
-    op = kernels.as_operator(S)
+    op = kernels.as_operator(S)  # refuses an S that is not 2-D
+    m, n = op.shape
+    if m != n:
+        raise DimensionMismatchError(f"the forward map needs a square shift, got {m}x{n}")
     if not op.symmetric:
         raise InvalidParameterError("shift array must be symmetric")
     return op
 
 
-def _prepare_system(op, Z):
-    # rows only: _lockstep joins the points' columns before the forward
-    # map sees them, and the forward map checks the channels
+def _prepare_system(op, Z, bank):
+    # each system alone: _lockstep joins the points' columns before the
+    # forward map sees them, so that map checks only their total
     Z = Z.values if isinstance(Z, FeatureMatrix) else np.ascontiguousarray(Z, np.float64)
-    if Z.ndim != 2 or Z.shape[0] != op.shape[0]:
-        raise InvalidParameterError("initial features must be (n, F) for the shift array")
+    n, F = op.shape[0], bank.F
+    if Z.shape != (n, F):
+        raise DimensionMismatchError(f"the {n}x{n} shift and a {F}-channel bank need "
+                                     f"initial features of shape ({n}, {F}), got shape {Z.shape}")
     return Z
 
 
@@ -510,10 +513,11 @@ def integrate_batch(S, systems, act: Activation, T: float, cfg: SolverConfig) ->
     """Solve the IVPs of several systems that share one shift.
 
     ``systems`` is a sequence of ``(Z, bank)`` pairs whose banks share one
-    (L, F, K) shape; ``S`` is a ``kernels.ShiftOperator`` or an array (an
-    array is split once for the batch).  Returns one entry per system, in
-    order: its TrajectoryRecord, or the DivergenceError or
-    NonConvergenceError it failed with.  Every solver advances all systems
+    (L, F, K) shape, each Z of shape (n, F); ``S`` is a
+    ``kernels.ShiftOperator``, or an array or ``SampledGraph`` that is split
+    once for the batch.  Returns one entry per system, in order: its
+    TrajectoryRecord, or the DivergenceError or NonConvergenceError it
+    failed with.  Every solver advances all systems
     in lockstep, one forward pass per round for every point they ask about
     (a stage of rk4 or dp5, a window of picard), while each keeps its own
     steps, error control, iterations and failure.
@@ -521,7 +525,7 @@ def integrate_batch(S, systems, act: Activation, T: float, cfg: SolverConfig) ->
     op = _prepare_shift(S, T)
     if not isinstance(act, Activation):
         raise InvalidParameterError("act must be an Activation")
-    Zs = [_prepare_system(op, Z) for Z, _ in systems]
+    Zs = [_prepare_system(op, Z, bank) for Z, bank in systems]
     banks = [bank for _, bank in systems]
     if len({bank.coeffs.shape[:4] for bank in banks}) > 1:
         raise InvalidParameterError("the systems of a batch need one (L, F, K) shape")

@@ -199,14 +199,33 @@ def test_input_validation():
         dyn.integrate(np.triu(s), z, bank, TANH, 1.0, cfg)
     with pytest.raises(InvalidParameterError):
         dyn.integrate(kernels.ShiftOperator(np.triu(s)), z, bank, TANH, 1.0, cfg)
-    with pytest.raises(InvalidParameterError):
+    # each shape mismatch raises the forward map's DimensionMismatchError
+    with pytest.raises(DimensionMismatchError, match="square shift, got 4x5"):
         dyn.integrate(kernels.ShiftOperator(s[:4]), z, bank, TANH, 1.0, cfg)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(DimensionMismatchError, match="square shift, got 4x5"):
+        dyn.integrate(s[:4], z, bank, TANH, 1.0, cfg)
+    with pytest.raises(DimensionMismatchError, match="2-D"):
         dyn.integrate(s[0], z, bank, TANH, 1.0, cfg)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(DimensionMismatchError, match="\\(5, 2\\), got shape \\(3, 2\\)"):
         dyn.integrate(s, z[:3], bank, TANH, 1.0, cfg)
-    with pytest.raises(DimensionMismatchError, match="B\\*F = 1"):
+    with pytest.raises(DimensionMismatchError, match="\\(5, 2\\), got shape \\(5, 1\\)"):
         dyn.integrate(s, z[:, :1], bank, TANH, 1.0, cfg)
+    # every system is checked alone: 3- and 1-channel states against
+    # 2-channel banks fill the 2*2 columns of each rk4 round between them
+    z3 = np.concatenate([z, z[:, :1]], axis=1)
+    rk4 = dyn.SolverConfig(method="rk4")
+    with pytest.raises(DimensionMismatchError, match="got shape \\(5, 3\\)"):
+        dyn.integrate_batch(s, [(z3, bank), (z[:, :1], bank)], TANH, 1.0, rk4)
+    with pytest.raises(DimensionMismatchError, match="got shape \\(5, 1\\)"):
+        dyn.integrate_batch(s, [(z, bank), (z[:, :1], bank)], TANH, 1.0, rk4)
+    # and before any solver runs: picard refuses this deep bank, whose
+    # (F K h_T)^L = 40^200 overflows, but the mismatch is reported first
+    deep = FilterBank(np.full((200, 2, 2, 2), 10.0))
+    picard = dyn.SolverConfig(method="picard")
+    with pytest.raises(NonConvergenceError):
+        dyn.integrate(s, z, deep, TANH, 1.0, picard)
+    with pytest.raises(DimensionMismatchError, match="2-channel bank"):
+        dyn.integrate(s, z[:, :1], deep, TANH, 1.0, picard)
     with pytest.raises(InvalidParameterError):
         dyn.integrate(s, z, bank, np.tanh, 1.0, cfg)
     taps3 = random_filter_bank(2, 2, 3, np.random.default_rng(1))
@@ -252,6 +271,11 @@ def test_integrate_reuses_an_operator():
             got = dyn.integrate(op, scale * z, bank, TANH, 0.5, cfg)
             assert np.array_equal(got.states, want.states), (method, scale)
             assert got.solver_meta == want.solver_meta
+    # a sampled graph is taken as its shift adjacency / n, bit for bit
+    graph = smp.sample_weighted(cat.tent(), 12)
+    cfg = dyn.SolverConfig(eval_grid=5)
+    want = dyn.integrate(smp.graph_shift(graph), z, bank, TANH, 0.5, cfg)
+    assert np.array_equal(dyn.integrate(graph, z, bank, TANH, 0.5, cfg).states, want.states)
 
 
 @settings(max_examples=12, deadline=None)
