@@ -193,10 +193,10 @@ def _eval_times(T: float, M: int) -> np.ndarray:
 def _prepare_shift(S, T):
     if not 0.0 < T < math.inf:
         raise InvalidParameterError(f"horizon T must be positive and finite, got {T!r}")
-    op = kernels.as_operator(S)  # refuses an S that is not 2-D
-    m, n = op.shape
-    if m != n:
-        raise DimensionMismatchError(f"the forward map needs a square shift, got {m}x{n}")
+    shape = S.shape if isinstance(S, kernels.ShiftOperator) else np.shape(S)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DimensionMismatchError(f"the forward map needs a square 2-D shift, got shape {shape}")
+    op = kernels.as_operator(S)
     if not op.symmetric:
         raise InvalidParameterError("shift array must be symmetric")
     return op
@@ -514,10 +514,10 @@ def integrate_batch(S, systems, act: Activation, T: float, cfg: SolverConfig) ->
 
     ``systems`` is a sequence of ``(Z, bank)`` pairs whose banks share one
     (L, F, K) shape, each Z of shape (n, F); ``S`` is a
-    ``kernels.ShiftOperator``, or an array or ``SampledGraph`` that is split
-    once for the batch.  Returns one entry per system, in order: its
-    TrajectoryRecord, or the DivergenceError or NonConvergenceError it
-    failed with.  Every solver advances all systems
+    ``kernels.ShiftOperator`` or an array (an array is split once for the
+    batch).  Returns one entry per system, in order: its TrajectoryRecord,
+    or the DivergenceError or NonConvergenceError it failed with.  Every
+    solver advances all systems
     in lockstep, one forward pass per round for every point they ask about
     (a stage of rk4 or dp5, a window of picard), while each keeps its own
     steps, error control, iterations and failure.
