@@ -68,20 +68,20 @@ ROUND_ENTRIES = 1 << 15
 # Dormand-Prince 5(4) tableau; B is the 5th-order weight row, E the
 # embedded error weights, P the dense-output polynomial coefficients
 # (quartic interpolant of the 5th-order pair): stage s has weight
-# b_s(theta) = sum_m P[s, m] theta^(m + 1) at theta of the step.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-_DP_A = [
-    np.array([], dtype=np.float64),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-]
-_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_DP_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+# b_s(theta) = sum_m P[s, m] theta^(m + 1) at theta of the step.  The
+# stage sums take C, A, B and E as Python floats: a float times an array
+# rounds as a numpy scalar does, at a fraction of the call cost.
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
 )
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 _DP_P = np.array(
     [
         [
@@ -479,33 +479,33 @@ def _lockstep(op, solvers, banks, act):
 
     def resume(b, velocities):
         try:
-            # A diverging state overflows in the stage sums; _check_finite
-            # and the error norm refuse it.
-            with np.errstate(over="ignore", invalid="ignore"):
-                asks[b] = solvers[b].send(velocities)
+            asks[b] = solvers[b].send(velocities)
         except StopIteration as done:
             results[b] = done.value
         except (DivergenceError, NonConvergenceError) as exc:
             results[b] = exc
 
-    for b in range(len(solvers)):
-        resume(b, None)
-    while asks:
-        live = list(asks.items())
-        asks.clear()
-        xs = [x for _, asked in live for x, _ in asked]
-        cs = [filters_at(banks[b], t) for b, asked in live for _, t in asked]
-        n, F = xs[0].shape
-        size = max(1, ROUND_ENTRIES // (n * F))
-        velocities = []
-        for g in range(0, len(xs), size):
-            X = np.concatenate(xs[g : g + size], axis=1)
-            coeffs = np.stack(cs[g : g + size])
-            V = kernels.layer_stack_forward_batch(op, X, coeffs, act.act_id, act.slope)
-            velocities += [V[:, j : j + F] for j in range(0, V.shape[1], F)]
-        for b, asked in live:
-            resume(b, velocities[: len(asked)])
-            del velocities[: len(asked)]
+    # A diverging state overflows in the stage sums; _check_finite and the
+    # error norm refuse it.  Warnings change no bit, so they are set once.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in range(len(solvers)):
+            resume(b, None)
+        while asks:
+            live = list(asks.items())
+            asks.clear()
+            xs = [x for _, asked in live for x, _ in asked]
+            cs = [filters_at(banks[b], t) for b, asked in live for _, t in asked]
+            n, F = xs[0].shape
+            size = max(1, ROUND_ENTRIES // (n * F))
+            velocities = []
+            for g in range(0, len(xs), size):
+                X = np.concatenate(xs[g : g + size], axis=1)
+                coeffs = np.stack(cs[g : g + size])
+                V = kernels.layer_stack_forward_batch(op, X, coeffs, act.act_id, act.slope)
+                velocities += [V[:, j : j + F] for j in range(0, V.shape[1], F)]
+            for b, asked in live:
+                resume(b, velocities[: len(asked)])
+                del velocities[: len(asked)]
     return results
 
 

@@ -13,6 +13,28 @@ returns the same bits whatever order it sums in.  The slice products are
 then added in a fixed order, scaled back, and rows or columns holding a
 non-finite entry come out NaN.
 
+One product, ``_shift_product(op, X)``, makes a fixed number of numpy
+calls whatever n (one more GEMM per row block of S):
+
+1. split X: one abs-max reduction per column for its exponent, one finite
+   test (columns holding inf or NaN are zeroed only when there is one),
+   then the slices;
+2. lay the slices side by side as the (n, SLICES*F) right-hand side;
+3. per row block of S, cast its slices to float64 and form every slice
+   product with one GEMM, written in place at depth 1;
+4. add the products, each times its weight 2**(-(p + q) beta), in the
+   fixed order of ``_PAIRS`` into an accumulator that starts at +0.0;
+5. scale the sum back by 2**(row exponent + column exponent - 2 beta),
+   in place;
+6. mark NaN the rows of S and the columns of X holding inf or NaN, when
+   there are any (the operator knows its bad rows from construction).
+
+The product trusts its operands: X is a float64 (n, F) array.  Three
+doors check them: ``op @ X`` and ``shift_matvec`` check X's shape;
+``layer_stack_forward_batch`` checks S, X and the coefficients once, before
+it builds an operator, and then calls the product on every tap without a
+second check or copy.
+
 S is fixed for a whole trajectory, so it is split once: a
 ``ShiftOperator`` keeps the slices of S with its row exponents and
 non-finite-row mask, and every product at that size splits only X.  Given
@@ -92,11 +114,14 @@ def _split(a, beta: int, axis: int, out):
     exponent with max|line| < 2**e, and
     ``a = 2**(e - beta) * sum_p out[p] * 2**(-p beta) + r`` with
     ``|r| <= 2**(e - SLICES beta - 1)``.  ``bad`` flags lines holding a
-    non-finite entry; they are split as zeros.
+    non-finite entry, which are split as zeros; it is None when no line
+    does.
     """
-    peak = np.maximum(a.max(axis=axis, keepdims=True), -a.min(axis=axis, keepdims=True))
-    bad = ~np.isfinite(peak)
-    if bad.any():
+    peak = np.abs(a).max(axis=axis, keepdims=True)  # NaN and inf propagate
+    finite = np.isfinite(peak)
+    bad = None
+    if not finite.all():
+        bad = ~finite
         a = np.where(bad, 0.0, a)
         peak = np.where(bad, 0.0, peak)
     e = np.frexp(peak)[1]
@@ -123,12 +148,13 @@ class ShiftOperator:
     ``slice_bits(n) <= FLOAT32_BITS``, else float64).  The store starts
     with one slice and grows when a row block first needs more, copying
     only the rows already written.  ``exps`` holds each row's exponent
-    and ``bad`` the rows holding a non-finite entry.  ``op @ X`` is
-    ``shift_matvec(S, X)`` bit for bit.  ``symmetric`` is S == S.T, set
-    at construction: a graph is symmetric by its own validation (entries
-    equal in the adjacency stay equal divided by n), and an array is
-    checked here.  The operator keeps no reference to S.  An S that is
-    not 2-D, or an X that is not 2-D with n rows, raises
+    and ``bad`` the rows holding a non-finite entry (``any_bad`` says
+    whether there is one).  ``op @ X`` is ``shift_matvec(S, X)`` bit for
+    bit.  ``symmetric`` is S == S.T, set at construction: a graph is
+    symmetric by its own validation (entries equal in the adjacency stay
+    equal divided by n), and an array is checked here.  The operator
+    keeps no reference to S and no work buffer between products.  An S
+    that is not 2-D, or an X that is not 2-D with n rows, raises
     DimensionMismatchError.
     """
 
@@ -138,9 +164,7 @@ class ShiftOperator:
             self.symmetric = True
         else:
             A, divisor = np.ascontiguousarray(S, dtype=np.float64), 1.0
-            if A.ndim != 2:
-                raise DimensionMismatchError(
-                    f"a shift operator needs a 2-D array, got shape {A.shape}")
+            _shift_shape(A)  # refuses an array that is not 2-D
             self.symmetric = A.shape[0] == A.shape[1] and is_symmetric(A)
         m, n = self.shape = A.shape
         self.beta = slice_bits(n)
@@ -155,7 +179,9 @@ class ShiftOperator:
                 blk = A[lo : lo + self.rows] / divisor
                 hi = lo + blk.shape[0]
                 ss = buf[: SLICES * blk.size].reshape((SLICES,) + blk.shape)
-                self.exps[lo:hi], self.bad[lo:hi] = _split(blk, self.beta, 1, ss)
+                self.exps[lo:hi], bad = _split(blk, self.beta, 1, ss)
+                if bad is not None:
+                    self.bad[lo:hi] = bad
                 depth = len(self.slices)
                 need = max((p + 1 for p in range(depth, SLICES) if ss[p].any()), default=depth)
                 if need > depth:  # the rows written so far get zero slices
@@ -166,6 +192,7 @@ class ShiftOperator:
                         grown[:depth, :lo] = self.slices[:, :lo]
                     self.slices = grown
                 self.slices[:, lo:hi] = ss[: len(self.slices)]
+        self.any_bad = bool(self.bad.any())
 
     def __matmul__(self, X) -> np.ndarray:
         X = np.ascontiguousarray(X, dtype=np.float64)
@@ -180,7 +207,24 @@ def as_operator(S) -> ShiftOperator:
     return S if isinstance(S, ShiftOperator) else ShiftOperator(S)
 
 
+def _shift_shape(S) -> tuple:
+    """The (m, n) of a shift operator, a graph or a 2-D array, read without
+    splitting anything; an array that is not 2-D raises
+    DimensionMismatchError."""
+    if isinstance(S, ShiftOperator):
+        return S.shape
+    if isinstance(S, SampledGraph):
+        return S.adjacency.shape
+    shape = np.shape(S)
+    if len(shape) != 2:
+        raise DimensionMismatchError(f"a shift operator needs a 2-D array, got shape {shape}")
+    return shape
+
+
 def _shift_product(op, X):
+    # The steps listed in the module docstring.  It trusts its operands: X
+    # is a float64 (n, F) array.  Only the doors (op @ X, shift_matvec and
+    # layer_stack_forward_batch) check them.
     m, n = op.shape
     F = X.shape[1]
     if n == 0:
@@ -189,22 +233,30 @@ def _shift_product(op, X):
     xs = np.empty((SLICES, n, F))
     ex, xbad = _split(X, beta, 0, xs)
     rhs = xs.transpose(1, 0, 2).reshape(n, SLICES * F)
-    # prods[p, i, q] = (slice p of row i of S) . (slice q of X), exact
-    prods = np.empty((depth, m, SLICES, F))
+    # prods[p, i, q] = (slice p of row i of S) . (slice q of X), exact, so
+    # the GEMM's summation order changes no bit.  At depth 1 a row block's
+    # rows of prods are contiguous and its GEMM writes them in place.
+    prods = np.empty((depth, m, SLICES * F))
     buf = np.empty(depth * op.rows * n)
     for lo in range(0, m, op.rows):
         blk = op.slices[:, lo : lo + op.rows]
         ss = buf[: blk.size].reshape(blk.shape)
         ss[...] = blk  # exact: every entry is an integer of at most 2**beta
-        prods[:, lo : lo + blk.shape[1]] = (
-            ss.reshape(-1, n) @ rhs).reshape(depth, -1, SLICES, F)
+        if depth == 1:
+            np.matmul(ss[0], rhs, out=prods[0, lo : lo + blk.shape[1]])
+        else:
+            prods[:, lo : lo + blk.shape[1]] = (
+                ss.reshape(-1, n) @ rhs).reshape(depth, -1, SLICES * F)
+    prods = prods.reshape(depth, m, SLICES, F)
     acc = np.zeros((m, F))  # +0.0, so adding a skipped pair's +-0 changes no bit
     for p, q in _PAIRS:
         if p < depth:
             acc += prods[p, :, q] * 2.0 ** (-(p + q) * beta)
-    out = np.ldexp(acc, op.exps + ex - 2 * beta)
-    out[op.bad[:, 0]] = np.nan
-    out[:, xbad[0]] = np.nan
+    out = np.ldexp(acc, op.exps + (ex - 2 * beta), out=acc)
+    if op.any_bad:
+        out[op.bad[:, 0]] = np.nan
+    if xbad is not None:
+        out[:, xbad[0]] = np.nan
     return out
 
 
@@ -256,8 +308,7 @@ def layer_stack_forward_batch(S, X, coeffs, act_id: int, slope: float = 0.0) -> 
     X that is not 2-D with n rows, or coeffs that do not match X's columns
     raise DimensionMismatchError before any product.
     """
-    op = as_operator(S)
-    m, n = op.shape
+    m, n = _shift_shape(S)
     if m != n:
         raise DimensionMismatchError(f"the forward map needs a square shift, got {m}x{n}")
     cur = np.array(X, dtype=np.float64)
@@ -270,18 +321,21 @@ def layer_stack_forward_batch(S, X, coeffs, act_id: int, slope: float = 0.0) -> 
         raise DimensionMismatchError(
             f"coefficients must be (B, L, F, F, K) with B*F = {cur.shape[1]} feature "
             f"columns, got shape {coeffs.shape}")
+    op = as_operator(S)
     B, L, F, _, K = coeffs.shape
-    for layer in range(L):
-        powers = [cur.reshape(n, B, F)]
-        for _ in range(1, K):
-            powers.append((op @ powers[-1].reshape(n, B * F)).reshape(n, B, F))
-        z = np.zeros((n, B, F))
-        # A diverging state overflows here; dynamics reports it as DivergenceError.
-        with np.errstate(over="ignore", invalid="ignore"):
+    # A diverging state overflows in the tap mix; dynamics reports it as
+    # DivergenceError.  Warnings change no bit, so they are set once a pass.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer in range(L):
+            powers = [cur.reshape(n, B, F)]
+            for _ in range(1, K):
+                # the operands are checked above: the product trusts them
+                powers.append(_shift_product(op, powers[-1].reshape(n, B * F)).reshape(n, B, F))
+            z = np.zeros((n, B, F))
             for g in range(F):
                 for k in range(K):
                     z += coeffs[:, layer, :, g, k] * powers[k][:, :, g : g + 1]
-        cur = activate(z, act_id, slope).reshape(n, B * F)
+            cur = activate(z, act_id, slope).reshape(n, B * F)
     return cur
 
 

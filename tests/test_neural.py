@@ -177,6 +177,53 @@ def test_forward_shape_guards():
                                           kernels.ACT_IDENTITY)
 
 
+def test_forward_map_refuses_before_splitting(monkeypatch):
+    # every shape the forward map refuses is refused before an operator is
+    # built: a stand-in ShiftOperator that fails when built is never reached
+    class NeverBuilt:
+        def __init__(self, S):
+            raise AssertionError("the shift was split")
+
+    monkeypatch.setattr(kernels, "ShiftOperator", NeverBuilt)
+    bank = np.ones((1, 1, 1, 1, 1))
+    cases = [
+        (np.ones((2, 3)), np.ones((3, 1)), bank, r"square shift, got 2x3"),
+        ([[1.0, 0.0, 0.0]], np.ones((3, 1)), bank, r"square shift, got 1x3"),
+        (np.eye(3), np.ones((4, 1)), bank, r"the 3x3 shift needs features of 3 rows, got shape \(4, 1\)"),
+        (np.eye(3), np.ones(3), bank, r"3 rows, got shape \(3,\)"),
+        (np.ones(3), np.ones((3, 1)), bank, r"2-D array, got shape \(3,\)"),
+        (np.ones((3, 3, 1)), np.ones((3, 1)), bank, r"2-D array, got shape \(3, 3, 1\)"),
+        (np.eye(2), np.ones((2, 2)), bank, r"B\*F = 2 feature columns"),
+    ]
+    for S, X, coeffs, message in cases:
+        with pytest.raises(DimensionMismatchError, match=message):
+            kernels.layer_stack_forward_batch(S, X, coeffs, kernels.ACT_IDENTITY)
+    # the stand-in is live: operands that pass every check do build it
+    with pytest.raises(AssertionError, match="split"):
+        kernels.layer_stack_forward_batch(np.eye(2), np.ones((2, 1)), bank, kernels.ACT_IDENTITY)
+
+
+@pytest.mark.parametrize("B", [1, 2, 5])
+def test_forward_pass_makes_one_product_per_tap_and_layer(monkeypatch, B):
+    # L layers of K taps make L * (K - 1) shift products per pass, each one
+    # (n, B*F) product for all B systems, whatever B
+    real = kernels._shift_product
+    shapes = []
+
+    def counted(op, X):
+        shapes.append(X.shape)
+        return real(op, X)
+
+    monkeypatch.setattr(kernels, "_shift_product", counted)
+    rng = np.random.default_rng(B)
+    n, L, F, K = 10, 3, 2, 4
+    s = smp.graph_shift(smp.sample_weighted(cat.tent(), n))
+    coeffs = rng.uniform(-1.0, 1.0, size=(B, L, F, F, K))
+    x = rng.normal(size=(n, B * F))
+    kernels.layer_stack_forward_batch(s, x, coeffs, kernels.ACT_TANH)
+    assert shapes == [(n, B * F)] * (L * (K - 1))
+
+
 def test_stale_backend_setting_is_inert(monkeypatch):
     # one arithmetic path: a stale GNDE_BACKEND setting neither changes a
     # bit of the output nor raises
@@ -361,6 +408,32 @@ def test_random_filter_bank_reproducible():
             neural.random_filter_bank(1, 1, 1, np.random.default_rng(0), time_law=law, modes=1)
 
 
+def _frozen_split(a, beta, axis, out):
+    """The operator's split as it was before the hot loop was trimmed, kept
+    here so that the product is checked against those bits and not against
+    its own split: slices to ``out[p]``, returns per-line exponents and
+    the non-finite-line mask (all False when every line is finite)."""
+    peak = np.maximum(a.max(axis=axis, keepdims=True), -a.min(axis=axis, keepdims=True))
+    bad = ~np.isfinite(peak)
+    if bad.any():
+        a = np.where(bad, 0.0, a)
+        peak = np.where(bad, 0.0, peak)
+    e = np.frexp(peak)[1]
+    y = out[-1]
+    np.ldexp(a, beta - e, out=y)
+    for p in range(kernels.SLICES - 1):
+        np.rint(y, out=out[p])
+        y -= out[p]
+        y *= 2.0**beta
+    np.rint(y, out=y)
+    return e, bad
+
+
+# Slice pairs from the smallest weight to the largest, as the oracle adds them.
+_FROZEN_PAIRS = sorted(itertools.product(range(kernels.SLICES), repeat=2),
+                       key=lambda pq: (-(pq[0] + pq[1]), -pq[0]))
+
+
 def _fresh_split_product(s, x):
     """S @ X the way every product split S before the operator existed: one
     float64 split of all of S per call, then the same GEMM and slice sum."""
@@ -368,13 +441,13 @@ def _fresh_split_product(s, x):
     F = x.shape[1]
     beta = kernels.slice_bits(n)
     ss = np.empty((kernels.SLICES, m, n))
-    es, sbad = kernels._split(s, beta, 1, ss)
+    es, sbad = _frozen_split(s, beta, 1, ss)
     xs = np.empty((kernels.SLICES, n, F))
-    ex, xbad = kernels._split(x, beta, 0, xs)
+    ex, xbad = _frozen_split(x, beta, 0, xs)
     rhs = xs.transpose(1, 0, 2).reshape(n, kernels.SLICES * F)
     prods = (ss.reshape(-1, n) @ rhs).reshape(kernels.SLICES, m, kernels.SLICES, F)
     acc = np.zeros((m, F))
-    for p, q in kernels._PAIRS:
+    for p, q in _FROZEN_PAIRS:
         acc += prods[p, :, q] * 2.0 ** (-(p + q) * beta)
     out = np.ldexp(acc, es + ex - 2 * beta)
     out[sbad[:, 0]] = np.nan
@@ -434,7 +507,7 @@ def _check_depth_product(s, xs, block_rows):
     for bit (the sign of a zero and the NaN pattern included)."""
     m, n = s.shape
     full = np.empty((kernels.SLICES, m, n))
-    kernels._split(s, kernels.slice_bits(n), 1, full)
+    _frozen_split(s, kernels.slice_bits(n), 1, full)
     depth = max([p + 1 for p in range(kernels.SLICES) if full[p].any()], default=1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "BLOCK_ENTRIES", block_rows * n)
@@ -487,6 +560,63 @@ def _dyadic_operands(draw):
 def test_operator_depth_matches_three_slice_product(operands, block_rows):
     s, xs = operands
     _check_depth_product(s, xs, block_rows)
+
+
+@st.composite
+def _branch_operands(draw, depth_one, bad_rows, bad_cols):
+    """An (m, n) S and an (n, F) X that take the product's chosen branches:
+    S of one slice (dyadic rows of fewer than beta bits) or of more (one
+    row of wide-range normals), with or without an inf/NaN row, and X with
+    or without an inf/NaN column; zeros and -0.0 in both, and X always has
+    an all -0.0 column."""
+    m = draw(st.integers(1 if depth_one or not bad_rows else 2, 10))
+    n = draw(st.integers(2, 40))
+    F = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = rng.integers(1, kernels.slice_bits(n), size=(m, 1))
+    s = np.rint(rng.uniform(-1.0, 1.0, size=(m, n)) * np.exp2(bits))
+    s *= np.exp2(-rng.integers(0, 80, size=(m, 1)))
+    s[rng.random((m, n)) < 0.3] = 0.0
+    s[rng.random((m, n)) < 0.1] = -0.0
+    rows = rng.permutation(m)  # rows[0] is the wide row, rows[-1] the bad one
+    if not depth_one:
+        s[rows[0]] = rng.normal(size=n) * np.exp2(rng.integers(-40, 41, size=n))
+    x = rng.normal(size=(n, F)) * np.exp2(rng.integers(-40, 41, size=(n, F)))
+    x[rng.random((n, F)) < 0.2] = 0.0
+    x[rng.random((n, F)) < 0.2] = -0.0
+    cols = rng.permutation(F)  # cols[0] is all -0.0, cols[-1] the bad one
+    x[:, cols[0]] = -0.0
+    values = st.sampled_from([np.inf, -np.inf, np.nan])
+    if bad_rows:
+        s[rows[-1], rng.integers(n)] = draw(values)
+    if bad_cols:
+        x[rng.integers(n), cols[-1]] = draw(values)
+    return s, x
+
+
+@pytest.mark.parametrize("bad_cols", [False, True], ids=["finite_x", "bad_x"])
+@pytest.mark.parametrize("bad_rows", [False, True], ids=["finite_s", "bad_s"])
+@pytest.mark.parametrize("depth_one", [True, False], ids=["depth1", "deeper"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_product_branches_match_frozen_oracle(depth_one, bad_rows, bad_cols, data):
+    # each branch of the product (the in-place GEMM at depth 1 or the
+    # copied one above it, the NaN marks of S's rows and of X's columns
+    # taken or skipped, one row block or several) gives the frozen
+    # oracle's bits, the sign of every zero included
+    s, x = data.draw(_branch_operands(depth_one, bad_rows, bad_cols))
+    m, n = s.shape
+    block_rows = data.draw(st.integers(1, m))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "BLOCK_ENTRIES", block_rows * n)
+        op = kernels.ShiftOperator(s)
+    assert op.rows == block_rows
+    assert (len(op.slices) == 1) == depth_one
+    assert op.any_bad == bad_rows
+    got = op @ x
+    assert np.array_equal(got.view(np.int64), _fresh_split_product(s, x).view(np.int64))
+    # an all-NaN column comes from a bad column of X, or from every row of S being bad
+    assert np.isnan(got).all(axis=0).any() == (bad_cols or m == op.bad.sum())
 
 
 def test_operator_depth_grows_in_later_blocks():
