@@ -460,16 +460,12 @@ def _mesh(m, finest=_MAX_MESH) -> int:
 class SegmentSet:
     """The horizontal unit segment [0,1] x {0}; box dimension exactly 1."""
 
-    name = "segment"
-
     def count(self, m: int) -> int:
         return _mesh(m, finest=None)
 
 
 class FullSquareSet:
     """The full unit square; N_delta = m^2 exactly."""
-
-    name = "square"
 
     def count(self, m: int) -> int:
         m = _mesh(m, finest=None)
@@ -503,7 +499,6 @@ class BlockBoundarySet:
         horizontal[:, 0] = pat[:, 0]
         horizontal[:, k] = pat[:, k - 1]
         np.not_equal(pat[:, 1:], pat[:, :-1], out=horizontal[:, 1:k])
-        self.name = "block-boundary"
         self.k = k
         self.horizontal = horizontal
 
@@ -535,8 +530,10 @@ class CarpetSet:
 
     The ideal set has empty interior, so it coincides with its own boundary
     for box-counting purposes; at aligned scales 3^-j the count is exactly
-    r^j where r is the number of kept subcells.  Finite-depth kernels in the
-    catalog are prefractal approximations of this set.
+    r^j where r is the number of kept subcells.  It is counted on those
+    triadic meshes only: ``count(m)`` refuses an m that is not a power of 3
+    with InvalidParameterError.  Finite-depth kernels in the catalog are
+    prefractal approximations of this set.
     """
 
     def __init__(self, mask):
@@ -545,7 +542,6 @@ class CarpetSet:
             raise InvalidParameterError("mask must be 3x3")
         if int(mask.sum()) == 0:
             raise InvalidParameterError("mask has empty support")
-        self.name = "carpet"
         self.mask = mask
 
     def count(self, m: int) -> int:
@@ -553,34 +549,8 @@ class CarpetSet:
         j = round(math.log(m) / math.log(3.0))
         if 3**j == m:
             return int(self.mask.sum()) ** j
-        # Non-triadic mesh: exact rational descent per cell (slow path).
-        if m > 729:
-            raise InvalidParameterError("non-triadic meshes are limited to m <= 729")
-        total = 0
-        for p in range(m):
-            for q in range(m):
-                if self._rect_hits(p, p + 1, q, q + 1, m):
-                    total += 1
-        return total
-
-    def _rect_hits(self, a, b, c, d, den, level=0):
-        if a >= b or c >= d:
-            return False
-        if level > 48 or (a <= 0 and b >= den and c <= 0 and d >= den):
-            return True
-        for su in range(3):
-            a2 = max(3 * a - su * den, 0)
-            b2 = min(3 * b - su * den, den)
-            if a2 >= b2:
-                continue
-            for sv in range(3):
-                if not self.mask[su, sv]:
-                    continue
-                c2 = max(3 * c - sv * den, 0)
-                d2 = min(3 * d - sv * den, den)
-                if c2 < d2 and self._rect_hits(a2, b2, c2, d2, den, level + 1):
-                    return True
-        return False
+        raise InvalidParameterError(
+            f"a carpet is box-counted on triadic meshes only (delta = 1/3^j), got 1/{m}")
 
 
 def support_boundary(spec: GraphonSpec):
@@ -609,7 +579,9 @@ def box_counting_dimension(point_set, delta_schedule):
     """Least-squares box-counting dimension of ``point_set``.
 
     ``point_set`` is any descriptor exposing ``count(m)`` = number of
-    (1/m)-mesh cells that intersect the set.  Returns ``(estimate,
+    (1/m)-mesh cells that intersect the set.  A ``CarpetSet`` counts only
+    triadic meshes, so its schedule holds deltas 1/3^j alone (as
+    ``default_delta_schedule`` gives).  Returns ``(estimate,
     per_delta_counts)`` where the estimate is the LS slope of log N against
     log(1/delta).
     """

@@ -137,14 +137,8 @@ def _get_int_list(cfg, key):
 
 
 def _graphon_from_config(cfg) -> catalog.GraphonSpec:
-    overrides = {}
-    for key in _GRAPHON_OVERRIDE_KEYS:
-        if cfg[key]:
-            caster = float if key in ("alpha",) else int
-            try:
-                overrides[key] = caster(cfg[key])
-            except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: {cfg[key]!r} is not a number") from exc
+    overrides = {key: (_get_float if key == "alpha" else _get_int)(cfg, key)
+                 for key in _GRAPHON_OVERRIDE_KEYS if cfg[key]}
     return catalog.from_name(cfg["graphon"], **overrides)
 
 

@@ -167,9 +167,6 @@ class TrajectoryRecord:
     def F(self) -> int:
         return self.states.shape[2]
 
-    def state(self, j: int) -> FeatureMatrix:
-        return FeatureMatrix(self.states[j])
-
 
 def scaled_norm(v: np.ndarray):
     """L2 norm of the induced step function: Frobenius norm over sqrt(n).
@@ -193,9 +190,7 @@ def _eval_times(T: float, M: int) -> np.ndarray:
 def _prepare_shift(S, T):
     if not 0.0 < T < math.inf:
         raise InvalidParameterError(f"horizon T must be positive and finite, got {T!r}")
-    shape = S.shape if isinstance(S, kernels.ShiftOperator) else np.shape(S)
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise DimensionMismatchError(f"the forward map needs a square 2-D shift, got shape {shape}")
+    kernels.shift_size(S)  # the forward map's refusal, before S is split
     op = kernels.as_operator(S)
     if not op.symmetric:
         raise InvalidParameterError("shift array must be symmetric")
@@ -514,10 +509,10 @@ def integrate_batch(S, systems, act: Activation, T: float, cfg: SolverConfig) ->
 
     ``systems`` is a sequence of ``(Z, bank)`` pairs whose banks share one
     (L, F, K) shape, each Z of shape (n, F); ``S`` is a
-    ``kernels.ShiftOperator`` or an array (an array is split once for the
-    batch).  Returns one entry per system, in order: its TrajectoryRecord,
-    or the DivergenceError or NonConvergenceError it failed with.  Every
-    solver advances all systems
+    ``kernels.ShiftOperator``, a ``sampling.SampledGraph`` or an array (a
+    graph or an array is split once for the batch).  Returns one entry per
+    system, in order: its TrajectoryRecord, or the DivergenceError or
+    NonConvergenceError it failed with.  Every solver advances all systems
     in lockstep, one forward pass per round for every point they ask about
     (a stage of rk4 or dp5, a window of picard), while each keeps its own
     steps, error control, iterations and failure.

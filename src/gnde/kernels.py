@@ -30,9 +30,10 @@ calls whatever n (one more GEMM per row block of S):
    there are any (the operator knows its bad rows from construction).
 
 The product trusts its operands: X is a float64 (n, F) array.  Three
-doors check them: ``op @ X`` and ``shift_matvec`` check X's shape;
-``layer_stack_forward_batch`` checks S, X and the coefficients once, before
-it builds an operator, and then calls the product on every tap without a
+doors check them, with one feature-row check: ``op @ X`` and
+``shift_matvec`` check X's shape; ``layer_stack_forward_batch`` reads S's
+shape with ``shift_size``, checks X and the coefficients once, before it
+builds an operator, and then calls the product on every tap without a
 second check or copy.
 
 S is fixed for a whole trajectory, so it is split once: a
@@ -195,15 +196,12 @@ class ShiftOperator:
         self.any_bad = bool(self.bad.any())
 
     def __matmul__(self, X) -> np.ndarray:
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] != self.shape[1]:
-            raise DimensionMismatchError(f"the {self.shape[0]}x{self.shape[1]} shift needs "
-                                         f"features of {self.shape[1]} rows, got shape {X.shape}")
-        return _shift_product(self, X)
+        return _shift_product(self, _features(self.shape, np.ascontiguousarray(X, np.float64)))
 
 
 def as_operator(S) -> ShiftOperator:
-    """``S`` if it is already a ShiftOperator, else a new one on the array S."""
+    """``S`` if it is already a ShiftOperator, else a new one on the graph
+    or array S."""
     return S if isinstance(S, ShiftOperator) else ShiftOperator(S)
 
 
@@ -219,6 +217,26 @@ def _shift_shape(S) -> tuple:
     if len(shape) != 2:
         raise DimensionMismatchError(f"a shift operator needs a 2-D array, got shape {shape}")
     return shape
+
+
+def shift_size(S) -> int:
+    """The n of an n x n shift operator, graph or array, read without
+    splitting anything.  A shift that is not 2-D and square raises
+    DimensionMismatchError: the forward map and ``dynamics.integrate``
+    both refuse one here."""
+    m, n = _shift_shape(S)
+    if m != n:
+        raise DimensionMismatchError(f"the forward map needs a square shift, got {m}x{n}")
+    return n
+
+
+def _features(shape, X):
+    """``X``, a float64 array, refused with DimensionMismatchError unless it
+    is 2-D with the n rows of the (m, n) shift ``shape``."""
+    if X.ndim != 2 or X.shape[0] != shape[1]:
+        raise DimensionMismatchError(f"the {shape[0]}x{shape[1]} shift needs "
+                                     f"features of {shape[1]} rows, got shape {X.shape}")
+    return X
 
 
 def _shift_product(op, X):
@@ -308,13 +326,8 @@ def layer_stack_forward_batch(S, X, coeffs, act_id: int, slope: float = 0.0) -> 
     X that is not 2-D with n rows, or coeffs that do not match X's columns
     raise DimensionMismatchError before any product.
     """
-    m, n = _shift_shape(S)
-    if m != n:
-        raise DimensionMismatchError(f"the forward map needs a square shift, got {m}x{n}")
-    cur = np.array(X, dtype=np.float64)
-    if cur.ndim != 2 or cur.shape[0] != n:
-        raise DimensionMismatchError(
-            f"the {n}x{n} shift needs features of {n} rows, got shape {cur.shape}")
+    n = shift_size(S)
+    cur = _features((n, n), np.array(X, dtype=np.float64))
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim != 5 or coeffs.shape[2] != coeffs.shape[3] or (
             coeffs.shape[0] * coeffs.shape[2] != cur.shape[1]):

@@ -200,22 +200,6 @@ class FeatureFunctionSpec:
         per = 2.0 * math.pi * np.sum(np.abs(self.a) * np.abs(self.b), axis=1)
         return float(per.max())
 
-    def holder_bound(self) -> tuple[float, float]:
-        """Certified (A2, beta) with ||Z(u)-Z(v)|| <= A2*sqrt(F)*|u-v|^beta per channel.
-
-        For ``holder_cosine`` with geometric frequencies b_k = s^k and
-        amplitudes a_k <= s^{-k/2}, the usual lacunary-series split gives
-        beta = 1/2 with constant (2*pi + 2) * sqrt(s)/(sqrt(s) - 1); other
-        kinds are plain Lipschitz (beta = 1).
-        """
-        if self.kind != HOLDER:
-            return self.lipschitz_bound(), 1.0
-        bases = self.b[:, 0]
-        if np.any(bases <= 1.0):
-            raise InvalidParameterError("holder_cosine frequencies need base > 1")
-        consts = (2.0 * math.pi + 2.0) * np.sqrt(bases) / (np.sqrt(bases) - 1.0)
-        return float(consts.max()), 0.5
-
 
 def constant_feature(values) -> FeatureFunctionSpec:
     vals = np.atleast_1d(np.asarray(values, dtype=np.float64))

@@ -419,45 +419,6 @@ def test_hexaflake_counts_and_dimension():
     assert np.array_equal(cat.hexaflake().mask, cat.hexaflake().mask.T)
 
 
-def _ideal_carpet_hits(mask, p: int, q: int, m: int) -> bool:
-    """Independent oracle: does the open cell (p/m,(p+1)/m) x (q/m,(q+1)/m)
-    meet the ideal carpet?  Exact rational breadth-first descent."""
-    one = Fraction(1)
-    frontier = {(Fraction(p, m), Fraction(p + 1, m), Fraction(q, m), Fraction(q + 1, m))}
-    for _ in range(64):
-        nxt = set()
-        for a, b, c, d in frontier:
-            if a <= 0 and b >= 1 and c <= 0 and d >= 1:
-                return True
-            for su in range(3):
-                a2, b2 = max(3 * a - su, Fraction(0)), min(3 * b - su, one)
-                if a2 >= b2:
-                    continue
-                for sv in range(3):
-                    if not mask[su, sv]:
-                        continue
-                    c2, d2 = max(3 * c - sv, Fraction(0)), min(3 * d - sv, one)
-                    if c2 < d2:
-                        nxt.add((a2, b2, c2, d2))
-        if not nxt:
-            return False
-        frontier = nxt
-    raise AssertionError("descent did not terminate")
-
-
-def test_carpet_nontriadic_counts_match_rational_oracle():
-    for spec in (cat.sierpinski(), cat.hexaflake()):
-        bset = cat.support_boundary(spec)
-        for m in (5, 10):
-            want = sum(
-                _ideal_carpet_hits(spec.mask, p, q, m) for p in range(m) for q in range(m)
-            )
-            assert bset.count(m) == want, (spec.mask.tolist(), m)
-    # regression pins for the values the oracle certifies
-    sp = cat.support_boundary(cat.sierpinski())
-    assert (sp.count(5), sp.count(10)) == (24, 96)
-
-
 def test_block_boundary_counts_checkerboard():
     bset = cat.support_boundary(cat.checkerboard(cells=2))
     # two full mesh-aligned crossing lines: 4m - 5 cells at mesh 1/m
@@ -571,8 +532,11 @@ def test_box_counters_refuse_bad_sets_and_meshes():
         cat.CarpetSet(np.zeros((3, 3)))
     with pytest.raises(InvalidParameterError, match="finer than 1/4096"):
         cat.support_boundary(cat.checkerboard(4)).count(4097)
-    with pytest.raises(InvalidParameterError, match="m <= 729"):
-        cat.support_boundary(cat.sierpinski()).count(730)
+    # a carpet is counted on triadic meshes only, below the finest mesh too
+    for m in (10, 730):
+        with pytest.raises(InvalidParameterError,
+                           match=rf"triadic meshes only \(delta = 1/3\^j\), got 1/{m}$"):
+            cat.support_boundary(cat.sierpinski()).count(m)
 
 
 def test_box_dimension_schedule_validation():

@@ -694,6 +694,10 @@ def test_config_errors_exit_2(tmp_path, monkeypatch, capsys):
          "config key 'proportions'"),
         ("converge", {"n_list": "16,2x"}, "config key 'n_list'"),
         ("integrate", {"alpha": "x"}, "config key 'alpha': 'x' is not a number"),
+        ("integrate", {"graphon": "sierpinski", "depth": "2.5"},
+         "config key 'depth': '2.5' is not an integer"),
+        ("integrate", {"graphon": "hsbm", "levels": "1e3"},
+         "config key 'levels': '1e3' is not an integer"),
         ("integrate", {"feature": "constant", "feature_values": "1,2"},
          "feature_values needs 1 values"),
         ("integrate", {"feature": "linear", "feature_values": "1,2,3"},

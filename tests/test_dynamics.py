@@ -157,9 +157,21 @@ def test_eval_grid_layout():
     assert np.allclose(np.diff(traj.eval_times), 2.0 / 7.0, atol=1e-15)
     assert np.array_equal(traj.states[0], z)
     assert (traj.n, traj.F) == (4, 2)
-    state = traj.state(3)
-    assert isinstance(state, smp.FeatureMatrix)
-    assert np.array_equal(state.values, traj.states[3])
+
+
+@pytest.mark.parametrize("method", ["dp5", "rk4"])
+def test_integrate_takes_a_sampled_graph(method):
+    # a graph is split as its shift A / n: the trajectory is the operator's
+    # bit for bit
+    rng = np.random.default_rng(9)
+    graph = smp.sample_weighted(cat.tent(), 6)
+    bank = random_filter_bank(2, 2, 3, rng)
+    z = rng.normal(size=(6, 2))
+    cfg = dyn.SolverConfig(method=method, eval_grid=5)
+    want = dyn.integrate(kernels.ShiftOperator(graph), z, bank, TANH, 1.0, cfg)
+    got = dyn.integrate(graph, z, bank, TANH, 1.0, cfg)
+    assert np.array_equal(got.states, want.states)
+    assert got.solver_meta == want.solver_meta
 
 
 def test_divergence_raises():
@@ -200,9 +212,9 @@ def test_input_validation():
     with pytest.raises(InvalidParameterError):
         dyn.integrate(kernels.ShiftOperator(np.triu(s)), z, bank, TANH, 1.0, cfg)
     # each shape mismatch raises the forward map's DimensionMismatchError
-    with pytest.raises(DimensionMismatchError, match="square 2-D shift, got shape \\(4, 5\\)"):
+    with pytest.raises(DimensionMismatchError, match="square shift, got 4x5"):
         dyn.integrate(kernels.ShiftOperator(s[:4]), z, bank, TANH, 1.0, cfg)
-    with pytest.raises(DimensionMismatchError, match="square 2-D shift, got shape \\(4, 5\\)"):
+    with pytest.raises(DimensionMismatchError, match="square shift, got 4x5"):
         dyn.integrate(s[:4], z, bank, TANH, 1.0, cfg)
     with pytest.raises(DimensionMismatchError, match="got shape \\(5,\\)"):
         dyn.integrate(s[0], z, bank, TANH, 1.0, cfg)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnde import kernels
+from gnde import dynamics, kernels
 from gnde import neural
 from gnde import sampling as smp
 from gnde import catalog as cat
@@ -177,13 +177,16 @@ def test_forward_shape_guards():
                                           kernels.ACT_IDENTITY)
 
 
+class NeverBuilt:
+    """A stand-in ShiftOperator that fails when built."""
+
+    def __init__(self, S):
+        raise AssertionError("the shift was split")
+
+
 def test_forward_map_refuses_before_splitting(monkeypatch):
     # every shape the forward map refuses is refused before an operator is
-    # built: a stand-in ShiftOperator that fails when built is never reached
-    class NeverBuilt:
-        def __init__(self, S):
-            raise AssertionError("the shift was split")
-
+    # built: the NeverBuilt stand-in is never reached
     monkeypatch.setattr(kernels, "ShiftOperator", NeverBuilt)
     bank = np.ones((1, 1, 1, 1, 1))
     cases = [
@@ -201,6 +204,21 @@ def test_forward_map_refuses_before_splitting(monkeypatch):
     # the stand-in is live: operands that pass every check do build it
     with pytest.raises(AssertionError, match="split"):
         kernels.layer_stack_forward_batch(np.eye(2), np.ones((2, 1)), bank, kernels.ACT_IDENTITY)
+
+
+def test_integrate_refuses_a_shift_as_the_forward_map_does(monkeypatch):
+    # dynamics reads a shift's shape through kernels: a shift that is not
+    # square and 2-D gets the forward map's message, before any split
+    monkeypatch.setattr(kernels, "ShiftOperator", NeverBuilt)
+    bank = neural.FilterBank(np.ones((1, 1, 1, 1)))
+    act = neural.Activation("identity")
+    for S in (np.ones((2, 3)), [[1.0, 0.0, 0.0]], np.ones(3), np.ones((3, 3, 1))):
+        with pytest.raises(DimensionMismatchError) as forward:
+            kernels.layer_stack_forward_batch(S, np.ones((3, 1)), np.ones((1, 1, 1, 1, 1)),
+                                              kernels.ACT_IDENTITY)
+        with pytest.raises(DimensionMismatchError) as solve:
+            dynamics.integrate(S, np.ones((3, 1)), bank, act, 1.0, dynamics.SolverConfig())
+        assert str(solve.value) == str(forward.value)
 
 
 @pytest.mark.parametrize("B", [1, 2, 5])

@@ -242,24 +242,6 @@ def test_lipschitz_bound_certifies_derivative():
     assert smp.constant_feature([9.0]).lipschitz_bound() == 0.0
 
 
-def test_holder_bound_certifies_increments():
-    rng = np.random.default_rng(17)
-    z = smp.random_holder_features(2, 6, rng)
-    a2, beta = z.holder_bound()
-    assert beta == 0.5
-    u = rng.random(400)
-    v = rng.random(400)
-    zu = z.evaluate(u)
-    zv = z.evaluate(v)
-    gap = np.linalg.norm(zu - zv, axis=1)
-    allowed = a2 * math.sqrt(z.F) * np.abs(u - v) ** beta
-    assert np.all(gap <= allowed + 1e-9)
-    # the other kinds are Lipschitz; a lacunary base must exceed 1
-    assert smp.linear_feature([0.0], [3.0]).holder_bound() == (3.0, 1.0)
-    with pytest.raises(InvalidParameterError, match="base > 1"):
-        smp.FeatureFunctionSpec(smp.HOLDER, [[1.0]], [[1.0]]).holder_bound()
-
-
 def test_graph_shift_operator_norm():
     for g in (
         smp.sample_weighted(cat.tent(), 17),
