@@ -174,10 +174,11 @@ def scaled_norm(v: np.ndarray):
     ``v`` is one (n, F) state, giving a float, or a (J, n, F) stack of
     states, giving the array of their J norms.  Each state's sum runs over
     its own contiguous n F entries, so a norm in a stack is the state's own
-    norm bit for bit.
+    norm bit for bit.  A finite state too large to square has norm inf.
     """
     v = np.asarray(v)
-    norms = np.sqrt(np.sum(v * v, axis=(-2, -1)) / v.shape[-2])
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.sum(v * v, axis=(-2, -1)) / v.shape[-2])
     return float(norms) if v.ndim == 2 else norms
 
 
@@ -190,18 +191,14 @@ def _eval_times(T: float, M: int) -> np.ndarray:
 def _prepare_shift(S, T):
     if not 0.0 < T < math.inf:
         raise InvalidParameterError(f"horizon T must be positive and finite, got {T!r}")
-    kernels.shift_size(S)  # the forward map's refusal, before S is split
-    op = kernels.as_operator(S)
-    if not op.symmetric:
-        raise InvalidParameterError("shift array must be symmetric")
-    return op
+    return kernels.as_operator(S)
 
 
 def _prepare_system(op, Z, bank):
     # each system alone: _lockstep joins the points' columns before the
     # forward map sees them, so that map checks only their total
     Z = Z.values if isinstance(Z, FeatureMatrix) else np.ascontiguousarray(Z, np.float64)
-    n, F = op.shape[0], bank.F
+    n, F = op.n, bank.F
     if Z.shape != (n, F):
         raise DimensionMismatchError(f"the {n}x{n} shift and a {F}-channel bank need "
                                      f"initial features of shape ({n}, {F}), got shape {Z.shape}")
@@ -509,8 +506,10 @@ def integrate_batch(S, systems, act: Activation, T: float, cfg: SolverConfig) ->
 
     ``systems`` is a sequence of ``(Z, bank)`` pairs whose banks share one
     (L, F, K) shape, each Z of shape (n, F); ``S`` is a
-    ``kernels.ShiftOperator``, a ``sampling.SampledGraph`` or an array (a
-    graph or an array is split once for the batch).  Returns one entry per
+    ``kernels.ShiftOperator``, a ``sampling.SampledGraph`` or an n x n
+    symmetric finite array (a graph or an array is split once for the
+    batch, and any other array is refused as the operator refuses it,
+    before the systems are checked).  Returns one entry per
     system, in order: its TrajectoryRecord, or the DivergenceError or
     NonConvergenceError it failed with.  Every solver advances all systems
     in lockstep, one forward pass per round for every point they ask about

@@ -10,7 +10,7 @@ integers of magnitude at most 2**(2 beta), and since
 2 beta + ceil(log2 n) <= 53 every partial sum of it is exact in double
 precision: the BLAS GEMM that forms all slice products of a block of rows
 returns the same bits whatever order it sums in.  The slice products are
-then added in a fixed order, scaled back, and rows or columns holding a
+then added in a fixed order, scaled back, and columns of X holding a
 non-finite entry come out NaN.
 
 One product, ``_shift_product(op, X)``, makes a fixed number of numpy
@@ -26,23 +26,24 @@ calls whatever n (one more GEMM per row block of S):
    fixed order of ``_PAIRS`` into an accumulator that starts at +0.0;
 5. scale the sum back by 2**(row exponent + column exponent - 2 beta),
    in place;
-6. mark NaN the rows of S and the columns of X holding inf or NaN, when
-   there are any (the operator knows its bad rows from construction).
+6. mark NaN the columns of X holding inf or NaN, when there are any.
 
-The product trusts its operands: X is a float64 (n, F) array.  Three
-doors check them, with one feature-row check: ``op @ X`` and
-``shift_matvec`` check X's shape; ``layer_stack_forward_batch`` reads S's
-shape with ``shift_size``, checks X and the coefficients once, before it
-builds an operator, and then calls the product on every tap without a
-second check or copy.
+S is the paper's graph shift, n x n with n >= 1, symmetric and finite:
+``ShiftOperator`` refuses any other S when it is built, so every door
+that builds one refuses it the same way.  The product trusts its
+operands: X is a float64 (n, F) array.  Three doors check X, with one
+feature-row check: ``op @ X`` and ``shift_matvec`` check its shape;
+``layer_stack_forward_batch`` reads S's size with ``shift_size``, checks
+X and the coefficients once, before it builds an operator, and then calls
+the product on every tap without a second check or copy.
 
 S is fixed for a whole trajectory, so it is split once: a
-``ShiftOperator`` keeps the slices of S with its row exponents and
-non-finite-row mask, and every product at that size splits only X.  Given
-a ``sampling.SampledGraph``, it divides each row block of the adjacency A
-by n as it splits it, so S = A / n is never formed; division is
-elementwise, so the bits are those of the array A / n.  The graph has
-checked its own symmetry, so the operator does not check it again.  It
+``ShiftOperator`` keeps the slices of S with its row exponents, and every
+product at that size splits only X.  Given a ``sampling.SampledGraph``,
+it divides each row block of the adjacency A by n as it splits it, so
+S = A / n is never formed; division is elementwise, so the bits are those
+of the array A / n.  The graph has checked its own entries and symmetry,
+so the operator does not check them again.  It
 keeps the slices only up to S's last nonzero one (its depth): one at
 power-of-two n for the tent and the binary kernels, whose entries of
 S = A/n carry at most log2 n bits.  A skipped slice pair would
@@ -63,9 +64,10 @@ rescaling and the NaN marking are elementwise.  Column j of the batched
 product is therefore column j of the product of that column alone.
 
 Every step reads an entry, its row's or column's maximum, and fixed
-constants, never the position of an entry in its row, so relabeling the
-nodes (S -> P S P^T, X -> P X) permutes the output bit-exactly: node-order
-independence holds by construction, not by luck.  Channel and tap
+constants, never the position of an entry in its row or column, so
+relabeling the n nodes of S (S -> P S P^T, X -> P X) permutes the output
+rows bit-exactly: node-order independence holds by construction, not by
+luck.  Channel and tap
 accumulation is plain fixed-order addition: those indices are not
 permuted, and the (g ascending, then k ascending) order is part of the
 reproducibility contract.
@@ -76,7 +78,7 @@ from __future__ import annotations
 import numpy as np
 
 from .catalog import is_symmetric
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InvalidParameterError
 from .sampling import SampledGraph
 
 ACT_IDENTITY = 0
@@ -138,65 +140,63 @@ def _split(a, beta: int, axis: int, out):
 
 
 class ShiftOperator:
-    """An (m, n) shift matrix S split once for every product ``S @ X``.
+    """An n x n shift S, split once for every product ``S @ X``.
 
     ``S`` is a 2-D array or a ``sampling.SampledGraph``, whose shift is
     S = adjacency / n: each row block of the adjacency is divided as it is
     split, so the slices are those of the array adjacency / n bit for bit.
+    A graph has checked its own entries and symmetry.  An array is
+    checked here, once: one that is not 2-D, square and nonempty raises
+    DimensionMismatchError before any split (``shift_size``); one that is
+    not exactly symmetric raises InvalidParameterError, and so does one
+    holding NaN, which fails that check (NaN != NaN); one holding inf
+    raises InvalidParameterError when the split finds its row's peak.
 
     ``slices[p]`` holds slice p of every row of S for p below the depth,
     the count up to S's last nonzero slice (float32 when
     ``slice_bits(n) <= FLOAT32_BITS``, else float64).  The store starts
     with one slice and grows when a row block first needs more, copying
-    only the rows already written.  ``exps`` holds each row's exponent
-    and ``bad`` the rows holding a non-finite entry (``any_bad`` says
-    whether there is one).  ``op @ X`` is ``shift_matvec(S, X)`` bit for
-    bit.  ``symmetric`` is S == S.T, set at construction: a graph is
-    symmetric by its own validation (entries equal in the adjacency stay
-    equal divided by n), and an array is checked here.  The operator
-    keeps no reference to S and no work buffer between products.  An S
-    that is not 2-D, or an X that is not 2-D with n rows, raises
-    DimensionMismatchError.
+    only the rows already written.  ``exps`` holds each row's exponent.
+    ``op @ X`` is ``shift_matvec(S, X)`` bit for bit.  The operator keeps
+    no reference to S and no work buffer between products.  An X that is
+    not 2-D with n rows raises DimensionMismatchError.
     """
 
     def __init__(self, S):
         if isinstance(S, SampledGraph):
             A, divisor = S.adjacency, S.n
-            self.symmetric = True
         else:
+            shift_size(S)
             A, divisor = np.ascontiguousarray(S, dtype=np.float64), 1.0
-            _shift_shape(A)  # refuses an array that is not 2-D
-            self.symmetric = A.shape[0] == A.shape[1] and is_symmetric(A)
-        m, n = self.shape = A.shape
+            if not is_symmetric(A):
+                raise InvalidParameterError("shift array must be symmetric")
+        n = self.n = len(A)
         self.beta = slice_bits(n)
-        self.rows = max(1, min(m, BLOCK_ENTRIES // max(n, 1)))
+        self.rows = max(1, min(n, BLOCK_ENTRIES // n))
         store = np.float32 if self.beta <= FLOAT32_BITS else np.float64
-        self.slices = np.empty((1, m, n), dtype=store)
-        self.exps = np.zeros((m, 1), dtype=np.int32)
-        self.bad = np.zeros((m, 1), dtype=bool)
-        if n:
-            buf = np.empty(SLICES * self.rows * n)
-            for lo in range(0, m, self.rows):
-                blk = A[lo : lo + self.rows] / divisor
-                hi = lo + blk.shape[0]
-                ss = buf[: SLICES * blk.size].reshape((SLICES,) + blk.shape)
-                self.exps[lo:hi], bad = _split(blk, self.beta, 1, ss)
-                if bad is not None:
-                    self.bad[lo:hi] = bad
-                depth = len(self.slices)
-                need = max((p + 1 for p in range(depth, SLICES) if ss[p].any()), default=depth)
-                if need > depth:  # the rows written so far get zero slices
-                    if lo == 0:  # none yet: free the old store before growing
-                        self.slices = None
-                    grown = np.zeros((need, m, n), dtype=store)
-                    if lo:
-                        grown[:depth, :lo] = self.slices[:, :lo]
-                    self.slices = grown
-                self.slices[:, lo:hi] = ss[: len(self.slices)]
-        self.any_bad = bool(self.bad.any())
+        self.slices = np.empty((1, n, n), dtype=store)
+        self.exps = np.zeros((n, 1), dtype=np.int32)
+        buf = np.empty(SLICES * self.rows * n)
+        for lo in range(0, n, self.rows):
+            blk = A[lo : lo + self.rows] / divisor
+            hi = lo + blk.shape[0]
+            ss = buf[: SLICES * blk.size].reshape((SLICES,) + blk.shape)
+            self.exps[lo:hi], bad = _split(blk, self.beta, 1, ss)
+            if bad is not None:
+                raise InvalidParameterError("shift array must be finite")
+            depth = len(self.slices)
+            need = max((p + 1 for p in range(depth, SLICES) if ss[p].any()), default=depth)
+            if need > depth:  # the rows written so far get zero slices
+                if lo == 0:  # none yet: free the old store before growing
+                    self.slices = None
+                grown = np.zeros((need, n, n), dtype=store)
+                if lo:
+                    grown[:depth, :lo] = self.slices[:, :lo]
+                self.slices = grown
+            self.slices[:, lo:hi] = ss[: len(self.slices)]
 
     def __matmul__(self, X) -> np.ndarray:
-        return _shift_product(self, _features(self.shape, np.ascontiguousarray(X, np.float64)))
+        return _shift_product(self, _features(self.n, np.ascontiguousarray(X, np.float64)))
 
 
 def as_operator(S) -> ShiftOperator:
@@ -205,48 +205,38 @@ def as_operator(S) -> ShiftOperator:
     return S if isinstance(S, ShiftOperator) else ShiftOperator(S)
 
 
-def _shift_shape(S) -> tuple:
-    """The (m, n) of a shift operator, a graph or a 2-D array, read without
-    splitting anything; an array that is not 2-D raises
-    DimensionMismatchError."""
-    if isinstance(S, ShiftOperator):
-        return S.shape
-    if isinstance(S, SampledGraph):
-        return S.adjacency.shape
+def shift_size(S) -> int:
+    """The n of an n x n shift operator, graph or array, read without
+    splitting anything.  A shift that is not 2-D, not square, or 0 x 0
+    raises DimensionMismatchError: the operator, the forward map and
+    ``dynamics.integrate`` all refuse one here."""
+    if isinstance(S, (ShiftOperator, SampledGraph)):
+        return S.n
     shape = np.shape(S)
     if len(shape) != 2:
         raise DimensionMismatchError(f"a shift operator needs a 2-D array, got shape {shape}")
-    return shape
-
-
-def shift_size(S) -> int:
-    """The n of an n x n shift operator, graph or array, read without
-    splitting anything.  A shift that is not 2-D and square raises
-    DimensionMismatchError: the forward map and ``dynamics.integrate``
-    both refuse one here."""
-    m, n = _shift_shape(S)
+    m, n = shape
     if m != n:
         raise DimensionMismatchError(f"the forward map needs a square shift, got {m}x{n}")
+    if not n:
+        raise DimensionMismatchError("the forward map needs a shift of n >= 1 nodes, got 0x0")
     return n
 
 
-def _features(shape, X):
+def _features(n, X):
     """``X``, a float64 array, refused with DimensionMismatchError unless it
-    is 2-D with the n rows of the (m, n) shift ``shape``."""
-    if X.ndim != 2 or X.shape[0] != shape[1]:
-        raise DimensionMismatchError(f"the {shape[0]}x{shape[1]} shift needs "
-                                     f"features of {shape[1]} rows, got shape {X.shape}")
+    is 2-D with the n rows of the n x n shift."""
+    if X.ndim != 2 or X.shape[0] != n:
+        raise DimensionMismatchError(f"the {n}x{n} shift needs "
+                                     f"features of {n} rows, got shape {X.shape}")
     return X
 
 
 def _shift_product(op, X):
     # The steps listed in the module docstring.  It trusts its operands: X
     # is a float64 (n, F) array.  Only the doors (op @ X, shift_matvec and
-    # layer_stack_forward_batch) check them.
-    m, n = op.shape
-    F = X.shape[1]
-    if n == 0:
-        return np.zeros((m, F))
+    # layer_stack_forward_batch) check it.
+    n, F = op.n, X.shape[1]
     beta, depth = op.beta, len(op.slices)
     xs = np.empty((SLICES, n, F))
     ex, xbad = _split(X, beta, 0, xs)
@@ -254,9 +244,9 @@ def _shift_product(op, X):
     # prods[p, i, q] = (slice p of row i of S) . (slice q of X), exact, so
     # the GEMM's summation order changes no bit.  At depth 1 a row block's
     # rows of prods are contiguous and its GEMM writes them in place.
-    prods = np.empty((depth, m, SLICES * F))
+    prods = np.empty((depth, n, SLICES * F))
     buf = np.empty(depth * op.rows * n)
-    for lo in range(0, m, op.rows):
+    for lo in range(0, n, op.rows):
         blk = op.slices[:, lo : lo + op.rows]
         ss = buf[: blk.size].reshape(blk.shape)
         ss[...] = blk  # exact: every entry is an integer of at most 2**beta
@@ -265,21 +255,19 @@ def _shift_product(op, X):
         else:
             prods[:, lo : lo + blk.shape[1]] = (
                 ss.reshape(-1, n) @ rhs).reshape(depth, -1, SLICES * F)
-    prods = prods.reshape(depth, m, SLICES, F)
-    acc = np.zeros((m, F))  # +0.0, so adding a skipped pair's +-0 changes no bit
+    prods = prods.reshape(depth, n, SLICES, F)
+    acc = np.zeros((n, F))  # +0.0, so adding a skipped pair's +-0 changes no bit
     for p, q in _PAIRS:
         if p < depth:
             acc += prods[p, :, q] * 2.0 ** (-(p + q) * beta)
     out = np.ldexp(acc, op.exps + (ex - 2 * beta), out=acc)
-    if op.any_bad:
-        out[op.bad[:, 0]] = np.nan
     if xbad is not None:
         out[:, xbad[0]] = np.nan
     return out
 
 
 def shift_matvec(S, X) -> np.ndarray:
-    """S @ X for an (m, n) S and an (n, F) X, independent of node order.
+    """S @ X for an n x n shift S and an (n, F) X, independent of node order.
 
     With beta = ``slice_bits(n)`` (so 2 beta + ceil(log2 n) <= 53),
     r_i = max_j |S_ij|, c_f = max_j |X_jf| and u = 2**-53, every finite
@@ -291,11 +279,11 @@ def shift_matvec(S, X) -> np.ndarray:
     one rounding of the exact product, plus the bits of S and X below the
     three slices and the rounding of the fixed-order slice sum.  Entries
     within a factor 2**(3 beta - 53) of their row's (column's) maximum lose
-    no bits.  A row of S or a column of X holding inf or NaN gives a NaN
-    row or column.  ``S`` may be a ShiftOperator; an array is split here,
-    so a caller with several products on one S builds the operator once.
-    An S or X that is not 2-D, or an X without n rows, raises
-    DimensionMismatchError.
+    no bits.  A column of X holding inf or NaN gives a NaN column.  ``S``
+    may be a ShiftOperator; a graph or an array is split here, so a caller
+    with several products on one S builds the operator once, and an array
+    that is not the paper's shift is refused as ``ShiftOperator`` refuses
+    it.  An X that is not 2-D with n rows raises DimensionMismatchError.
     """
     return as_operator(S) @ X
 
@@ -322,12 +310,14 @@ def layer_stack_forward_batch(S, X, coeffs, act_id: int, slope: float = 0.0) -> 
     Each tap is one (n, B*F) shift product for all systems.  Every output
     column is bit-identical to the one-system pass of its own system: the
     product treats each column alone, and each system mixes its own taps
-    in the same (g ascending, then k ascending) order.  A non-square S, an
-    X that is not 2-D with n rows, or coeffs that do not match X's columns
-    raise DimensionMismatchError before any product.
+    in the same (g ascending, then k ascending) order.  An S that is not
+    2-D, square and nonempty, an X that is not 2-D with n rows, or coeffs
+    that do not match X's columns raise DimensionMismatchError before any
+    split; an asymmetric or non-finite array S is refused as
+    ``ShiftOperator`` refuses it.
     """
     n = shift_size(S)
-    cur = _features((n, n), np.array(X, dtype=np.float64))
+    cur = _features(n, np.array(X, dtype=np.float64))
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim != 5 or coeffs.shape[2] != coeffs.shape[3] or (
             coeffs.shape[0] * coeffs.shape[2] != cur.shape[1]):

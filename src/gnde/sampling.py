@@ -228,7 +228,12 @@ def random_holder_features(channels: int, degree: int, rng) -> FeatureFunctionSp
     """
     base = rng.uniform(3.0, 10.0, size=channels)
     k = np.arange(1, degree + 1, dtype=np.float64)
-    freqs = base[:, None] ** k[None, :]
+    with np.errstate(over="ignore"):  # an overflowing draw is refused below
+        freqs = base[:, None] ** k[None, :]
+    if not np.isfinite(freqs).all():
+        raise InvalidParameterError(
+            f"degree={degree} is too large for the holder feature: its frequency "
+            f"s**{degree} overflows float64 for the drawn base s={float(base.max())!r}")
     amps = base[:, None] ** (-k[None, :] / 2.0)
     return FeatureFunctionSpec(HOLDER, amps, freqs)
 
@@ -390,11 +395,13 @@ L2_BLOCK_ENTRIES = 1 << 14
 
 def _weighted_square_sums(sq, widths):
     """sum_c widths[c] * sum_f sq[j, c, f]**2 for each row j, squaring the
-    block ``sq`` in place; a block passed straight in is freed on return."""
-    sq *= sq
-    inner = np.sum(sq, axis=2)
-    inner *= widths
-    return np.sum(inner, axis=1)
+    block ``sq`` in place; a block passed straight in is freed on return.
+    A sum too large for float64 is inf."""
+    with np.errstate(over="ignore"):
+        sq *= sq
+        inner = np.sum(sq, axis=2)
+        inner *= widths
+        return np.sum(inner, axis=1)
 
 
 def l2_per_row(block, count, F, widths) -> np.ndarray:

@@ -203,7 +203,7 @@ def test_converge_failure_rows(tmp_path, monkeypatch):
     batches = []
 
     def failing_batch(S, systems, *args):
-        n = S.shape[0]
+        n = S.n
         trials = [next(i for i, b in enumerate(banks) if b is bank) for _, bank in systems]
         batches.append((n, trials))
         forced = {trial for trial in trials if (trial, n) in {(1, 32), (2, 32), (0, 12)}}
@@ -313,7 +313,7 @@ def test_converge_computes_each_quantity_once(tmp_path, monkeypatch):
     class TrackedOperator(kernels.ShiftOperator):
         def __init__(self, S):
             super().__init__(S)
-            built.append((S is graphs[-1](), self.shape, self.symmetric))
+            built.append((S is graphs[-1](), self.n))
             operators.append(weakref.ref(self))
 
     def watched(key, fn):
@@ -344,7 +344,7 @@ def test_converge_computes_each_quantity_once(tmp_path, monkeypatch):
     # one overlay partition per size, shared by the size's trials
     assert calls == {"partition": 3, "norms": 2, "graph_shift": 0}
     # one operator per size, in size order, from the sampled graph itself
-    assert built == [(True, (n, n), True) for n in (32, 8, 12, 16)]
+    assert built == [(True, n) for n in (32, 8, 12, 16)]
     assert len(graphs) == len(adjacencies) == len(operators) == 4
     assert len(alive["batch"]) == 4 and len(alive["solve"]) == 2 * 4
     assert max(ops for ops, _ in alive["batch"]) == 1
@@ -703,6 +703,7 @@ def test_config_errors_exit_2(tmp_path, monkeypatch, capsys):
         ("integrate", {"feature": "linear", "feature_values": "1,2,3"},
          "feature_values needs 1 intercepts then 1 slopes"),
         ("integrate", {"feature": "wavelet"}, "unknown feature kind 'wavelet'"),
+        ("integrate", {"feature": "holder", "degree": "700"}, "degree=700 is too large"),
         ("integrate", {"law": "periodic"}, "unknown filter law 'periodic'"),
         ("integrate", {"filter_coeffs": "1,2,3"}, "filter_coeffs needs 4 values"),
     ]:
@@ -711,6 +712,16 @@ def test_config_errors_exit_2(tmp_path, monkeypatch, capsys):
         assert entry([command, "--config", cfg, "--out", str(out)]) == 2, values
         assert capsys.readouterr().err.startswith(f"gnde: config error: {named}"), values
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["integrate", "converge"])
+def test_huge_finite_features_run_without_warnings(tmp_path, capsys, command):
+    # features of 1e308 are finite but their squares are not: the scaled
+    # norms and the report's error sums are inf, and nothing warns
+    cfg = _cfg(tmp_path, feature="constant", feature_values="1e308", n="8",
+               n_list="8,12,16", n_ref="24", trials="1", eval_grid="10")
+    assert entry([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("key, extra", [

@@ -206,19 +206,60 @@ def test_forward_map_refuses_before_splitting(monkeypatch):
         kernels.layer_stack_forward_batch(np.eye(2), np.ones((2, 1)), bank, kernels.ACT_IDENTITY)
 
 
+def _never_split(*args):
+    raise AssertionError("the shift was split")
+
+
+def _poisoned(value):
+    s = np.eye(3) / 2
+    s[0, 2] = s[2, 0] = value
+    return s
+
+
+# (S, error, message, refused before any split): every shift that is not
+# the paper's n x n, symmetric, finite S
+_REFUSED_SHIFTS = [
+    (5.0, DimensionMismatchError, r"2-D array, got shape \(\)", True),
+    (np.ones(3), DimensionMismatchError, r"2-D array, got shape \(3,\)", True),
+    (np.ones((3, 3, 1)), DimensionMismatchError, r"2-D array, got shape \(3, 3, 1\)", True),
+    (np.ones((2, 3)), DimensionMismatchError, r"square shift, got 2x3", True),
+    ([[1.0, 0.0, 0.0]], DimensionMismatchError, r"square shift, got 1x3", True),
+    (np.zeros((0, 0)), DimensionMismatchError, r"n >= 1 nodes, got 0x0", True),
+    (np.array([[0.0, 0.5], [0.25, 1.0]]), InvalidParameterError, r"must be symmetric", False),
+    (_poisoned(np.inf), InvalidParameterError, r"must be finite", False),
+    (_poisoned(-np.inf), InvalidParameterError, r"must be finite", False),
+    (_poisoned(np.nan), InvalidParameterError, r"must be symmetric", False),  # NaN != NaN
+]
+
+
 def test_integrate_refuses_a_shift_as_the_forward_map_does(monkeypatch):
-    # dynamics reads a shift's shape through kernels: a shift that is not
-    # square and 2-D gets the forward map's message, before any split
-    monkeypatch.setattr(kernels, "ShiftOperator", NeverBuilt)
+    # the operator checks its shift once, where it is built, so every door
+    # refuses a shift that is not n x n, symmetric and finite with the same
+    # error and message; a bad shape is refused before anything is split
     bank = neural.FilterBank(np.ones((1, 1, 1, 1)))
     act = neural.Activation("identity")
-    for S in (np.ones((2, 3)), [[1.0, 0.0, 0.0]], np.ones(3), np.ones((3, 3, 1))):
-        with pytest.raises(DimensionMismatchError) as forward:
-            kernels.layer_stack_forward_batch(S, np.ones((3, 1)), np.ones((1, 1, 1, 1, 1)),
-                                              kernels.ACT_IDENTITY)
-        with pytest.raises(DimensionMismatchError) as solve:
-            dynamics.integrate(S, np.ones((3, 1)), bank, act, 1.0, dynamics.SolverConfig())
-        assert str(solve.value) == str(forward.value)
+    cfg = dynamics.SolverConfig()
+    coeffs = np.ones((1, 1, 1, 1))
+    doors = [
+        lambda S, X: kernels.ShiftOperator(S),
+        lambda S, X: kernels.shift_matvec(S, X),
+        lambda S, X: kernels.layer_stack_forward(S, X, coeffs, kernels.ACT_IDENTITY),
+        lambda S, X: kernels.layer_stack_forward_batch(S, X, coeffs[None],
+                                                       kernels.ACT_IDENTITY),
+        lambda S, X: dynamics.integrate(S, X, bank, act, 1.0, cfg),
+        lambda S, X: dynamics.integrate_batch(S, [(X, bank)], act, 1.0, cfg),
+    ]
+    for S, error, message, before_split in _REFUSED_SHIFTS:
+        X = np.ones((len(np.atleast_1d(S)), 1))
+        refusals = set()
+        with monkeypatch.context() as mp:
+            if before_split:
+                mp.setattr(kernels, "_split", _never_split)
+            for door in doors:
+                with pytest.raises(error, match=message) as refused:
+                    door(S, X)
+                refusals.add((type(refused.value), str(refused.value)))
+        assert len(refusals) == 1, refusals
 
 
 @pytest.mark.parametrize("B", [1, 2, 5])
@@ -256,6 +297,14 @@ def test_stale_backend_setting_is_inert(monkeypatch):
         monkeypatch.setenv("GNDE_BACKEND", setting)
         got = kernels.layer_stack_forward(s, x, coeffs, act.act_id, act.slope)
         assert np.array_equal(got, want), setting
+
+
+def _mirror(s):
+    """``s`` made symmetric in place, its upper triangle copied onto its
+    lower one (the sign of a zero included)."""
+    low = np.tril_indices(len(s), -1)
+    s[low] = s.T[low]
+    return s
 
 
 def _exact_product(s, x):
@@ -310,16 +359,16 @@ def test_forward_matches_checked_shift_products():
 
 def test_shift_matvec_compensated_sum():
     rng = np.random.default_rng(8)
-    s = rng.normal(size=(20, 20))
+    s = _mirror(rng.normal(size=(20, 20)))
     x = rng.normal(size=(20, 3))
     perm = rng.permutation(20)
     got = kernels.shift_matvec(s, x)
     assert np.allclose(got, s @ x, atol=1e-12, rtol=1e-12)
     assert np.array_equal(got, kernels.shift_matvec(s, x))
-    # summation-order independence: reindexing the contraction axis
-    # leaves every output bit unchanged
-    again = kernels.shift_matvec(s[:, perm], x[perm])
-    assert np.array_equal(got, again)
+    # summation-order independence: relabeling the nodes, which reorders
+    # every row's terms, permutes the output rows bit for bit
+    again = kernels.shift_matvec(s[np.ix_(perm, perm)], x[perm])
+    assert np.array_equal(got[perm], again)
 
 
 def test_forward_permutation_equivariance_bit_exact():
@@ -336,13 +385,27 @@ def test_forward_permutation_equivariance_bit_exact():
     assert np.array_equal(base[perm], permuted)
 
 
+def _star(row):
+    """The symmetric S whose row and column 0 are ``row``, zero elsewhere."""
+    s = np.zeros((len(row), len(row)))
+    s[0, :] = row
+    s[:, 0] = row
+    return s
+
+
+def _row_sums(row, x):
+    """Row 0 of S @ X for S = ``_star(row)``, under every relabeling of the
+    nodes: each relabeling puts row 0's terms in another order."""
+    s = _star(row)
+    return [kernels.shift_matvec(s[np.ix_(order, order)], x[list(order)])[order.index(0), 0]
+            for order in itertools.permutations(range(len(row)))]
+
+
 def test_wide_range_counterexample_is_order_independent():
     # a row whose compensated (Neumaier) sum depends on the order of its
     # terms: 2.0 in one order, 2.0000000000000004 in another
     row = np.array([1e16, 1.0, -1e16, 1.0, 3e-16])
-    s = np.zeros((5, 5))
-    s[0, :] = row
-    s[:, 0] = row
+    s = _star(row)
     x = np.ones((5, 1))
     coeffs = np.array([0.0, 1.0]).reshape(1, 1, 1, 2)
     act = neural.Activation("identity")
@@ -351,11 +414,7 @@ def test_wide_range_counterexample_is_order_independent():
     moved = kernels.layer_stack_forward(s[np.ix_(swap, swap)], x[swap], coeffs,
                                         act.act_id, act.slope)
     assert np.array_equal(base[swap], moved)
-    sums = {
-        float(kernels.shift_matvec(row[list(order)][None, :], x)[0, 0])
-        for order in itertools.permutations(range(5))
-    }
-    assert len(sums) == 1
+    assert len(set(_row_sums(row, x))) == 1
 
 
 def test_shift_matvec_bound_wide_range():
@@ -376,25 +435,19 @@ def test_shift_matvec_bound_wide_range():
 def test_shift_matvec_edges():
     big = np.finfo(np.float64).max
     # partial sums beyond DBL_MAX in some orders; the exact value is finite
-    row = np.array([big, big, -big])
-    for order in itertools.permutations(range(3)):
-        got = kernels.shift_matvec(row[list(order)][None, :], np.ones((3, 1)))
-        assert got[0, 0] == big
+    assert _row_sums(np.array([big, big, -big]), np.ones((3, 1))) == [big] * 6
     assert kernels.shift_matvec(np.array([[big]]), np.array([[0.5]]))[0, 0] == big * 0.5
     # subnormal rows scale without forming 2**shift beyond DBL_MAX
     tiny = np.array([[1e-310, 2e-310], [2e-310, 0.0]])
     feats = np.array([[1e300], [3.0]])
     _assert_product_bound(kernels.shift_matvec(tiny, feats), tiny, feats)
-    # a non-finite entry poisons its row of S / its column of X, nothing else
+    # a non-finite entry poisons its column of X, nothing else (an S holding
+    # one is refused: test_integrate_refuses_a_shift_as_the_forward_map_does)
     for bad in (np.inf, -np.inf, np.nan):
         x = np.ones((3, 2))
         x[1, 0] = bad
         got = kernels.shift_matvec(np.eye(3), x)
         assert np.isnan(got[:, 0]).all() and np.array_equal(got[:, 1], np.ones(3))
-        s = np.eye(3)
-        s[2, 1] = bad
-        got = kernels.shift_matvec(s, np.ones((3, 2)))
-        assert np.isnan(got[2]).all() and np.array_equal(got[:2], np.ones((2, 2)))
 
 
 def test_forward_lipschitz_growth_bound():
@@ -475,25 +528,24 @@ def _fresh_split_product(s, x):
 
 @st.composite
 def _shift_operands(draw, n_min, n_max):
-    """An (m, n) S and three (n, F) X: normal entries, optionally spread over
-    2**+-40 within rows and columns, optionally with inf/NaN entries."""
-    m = draw(st.integers(1, 12))
+    """A symmetric n x n S and three (n, F) X: normal entries, optionally
+    spread over 2**+-40 within rows and columns, optionally with inf/NaN
+    entries in X."""
     n = draw(st.integers(n_min, n_max))
     F = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    s = rng.normal(size=(m, n))
+    s = rng.normal(size=(n, n))
     xs = [rng.normal(size=(n, F)) for _ in range(3)]
     if draw(st.booleans()):
         s *= np.exp2(rng.integers(-40, 41, size=s.shape))
         for x in xs:
             x *= np.exp2(rng.integers(-40, 41, size=x.shape))
     poison = draw(st.lists(
-        st.tuples(st.integers(0, 3), st.sampled_from([np.inf, -np.inf, np.nan])),
+        st.tuples(st.integers(0, 2), st.sampled_from([np.inf, -np.inf, np.nan])),
         max_size=3))
     for which, value in poison:
-        a = s if which == 3 else xs[which]
-        a[rng.integers(a.shape[0]), rng.integers(a.shape[1])] = value
-    return s, xs, not poison
+        xs[which][rng.integers(n), rng.integers(F)] = value
+    return _mirror(s), xs, not poison
 
 
 @pytest.mark.parametrize("n_min, n_max", [(1, 8), (9, 24)])  # float64, float32 store
@@ -501,20 +553,19 @@ def _shift_operands(draw, n_min, n_max):
 @given(data=st.data())
 def test_operator_reuse_matches_fresh_split(n_min, n_max, data):
     s, xs, finite = data.draw(_shift_operands(n_min, n_max))
-    m, n = s.shape
+    n = len(s)
     op = kernels.ShiftOperator(s)
     float32 = kernels.slice_bits(n) <= kernels.FLOAT32_BITS
     assert op.slices.dtype == (np.float32 if float32 else np.float64)
     assert float32 == (n >= 9)
-    rng = np.random.default_rng(n)
-    rows, cols = rng.permutation(m), rng.permutation(n)
-    moved = kernels.ShiftOperator(s[np.ix_(rows, cols)])
+    perm = np.random.default_rng(n).permutation(n)
+    moved = kernels.ShiftOperator(s[np.ix_(perm, perm)])
     for x in xs:
         got = op @ x
         assert np.array_equal(got, kernels.shift_matvec(s, x), equal_nan=True)
         assert np.array_equal(got, _fresh_split_product(s, x), equal_nan=True)
-        # relabeling rows and the contraction index permutes every bit
-        assert np.array_equal(moved @ x[cols], got[rows], equal_nan=True)
+        # relabeling the nodes permutes every bit
+        assert np.array_equal(moved @ x[perm], got[perm], equal_nan=True)
         if finite:
             _assert_product_bound(got, s, x)
 
@@ -541,36 +592,34 @@ def _check_depth_product(s, xs, block_rows):
 
 @st.composite
 def _dyadic_operands(draw):
-    """A dyadic (m, n) S, each row k * 2**-j with |k| < 2**bits, at most
-    ``top`` slices' worth of bits, rows optionally in ascending bit count so
-    that a later row block needs more slices than the first; some rows wide
-    range or poisoned; zeros and -0.0 in S and X."""
-    m = draw(st.integers(1, 12))
+    """A dyadic symmetric n x n S, entry (i, j) k * 2**-c with
+    |k| < 2**min(bits_i, bits_j) and at most ``top`` slices' worth of bits,
+    the bits optionally ascending so that a later row block needs more
+    slices than the first; some rows and their columns wide range; zeros
+    and -0.0 in S and X; inf/NaN in X."""
     n = draw(st.integers(1, 40))
     F = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     top = draw(st.integers(1, kernels.SLICES)) * kernels.slice_bits(n)
-    bits = rng.integers(1, top + 1, size=(m, 1))
+    bits = rng.integers(1, top + 1, size=(n, 1))
     if draw(st.booleans()):
         bits.sort(axis=0)
-    s = np.rint(rng.uniform(-1.0, 1.0, size=(m, n)) * np.exp2(bits))
-    s *= np.exp2(-rng.integers(0, 80, size=(m, 1)))
-    s[rng.random((m, n)) < 0.3] = 0.0
-    s[rng.random((m, n)) < 0.1] = -0.0
-    wide = rng.random(m) < draw(st.sampled_from([0.0, 0.2]))
+    s = np.rint(rng.uniform(-1.0, 1.0, size=(n, n)) * np.exp2(np.minimum(bits, bits.T)))
+    s *= np.exp2(-rng.integers(0, 80))
+    s[rng.random((n, n)) < 0.3] = 0.0
+    s[rng.random((n, n)) < 0.1] = -0.0
+    wide = rng.random(n) < draw(st.sampled_from([0.0, 0.2]))
     s[wide] = rng.normal(size=(wide.sum(), n)) * np.exp2(rng.integers(-40, 41, (wide.sum(), n)))
+    s[:, wide] = s[wide].T  # before the mirror, so a wide row keeps its own entries
     xs = [rng.normal(size=(n, F)) * np.exp2(rng.integers(-40, 41, size=(n, F)))
           for _ in range(2)]
     for x in xs:
         x[rng.random((n, F)) < 0.2] = -0.0
     for which, value in draw(st.lists(
-            st.tuples(st.integers(0, 2), st.sampled_from([np.inf, -np.inf, np.nan])),
+            st.tuples(st.integers(0, 1), st.sampled_from([np.inf, -np.inf, np.nan])),
             max_size=2)):
-        if which == 2:
-            s[rng.integers(m), rng.integers(n)] = value
-        else:
-            xs[which][rng.integers(n), rng.integers(F)] = value
-    return s, xs
+        xs[which][rng.integers(n), rng.integers(F)] = value
+    return _mirror(s), xs
 
 
 @settings(max_examples=60, deadline=None)
@@ -582,34 +631,38 @@ def test_operator_depth_matches_three_slice_product(operands, block_rows):
 
 @st.composite
 def _branch_operands(draw, depth_one, bad_rows, bad_cols):
-    """An (m, n) S and an (n, F) X that take the product's chosen branches:
-    S of one slice (dyadic rows of fewer than beta bits) or of more (one
-    row of wide-range normals), with or without an inf/NaN row, and X with
-    or without an inf/NaN column; zeros and -0.0 in both, and X always has
-    an all -0.0 column."""
-    m = draw(st.integers(1 if depth_one or not bad_rows else 2, 10))
+    """A symmetric n x n S and an (n, F) X that take the product's chosen
+    branches: S of one slice (dyadic entries of fewer than beta bits) or of
+    more (one row and column of wide-range normals), and X with or without
+    an inf/NaN column; zeros and -0.0 in both, and X always has an all -0.0
+    column.  A ``bad_rows`` S holds an inf or NaN entry and its mirror,
+    which the operator refuses; the third value is that entry (None when
+    there is none)."""
     n = draw(st.integers(2, 40))
     F = draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    bits = rng.integers(1, kernels.slice_bits(n), size=(m, 1))
-    s = np.rint(rng.uniform(-1.0, 1.0, size=(m, n)) * np.exp2(bits))
-    s *= np.exp2(-rng.integers(0, 80, size=(m, 1)))
-    s[rng.random((m, n)) < 0.3] = 0.0
-    s[rng.random((m, n)) < 0.1] = -0.0
-    rows = rng.permutation(m)  # rows[0] is the wide row, rows[-1] the bad one
+    s = np.rint(rng.uniform(-1.0, 1.0, size=(n, n))
+                * np.exp2(rng.integers(1, kernels.slice_bits(n))))
+    s *= np.exp2(-rng.integers(0, 80))
+    s[rng.random((n, n)) < 0.3] = 0.0
+    s[rng.random((n, n)) < 0.1] = -0.0
     if not depth_one:
-        s[rows[0]] = rng.normal(size=n) * np.exp2(rng.integers(-40, 41, size=n))
+        wide = rng.integers(n)
+        s[wide] = s[:, wide] = rng.normal(size=n) * np.exp2(rng.integers(-40, 41, size=n))
+    s = _mirror(s)
     x = rng.normal(size=(n, F)) * np.exp2(rng.integers(-40, 41, size=(n, F)))
     x[rng.random((n, F)) < 0.2] = 0.0
     x[rng.random((n, F)) < 0.2] = -0.0
     cols = rng.permutation(F)  # cols[0] is all -0.0, cols[-1] the bad one
     x[:, cols[0]] = -0.0
     values = st.sampled_from([np.inf, -np.inf, np.nan])
+    bad = None
     if bad_rows:
-        s[rows[-1], rng.integers(n)] = draw(values)
+        i, j = rng.integers(n, size=2)
+        bad = s[i, j] = s[j, i] = draw(values)
     if bad_cols:
         x[rng.integers(n), cols[-1]] = draw(values)
-    return s, x
+    return s, x, bad
 
 
 @pytest.mark.parametrize("bad_cols", [False, True], ids=["finite_x", "bad_x"])
@@ -619,38 +672,47 @@ def _branch_operands(draw, depth_one, bad_rows, bad_cols):
 @given(data=st.data())
 def test_product_branches_match_frozen_oracle(depth_one, bad_rows, bad_cols, data):
     # each branch of the product (the in-place GEMM at depth 1 or the
-    # copied one above it, the NaN marks of S's rows and of X's columns
-    # taken or skipped, one row block or several) gives the frozen
-    # oracle's bits, the sign of every zero included
-    s, x = data.draw(_branch_operands(depth_one, bad_rows, bad_cols))
-    m, n = s.shape
-    block_rows = data.draw(st.integers(1, m))
+    # copied one above it, the NaN marks of X's columns taken or skipped,
+    # one row block or several) gives the frozen oracle's bits, the sign
+    # of every zero included; an S holding inf or NaN is refused while it
+    # is split, in whichever row block the entry lies
+    s, x, bad = data.draw(_branch_operands(depth_one, bad_rows, bad_cols))
+    n = len(s)
+    block_rows = data.draw(st.integers(1, n))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "BLOCK_ENTRIES", block_rows * n)
+        if bad_rows:
+            with pytest.raises(InvalidParameterError,
+                               match="symmetric" if np.isnan(bad) else "finite"):
+                kernels.ShiftOperator(s)
+            return
         op = kernels.ShiftOperator(s)
     assert op.rows == block_rows
     assert (len(op.slices) == 1) == depth_one
-    assert op.any_bad == bad_rows
     got = op @ x
     assert np.array_equal(got.view(np.int64), _fresh_split_product(s, x).view(np.int64))
-    # an all-NaN column comes from a bad column of X, or from every row of S being bad
-    assert np.isnan(got).all(axis=0).any() == (bad_cols or m == op.bad.sum())
+    assert np.isnan(got).all(axis=0).any() == bad_cols
 
 
 def test_operator_depth_grows_in_later_blocks():
-    # one row per block: rows needing 1, 2 and 3 slices grow the store twice
+    # one row per block of a block-diagonal S: row 0 needs 1 slice, row 1
+    # needs 2 and row 3 needs 3, so the store grows in later blocks: not
+    # at all for the first diagonal block alone, once for the first two,
+    # twice for all of them
     n = 16
     beta = kernels.slice_bits(n)
-    s = np.zeros((4, n))
-    s[:, 0] = [1.0, 1.0, 1.0, 0.5]
-    s[1, 1] = 2.0 ** -beta
-    s[2, 2] = 2.0 ** (-2 * beta)
-    s[3, 3] = -0.0
+    s = np.zeros((n, n))
+    s[0, 0] = 1.0
+    s[1, 1:3] = [1.0, 2.0 ** -beta]
+    s[3, 3:5] = [1.0, 2.0 ** (-2 * beta)]
+    s[5, 5:7] = [0.5, -0.0]
+    s = _mirror(s)
     x = np.arange(n * 2, dtype=np.float64).reshape(n, 2) - 7.0
     x[3, 1] = -0.0
-    assert _check_depth_product(s[:1], [x], 1) == 1
-    assert _check_depth_product(s[:2], [x], 1) == 2
-    assert _check_depth_product(s, [x], 1) == 3
+    for end, depth in ((1, 1), (3, 2), (n, 3)):
+        first = np.zeros((n, n))
+        first[:end, :end] = s[:end, :end]
+        assert _check_depth_product(first, [x], 1) == depth, end
 
 
 _ONE_SLICE_AT_DYADIC_N = ("tent", "checkerboard", "hsbm", "hexaflake", "sierpinski")
@@ -668,43 +730,43 @@ def test_catalog_shift_depth(name, n, depth):
     assert kernels.ShiftOperator(smp.graph_shift(graph)).slices.shape == (depth, n, n)
 
 
-def test_operator_symmetry_read_once_and_dense_dropped():
-    # symmetry is decided at construction, and the operator keeps no
-    # reference to the array or graph it split
+def test_operator_symmetry_read_once_and_dense_dropped(monkeypatch):
+    # symmetry is checked once, when an array is split (a graph has checked
+    # its own), never by a product or a forward pass on the operator; the
+    # operator keeps no reference to the array or graph it split
     import gc
     import weakref
 
+    checked = []
+    monkeypatch.setattr(kernels, "is_symmetric",
+                        lambda a, check=kernels.is_symmetric: checked.append(a) or check(a))
     s = np.array([[0.0, 0.5], [0.5, 1.0]])
     op = kernels.ShiftOperator(s)
-    assert vars(op)["symmetric"] is True
     gone = smp.SampledGraph(s.copy(), "weighted")
     refs = [weakref.ref(gone), weakref.ref(gone.adjacency)]
     divided = kernels.ShiftOperator(gone)
     del gone
     gc.collect()
     assert all(ref() is None for ref in refs)
-    assert vars(divided)["symmetric"] is True
-    assert not kernels.ShiftOperator(np.array([[0.0, 0.5], [0.25, 1.0]])).symmetric
-    assert not kernels.ShiftOperator(np.full((2, 2), np.nan)).symmetric
-    assert not kernels.ShiftOperator(np.ones((2, 3))).symmetric
+    assert len(checked) == 1
     assert kernels.as_operator(op) is op
     # an operator and its array give the same forward pass bit for bit
     x = np.array([[1.0], [-2.0]])
     coeffs = np.array([0.5, 1.5, -0.25]).reshape(1, 1, 1, 3)
-    assert np.array_equal(kernels.layer_stack_forward(op, x, coeffs, kernels.ACT_TANH),
-                          kernels.layer_stack_forward(s, x, coeffs, kernels.ACT_TANH))
+    with_op = kernels.layer_stack_forward(op, x, coeffs, kernels.ACT_TANH)
+    assert len(checked) == 1
+    assert np.array_equal(with_op, kernels.layer_stack_forward(s, x, coeffs, kernels.ACT_TANH))
     assert np.array_equal(kernels.layer_stack_forward(divided, x, coeffs, kernels.ACT_TANH),
                           kernels.layer_stack_forward(s / 2, x, coeffs, kernels.ACT_TANH))
 
 
 def _assert_same_operator(got, want, xs):
     """Two operators agree bit for bit: slices (dtype and depth included),
-    exponents, bad rows, symmetry, and every product."""
+    exponents, and every product."""
     assert got.slices.dtype == want.slices.dtype
     assert got.slices.shape == want.slices.shape
     assert np.array_equal(got.slices, want.slices)
-    assert np.array_equal(got.exps, want.exps) and np.array_equal(got.bad, want.bad)
-    assert got.symmetric is want.symmetric
+    assert np.array_equal(got.exps, want.exps)
     for x in xs:
         assert np.array_equal((got @ x).view(np.int64), (want @ x).view(np.int64))
 
@@ -773,7 +835,7 @@ def test_operator_divisor_matches_divided_array(n, value_class, block_rows, seed
     # a sampled graph split with its divisor n, a few rows per block so that
     # the division and the store's growth span several blocks, against the
     # operator on the array adjacency / n; and an array holding inf or NaN
-    # split a few rows per block against the same array in one block
+    # refused when it is split a few rows per block, in whichever block
     rng = np.random.default_rng(seed)
     if value_class == smp.WEIGHTED:
         a = rng.uniform(0.0, 1.0, size=(n, n))
@@ -789,22 +851,21 @@ def test_operator_divisor_matches_divided_array(n, value_class, block_rows, seed
         i, j = rng.integers(n, size=2)
         poisoned[i, j] = poisoned[j, i] = value
     xs = [rng.normal(size=(n, 2))]
-    whole = kernels.ShiftOperator(poisoned)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "BLOCK_ENTRIES", block_rows * n)
         got = kernels.ShiftOperator(graph)
         want = kernels.ShiftOperator(graph.adjacency / n)
-        blocked = kernels.ShiftOperator(poisoned)
-    assert got.rows == blocked.rows == min(n, block_rows)
-    assert got.symmetric is True
+        if poison:
+            with pytest.raises(InvalidParameterError,
+                               match="symmetric" if np.isnan(poisoned).any() else "finite"):
+                kernels.ShiftOperator(poisoned)
+    assert got.rows == min(n, block_rows)
     _assert_same_operator(got, want, xs)
-    _assert_same_operator(blocked, whole, xs)
-    assert np.array_equal(blocked.bad[:, 0], ~np.isfinite(poisoned).all(axis=1))
-    assert blocked.symmetric is (not np.isnan(poisoned).any())
 
 
 def test_operator_empty_shapes():
-    assert kernels.shift_matvec(np.zeros((0, 0)), np.zeros((0, 2))).shape == (0, 2)
-    assert np.array_equal(kernels.shift_matvec(np.zeros((3, 0)), np.zeros((0, 2))),
-                          np.zeros((3, 2)))
-    assert kernels.shift_matvec(np.zeros((0, 4)), np.ones((4, 1))).shape == (0, 1)
+    # a shift has n >= 1 nodes: an empty one is refused, square or not
+    for shape, message in (((0, 0), "n >= 1 nodes, got 0x0"), ((3, 0), "square shift, got 3x0"),
+                           ((0, 4), "square shift, got 0x4")):
+        with pytest.raises(DimensionMismatchError, match=message):
+            kernels.shift_matvec(np.zeros(shape), np.zeros((shape[1], 2)))
